@@ -1,6 +1,6 @@
 """Deterministic co-simulator for closed-loop robot control over a TDMA wireless MAC.
 
-The package wires a discrete-event engine, a packet-erasure radio model, a
+The package wires a fixed-period cycle engine, a packet-erasure radio model, a
 slotted MAC with flooding time sync and in-cycle retransmission, ground-truth
 differential-drive robots, and a waypoint path controller into replayable
 scenarios with trace and metrics outputs.
@@ -8,7 +8,7 @@ scenarios with trace and metrics outputs.
 
 from .channel import BurstModel, Cause, Medium, ProtocolViolation, ReceptionOutcome
 from .controller import FollowerParams, PathController, SteeringParams
-from .engine import Engine, NodeClock, RunSummary, SimulationError
+from .engine import Engine, RunSummary
 from .frames import (BROADCAST, FRAME_SIZE, NO_READING, CmdFrame, EstopFrame,
                      FbFrame, Frame, FrameError, MsgType, SyncFrame,
                      decode_frame, encode_frame)

@@ -8,8 +8,7 @@ constructively: the flood fails only if every contributing link fails
 
 The model deliberately has no SINR, capture or path-loss physics; erasures
 parameterized per hop channel are what frequency hopping exploits, and the
-PHY is treated as a black box.  Transmit power appears in scenario configs
-for fidelity but never enters the erasure math.
+PHY is treated as a black box.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .engine import Engine, SimTime
-from .frames import Frame, encode_frame
+from .frames import FRAME_SIZE, Frame, encode_frame
 
 
 class ChannelError(ValueError):
@@ -109,14 +108,12 @@ class Medium:
     one step per elapsed slot, from a per-link stream.
     """
 
-    def __init__(self, engine: Engine, n_channels: int,
-                 payload_bytes: int = 16, phy_overhead_bytes: int = 10,
+    def __init__(self, engine: Engine, n_channels: int, phy_overhead_bytes: int = 10,
                  phy_rate_mbps: float = 2.0):
         if n_channels < 1:
             raise ChannelError("need at least one hop channel")
         self.engine = engine
         self.n_channels = n_channels
-        self.payload_bytes = payload_bytes
         self.phy_overhead_bytes = phy_overhead_bytes
         self.phy_rate_mbps = phy_rate_mbps
         self._links: dict[tuple[int, int], RadioLink] = {}
@@ -125,8 +122,8 @@ class Medium:
 
     @property
     def airtime_us(self) -> int:
-        """On-air time of one frame: (payload + PHY overhead) * 8 / rate."""
-        bits = (self.payload_bytes + self.phy_overhead_bytes) * 8
+        """On-air time of one frame: (frame size + PHY overhead) * 8 / rate."""
+        bits = (FRAME_SIZE + self.phy_overhead_bytes) * 8
         return int(round(bits / self.phy_rate_mbps))
 
     def add_link(self, sender: int, receiver: int, per: float | None = None,

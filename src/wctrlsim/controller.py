@@ -286,15 +286,6 @@ class PathController:
         lane.informing_fb_seq = fb.seq
         lane.pending_fb = None
 
-    def dead_reckon(self, robot: int, ticks: tuple[int, int]) -> Pose:
-        """Directly fold a cumulative tick reading into a lane's estimate."""
-        lane = self.lanes[robot]
-        lane.pending_fb = FbFrame(src=robot, dst=self.node,
-                                  seq=((lane.last_fb_seq or 0) + 1) & 0xFFFF,
-                                  left_ticks=ticks[0], right_ticks=ticks[1])
-        self._consume_feedback(lane)
-        return lane.est_pose
-
     def _check_estop(self) -> int | None:
         if self.estop_latched:
             return None

@@ -1,26 +1,22 @@
-"""Deterministic discrete-event core: virtual clock, event queue, node clocks, RNG streams.
+"""Deterministic run core: virtual clock, fixed-period cycle loop, RNG streams.
 
-Virtual time is an integer count of microseconds since run start.  Events fire
-in (time, insertion order); ties are never broken by hashing or object
-identity, so a run replays bit-identically for the same seed and schedule.
+Virtual time is an integer count of microseconds since run start.  A run is
+a sequence of equal-length cycles, stepped in order from time 0, and every
+stochastic draw comes from a named substream of the master seed, so a run
+replays bit-identically for the same seed and schedule.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
 SimTime = int  # virtual microseconds since run start
 
 _U64 = 0xFFFFFFFFFFFFFFFF
-
-
-class SimulationError(RuntimeError):
-    """Internal inconsistency that invalidates a run (e.g. scheduling in the past)."""
 
 
 def stream_rng(master_seed: int, node: int | None, purpose: str) -> np.random.Generator:
@@ -34,27 +30,6 @@ def stream_rng(master_seed: int, node: int | None, purpose: str) -> np.random.Ge
     return np.random.default_rng(np.random.SeedSequence([master_seed & _U64, *words]))
 
 
-@dataclass
-class NodeClock:
-    """Free-running node clock: constant ppm drift plus an offset from the last correction.
-
-    local_time(t) = t + offset_us + drift_ppm * 1e-6 * (t - last_sync)
-    """
-
-    node: int
-    drift_ppm: float
-    offset_us: float = 0.0
-    last_sync: SimTime = 0
-
-    def local_time(self, true_time: SimTime) -> float:
-        return true_time + self.offset_us + self.drift_ppm * 1e-6 * (true_time - self.last_sync)
-
-    def correct(self, at: SimTime, residual_us: float) -> None:
-        """Re-align the clock at `at`, leaving only `residual_us` of error."""
-        self.offset_us = residual_us
-        self.last_sync = at
-
-
 @dataclass(frozen=True)
 class RunSummary:
     events_processed: int
@@ -62,19 +37,15 @@ class RunSummary:
 
 
 class Engine:
-    """Single-threaded event loop over virtual microseconds.
+    """Virtual clock and RNG substreams of one run.
 
     Everything stochastic in a run draws from `stream()` substreams of the
-    master seed; the engine itself draws only the per-node clock drifts.
+    master seed.
     """
 
-    def __init__(self, seed: int, max_drift_ppm: float = 40.0):
+    def __init__(self, seed: int):
         self.seed = int(seed)
-        self.max_drift_ppm = float(max_drift_ppm)
         self.now: SimTime = 0
-        self.clocks: dict[int, NodeClock] = {}
-        self._queue: list[tuple[SimTime, int, Callable[..., None], tuple[Any, ...]]] = []
-        self._next_seq = 0
         self._streams: dict[tuple[int | None, str], np.random.Generator] = {}
 
     def stream(self, node: int | None, purpose: str) -> np.random.Generator:
@@ -85,43 +56,13 @@ class Engine:
             rng = self._streams[key] = stream_rng(self.seed, node, purpose)
         return rng
 
-    def add_node(self, node: int) -> NodeClock:
-        """Register a node and draw its constant clock drift (uniform in +/- max ppm)."""
-        if node in self.clocks:
-            raise SimulationError(f"node {node} already registered")
-        drift = float(self.stream(node, "drift").uniform(-self.max_drift_ppm, self.max_drift_ppm))
-        clock = NodeClock(node=node, drift_ppm=drift)
-        self.clocks[node] = clock
-        return clock
-
-    def local_time(self, node: int, true_time: SimTime | None = None) -> float:
-        """Node-local microseconds at `true_time` (defaults to the current time)."""
-        clock = self.clocks.get(node)
-        if clock is None:
-            raise SimulationError(f"unknown node {node}")
-        return clock.local_time(self.now if true_time is None else true_time)
-
-    def schedule(self, at: SimTime, fn: Callable[..., None], *args: Any) -> int:
-        """Queue `fn(*args)` to fire at virtual time `at`; returns the event handle."""
-        if at < self.now:
-            raise SimulationError(f"event scheduled at {at} us, before current time {self.now} us")
-        seq = self._next_seq
-        self._next_seq += 1
-        heapq.heappush(self._queue, (at, seq, fn, args))
-        return seq
-
-    def run_until(self, end: SimTime) -> RunSummary:
-        """Process all events with time <= end in deterministic order."""
+    def run_until(self, period: SimTime, step: Callable[[], bool]) -> RunSummary:
+        """Call `step()` at now = 0, period, 2*period, ... until it returns False."""
         processed = 0
-        queue = self._queue
-        while queue and queue[0][0] <= end:
-            at, _seq, fn, args = heapq.heappop(queue)
-            self.now = at
-            fn(*args)
+        self.now = 0
+        while True:
             processed += 1
-        self.now = end
-        return RunSummary(events_processed=processed, final_time=end)
-
-    @property
-    def pending_events(self) -> int:
-        return len(self._queue)
+            if not step():
+                break
+            self.now += period
+        return RunSummary(events_processed=processed, final_time=self.now)

@@ -21,7 +21,7 @@ scenario configs expose every constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .channel import Medium, ReceptionOutcome, Transmission
@@ -48,12 +48,11 @@ class Band(Enum):
 
 @dataclass(frozen=True)
 class LoopSpec:
-    """One control loop: a controller driving one plant, with optional relays."""
+    """One control loop: a controller driving one plant."""
 
     loop_id: int
     controller: int
     plant: int
-    relays: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -106,9 +105,6 @@ class CycleSchedule:
         hop = self.hop_feedback if slot.band is Band.FEEDBACK else self.hop_forward
         return hop[(cycle_index + position) % len(hop)]
 
-    def slots_of(self, direction: Direction) -> list[Slot]:
-        return [s for s in self.slots if s.direction is direction]
-
 
 def _check_permutation(hop: tuple[int, ...], name: str) -> None:
     if sorted(hop) != list(range(len(hop))):
@@ -140,9 +136,6 @@ def build_schedule(loops: list[LoopSpec], *, slot_duration_us: int = 250,
     for loop in loops:
         if loop.controller == loop.plant:
             raise ScheduleError(f"loop {loop.loop_id}: controller and plant are the same node")
-        overlap = set(loop.relays) & {loop.controller, loop.plant}
-        if overlap:
-            raise ScheduleError(f"loop {loop.loop_id}: relays {overlap} overlap loop nodes")
 
     ordered = sorted(loops, key=lambda l: l.loop_id)
     slots: list[Slot] = [Slot(0, Direction.SYNC, Band.FORWARD, None)]
@@ -165,7 +158,6 @@ class SyncState:
     node: int
     synced: bool = True
     missed_beacons: int = 0
-    last_correction_us: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -194,13 +186,14 @@ def run_sync_beacon(engine: Engine, medium: Medium, schedule: CycleSchedule,
                     cycle_index: int, originator: int, nodes: list[int],
                     states: dict[int, SyncState], params: SyncParams,
                     cycle_start: SimTime) -> BeaconReport:
-    """Flood one sync beacon through the sync slot and update node clocks.
+    """Flood one sync beacon through the sync slot and update node sync states.
 
     The originator transmits in wave 1; every node that first received in wave
     k retransmits in wave k+1, up to max_waves.  A node that receives in wave k
-    re-aligns its clock with a residual error that accumulates one uniform
-    +/- jitter draw per wave traversed.  Desynced nodes still listen for
-    beacons (that is the recovery path); reception resets their miss count.
+    re-aligns to the beacon with a residual error that accumulates one uniform
+    +/- jitter draw per wave traversed; the residual is reported, not applied.
+    Desynced nodes still listen for beacons (that is the recovery path);
+    reception resets their miss count.
     """
     channel = schedule.channel_for(cycle_index, 0)
     slot = medium.begin_slot()
@@ -228,11 +221,9 @@ def run_sync_beacon(engine: Engine, medium: Medium, schedule: CycleSchedule,
                 rng = engine.stream(node, "sync")
                 residual = float(sum(rng.uniform(-params.jitter_us, params.jitter_us)
                                      for _ in range(wave)))
-                engine.clocks[node].correct(at, residual)
                 state = states[node]
                 state.synced = True
                 state.missed_beacons = 0
-                state.last_correction_us = residual
                 receptions.append(BeaconReception(node=node, wave=wave, residual_us=residual))
 
     desynced: list[int] = []

@@ -75,6 +75,8 @@ class RobotParams:
                 or self.ticks_per_rev <= 0 or self.max_wheel_speed_mms <= 0
                 or self.actuation_rate_limit_mms2 <= 0):
             raise ValueError("robot parameters must all be strictly positive")
+        if self.max_wheel_speed_mms > 0x7FFF:
+            raise ValueError("max wheel speed must fit the command frame's i16 speed field")
 
     @property
     def ticks_per_meter(self) -> float:

@@ -39,10 +39,8 @@ class ProtocolParams:
     retx_slots: int = 2
     n_channels: int = 8
     watchdog_cycles: int = 10
-    max_drift_ppm: float = 40.0
     phy_overhead_bytes: int = 10
     phy_rate_mbps: float = 2.0
-    tx_power_dbm: float = 8.0  # informational; never enters the erasure model
     sync: SyncParams = field(default_factory=SyncParams)
 
 
@@ -118,15 +116,11 @@ class ScenarioConfig:
     def robots(self) -> list[NodeSpec]:
         return sorted((n for n in self.nodes if n.is_robot), key=lambda n: n.node_id)
 
-    def relays(self) -> tuple[int, ...]:
-        return tuple(sorted(n.node_id for n in self.by_role("relay")))
-
     def loops(self) -> list[LoopSpec]:
         """Radio control loops: in a platoon the leader's own loop is local."""
         controller = self.controller_node().node_id
         plants = [n.node_id for n in self.robots() if n.node_id != controller]
-        return [LoopSpec(loop_id=i, controller=controller, plant=plant,
-                         relays=self.relays())
+        return [LoopSpec(loop_id=i, controller=controller, plant=plant)
                 for i, plant in enumerate(sorted(plants))]
 
     @property
@@ -331,10 +325,8 @@ def _parse_protocol(raw: dict | None) -> ProtocolParams:
         retx_slots=int(_take(raw, "retx_slots", defaults.retx_slots)),
         n_channels=int(_take(raw, "n_channels", defaults.n_channels)),
         watchdog_cycles=int(_take(raw, "watchdog_cycles", defaults.watchdog_cycles)),
-        max_drift_ppm=float(_take(raw, "max_drift_ppm", defaults.max_drift_ppm)),
         phy_overhead_bytes=int(_take(raw, "phy_overhead_bytes", defaults.phy_overhead_bytes)),
         phy_rate_mbps=float(_take(raw, "phy_rate_mbps", defaults.phy_rate_mbps)),
-        tx_power_dbm=float(_take(raw, "tx_power_dbm", defaults.tx_power_dbm)),
         sync=sync,
     )
 
@@ -377,7 +369,22 @@ def _parse_obstacles(raw: list | None) -> tuple[ObstacleSpec, ...]:
 
 
 def config_from_dict(raw: dict) -> ScenarioConfig:
-    """Build and validate a ScenarioConfig from a plain JSON-shaped dict."""
+    """Build and validate a ScenarioConfig from a plain JSON-shaped dict.
+
+    Any value that cannot be converted or fails a range check raises
+    ConfigError, never a bare ValueError or TypeError.
+    """
+    try:
+        config = _parse_config(raw)
+        config.validate()
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(str(exc)) from None
+    return config
+
+
+def _parse_config(raw: dict) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError("scenario config must be a JSON object")
     try:
@@ -389,7 +396,7 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
     if not isinstance(nodes_raw, list) or not nodes_raw:
         raise ConfigError("config needs a non-empty node list")
     steering, follower = _parse_steering(raw.get("controller"))
-    config = ScenarioConfig(
+    return ScenarioConfig(
         kind=kind,
         seed=seed,
         nodes=tuple(_parse_node(n) for n in nodes_raw),
@@ -403,8 +410,6 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
         sensor_range_mm=int(raw.get("sensor_range_mm", 1000)),
         raw=raw,
     )
-    config.validate()
-    return config
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

@@ -1,6 +1,6 @@
 """Scenario orchestration: one run wiring engine, medium, MAC, plants and controller.
 
-Each cycle executes as a single engine event at its start time:
+The engine steps one cycle per period; each cycle runs its slots in order:
 
     sync flood -> per-loop feedback slots -> controller compute (gap) ->
     per-loop command slots -> shared retx flood slots -> plant tick
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import metrics as metrics_mod
-from .channel import Cause, Medium, ReceptionOutcome, Transmission
+from .channel import Cause, Medium, ReceptionOutcome
 from .controller import PathController
 from .engine import Engine, SimTime
 from .frames import CmdFrame, EstopFrame, FbFrame, Frame, msg_type_of
@@ -58,13 +58,11 @@ class Simulation:
         config.validate()
         self.config = config
         proto = config.protocol
-        self.engine = Engine(config.seed, max_drift_ppm=proto.max_drift_ppm)
+        self.engine = Engine(config.seed)
         self.medium = Medium(self.engine, proto.n_channels,
                              phy_overhead_bytes=proto.phy_overhead_bytes,
                              phy_rate_mbps=proto.phy_rate_mbps)
         self.all_nodes = sorted(config.node_ids())
-        for node in self.all_nodes:
-            self.engine.add_node(node)
         self._build_links()
 
         hop_rng = self.engine.stream(None, "hop-forward")
@@ -141,11 +139,16 @@ class Simulation:
     def _active_obstacles(self, at: SimTime) -> list[Segment]:
         return [o.segment for o in self.config.obstacles if o.appears_at_us <= at]
 
-    def _log_frame(self, time_us: SimTime, kind: str, slot: int | None, frame: Frame,
-                   cause=None, channel=None, wave=None, node=None) -> None:
-        self.trace.add(time_us, kind, cycle=self.cycle, slot=slot, node=node,
-                       frame=msg_type_of(frame).name, src=frame.src, dst=frame.dst,
-                       seq=frame.seq, cause=cause, v1=channel, v2=wave)
+    def _sample_feedback(self, robot_id: int, at: SimTime, slot: int | None = None) -> FbFrame:
+        """Sample a robot's sensors into the next feedback frame; slot None = local loop."""
+        ticks_l, ticks_r, distance = self.robots[robot_id].sample_feedback(
+            self._active_obstacles(at))
+        seq = self._fb_seq[robot_id] = (self._fb_seq[robot_id] + 1) & 0xFFFF
+        self.trace.add(at, "fb-sample", cycle=self.cycle, slot=slot, node=robot_id, seq=seq,
+                       cause="local" if slot is None else None, v1=ticks_l, v2=ticks_r,
+                       v3=-1 if distance is None else distance)
+        return FbFrame(src=robot_id, dst=self.controller_node, seq=seq,
+                       left_ticks=ticks_l, right_ticks=ticks_r, distance_mm=distance)
 
     def _apply_cmd(self, robot_id: int, cmd: CmdFrame, at: SimTime,
                    slot: int | None, local: bool = False) -> None:
@@ -167,14 +170,21 @@ class Simulation:
             self.trace.add(at, "estop", cycle=self.cycle, node=robot_id, cause="plant-latch")
         self._commands_seen.add(robot_id)
 
-    def _deliver_to_listeners(self, txs: list[Transmission], slot: Slot, at: SimTime,
-                              wave: int | None = None) -> dict[int, bool]:
-        """Draw one reception outcome per listening node; returns who received."""
-        senders = {tx.sender for tx in txs}
-        received: dict[int, bool] = {}
-        frame = txs[0].frame
+    def _send(self, senders: list[int], frame: Frame, slot: Slot, at: SimTime) -> list[int]:
+        """Put `frame` on the air from every sender in one slot (a flood if more
+        than one), logging each transmission and one reception outcome per
+        listening node; returns the listeners that received it, in node order."""
+        slot_uid = self.medium.begin_slot()
+        channel = self.schedule.channel_for(self.cycle, slot.position)
+        txs = [self.medium.make_transmission(s, frame, slot_uid, channel, at) for s in senders]
+        name = msg_type_of(frame).name
+        for sender in senders:
+            self.trace.add(at, "tx", cycle=self.cycle, slot=slot.position, node=sender,
+                           frame=name, src=frame.src, dst=frame.dst, seq=frame.seq, v1=channel)
+        sending = set(senders)
+        received: list[int] = []
         for node in self.all_nodes:
-            if node in senders:
+            if node in sending:
                 continue
             if not self.sync_states[node].synced:
                 outcome = ReceptionOutcome(node, False, Cause.DESYNCED_LISTENER)
@@ -183,10 +193,10 @@ class Simulation:
             else:
                 outcome = self.medium.deliver_flood(txs, node)
             self.trace.add(at, "rx", cycle=self.cycle, slot=slot.position, node=node,
-                           frame=msg_type_of(frame).name, src=frame.src, dst=frame.dst,
-                           seq=frame.seq, cause=outcome.cause.value,
-                           v1=txs[0].channel, v2=wave)
-            received[node] = outcome.received
+                           frame=name, src=frame.src, dst=frame.dst, seq=frame.seq,
+                           cause=outcome.cause.value, v1=channel)
+            if outcome.received:
+                received.append(node)
         return received
 
     def _log_empty_slot(self, slot: Slot, at: SimTime) -> None:
@@ -230,39 +240,20 @@ class Simulation:
         if not self.sync_states[robot_id].synced:
             self._log_empty_slot(slot, at)
             return
-        robot = self.robots[robot_id]
-        ticks_l, ticks_r, distance = robot.sample_feedback(self._active_obstacles(at))
-        seq = self._fb_seq[robot_id] = (self._fb_seq[robot_id] + 1) & 0xFFFF
-        self.trace.add(at, "fb-sample", cycle=self.cycle, slot=slot.position,
-                       node=robot_id, seq=seq, v1=ticks_l, v2=ticks_r,
-                       v3=-1 if distance is None else distance)
-        frame = FbFrame(src=robot_id, dst=self.controller_node, seq=seq,
-                        left_ticks=ticks_l, right_ticks=ticks_r, distance_mm=distance)
-        slot_uid = self.medium.begin_slot()
-        channel = self.schedule.channel_for(self.cycle, slot.position)
-        tx = self.medium.make_transmission(robot_id, frame, slot_uid, channel, at)
-        self._log_frame(at, "tx", slot.position, frame, channel=channel, node=robot_id)
-        received = self._deliver_to_listeners([tx], slot, at)
-        holders = {robot_id} | {n for n, ok in received.items() if ok}
-        if received.get(self.controller_node):
+        frame = self._sample_feedback(robot_id, at, slot.position)
+        received = self._send([robot_id], frame, slot, at)
+        if self.controller_node in received:
             self.controller.ingest_feedback(frame)
         else:
             self._pending.append(_Pending(priority=(1, slot.loop_id), frame=frame,
-                                          dest=self.controller_node, holders=holders))
+                                          dest=self.controller_node,
+                                          holders={robot_id, *received}))
 
     def _run_compute(self, at: SimTime) -> None:
         # leader-follower: the co-located leader loop closes here, off the air
         for robot_id, lane in self.controller.lanes.items():
             if lane.local:
-                robot = self.robots[robot_id]
-                ticks_l, ticks_r, distance = robot.sample_feedback(self._active_obstacles(at))
-                seq = self._fb_seq[robot_id] = (self._fb_seq[robot_id] + 1) & 0xFFFF
-                self.trace.add(at, "fb-sample", cycle=self.cycle, node=robot_id, seq=seq,
-                               cause="local", v1=ticks_l, v2=ticks_r,
-                               v3=-1 if distance is None else distance)
-                self.controller.ingest_feedback(
-                    FbFrame(src=robot_id, dst=self.controller_node, seq=seq,
-                            left_ticks=ticks_l, right_ticks=ticks_r, distance_mm=distance))
+                self.controller.ingest_feedback(self._sample_feedback(robot_id, at))
 
         decisions = self.controller.run_cycle()
         if decisions.estop_triggered:
@@ -298,18 +289,12 @@ class Simulation:
         if cmd is None:
             self._log_empty_slot(slot, at)
             return
-        slot_uid = self.medium.begin_slot()
-        channel = self.schedule.channel_for(self.cycle, slot.position)
-        tx = self.medium.make_transmission(self.controller_node, cmd, slot_uid, channel, at)
-        self._log_frame(at, "tx", slot.position, cmd, channel=channel,
-                        node=self.controller_node)
-        received = self._deliver_to_listeners([tx], slot, at)
-        holders = {self.controller_node} | {n for n, ok in received.items() if ok}
-        if received.get(cmd.dst):
+        received = self._send([self.controller_node], cmd, slot, at)
+        if cmd.dst in received:
             self._apply_cmd(cmd.dst, cmd, at + self.medium.airtime_us, slot.position)
         else:
-            self._pending.append(_Pending(priority=(0, slot.loop_id), frame=cmd,
-                                          dest=cmd.dst, holders=holders))
+            self._pending.append(_Pending(priority=(0, slot.loop_id), frame=cmd, dest=cmd.dst,
+                                          holders={self.controller_node, *received}))
 
     def _ensure_estop_frame(self) -> None:
         if self._cycle_estop is None:
@@ -331,16 +316,9 @@ class Simulation:
         if not senders:
             self._log_empty_slot(slot, at)
             return
-        slot_uid = self.medium.begin_slot()
-        channel = self.schedule.channel_for(self.cycle, slot.position)
-        txs = [self.medium.make_transmission(s, entry.frame, slot_uid, channel, at)
-               for s in senders]
-        for tx in txs:
-            self._log_frame(at, "tx", slot.position, entry.frame, channel=channel,
-                            node=tx.sender)
-        received = self._deliver_to_listeners(txs, slot, at)
-        entry.holders |= {n for n, ok in received.items() if ok}
-        if received.get(entry.dest):
+        received = self._send(senders, entry.frame, slot, at)
+        entry.holders.update(received)
+        if entry.dest in received:
             self._pending.remove(entry)
             if isinstance(entry.frame, CmdFrame):
                 self._apply_cmd(entry.dest, entry.frame, at + self.medium.airtime_us,
@@ -349,29 +327,21 @@ class Simulation:
                 self.controller.ingest_feedback(entry.frame)
 
     def _flood_estop(self, slot: Slot, at: SimTime) -> None:
-        frame = self._cycle_estop
-        slot_uid = self.medium.begin_slot()
-        channel = self.schedule.channel_for(self.cycle, slot.position)
         senders = sorted(n for n in self._estop_holders if self.sync_states[n].synced)
-        txs = [self.medium.make_transmission(s, frame, slot_uid, channel, at)
-               for s in senders]
-        for tx in txs:
-            self._log_frame(at, "tx", slot.position, frame, channel=channel, node=tx.sender)
-        received = self._deliver_to_listeners(txs, slot, at)
-        for node, ok in received.items():
-            if ok:
-                self._estop_holders.add(node)
-                if node in self.robots:
-                    self._latch_estop_plant(node, at + self.medium.airtime_us)
+        for node in self._send(senders, self._cycle_estop, slot, at):
+            self._estop_holders.add(node)
+            if node in self.robots:
+                self._latch_estop_plant(node, at + self.medium.airtime_us)
 
-    # -- the cycle event -------------------------------------------------------
+    # -- one cycle -----------------------------------------------------------------
 
-    def _run_cycle(self) -> None:
+    def _run_cycle(self) -> bool:
+        """Run the cycle starting at the engine's current time; False ends the run."""
         cycle_start = self.engine.now
         cycle_len = self.schedule.cycle_length_us
         if cycle_start + cycle_len > self.config.max_time_us:
             self._finish("timeout", cycle_start)
-            return
+            return False
         self._commands_seen = set()
         self._pending = []
         self._cycle_estop = None
@@ -402,9 +372,9 @@ class Simulation:
         reason = self._completion_reason()
         if reason is not None:
             self._finish(reason, cycle_end)
-            return
+            return False
         self.cycle += 1
-        self.engine.schedule(cycle_end, self._run_cycle)
+        return True
 
     def _completion_reason(self) -> str | None:
         if self.controller.estop_latched:
@@ -438,10 +408,7 @@ class Simulation:
             if spec.path:
                 for idx, (x, y) in enumerate(spec.path):
                     self.trace.add(0, "ref-point", node=spec.node_id, seq=idx, v1=x, v2=y)
-        self.engine.schedule(0, self._run_cycle)
-        self.engine.run_until(self.config.max_time_us)
-        if self.end_reason is None:
-            self._finish("timeout", self.config.max_time_us)
+        self.engine.run_until(self.schedule.cycle_length_us, self._run_cycle)
         result = SimulationResult(config=self.config, schedule=self.schedule,
                                   trace=self.trace, end_reason=self.end_reason,
                                   cycles=self.cycle, end_time_us=self.end_time_us,

@@ -70,9 +70,6 @@ class Trace:
     def write_csv(self, path: str | Path) -> None:
         Path(path).write_text(self.to_csv(), encoding="utf-8")
 
-    def select(self, kind: str) -> list[dict[str, str]]:
-        return [dict(zip(COLUMNS, row)) for row in self.rows if row[4] == kind]
-
 
 def load_trace(path: str | Path) -> list[tuple[str, ...]]:
     """Read a trace CSV back into the in-memory row form (string tuples)."""

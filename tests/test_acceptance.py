@@ -65,8 +65,6 @@ def test_criterion_02_reliability_closed_form():
     ok = True
     for p in (0.1, 0.3):
         engine = Engine(seed=123)
-        engine.add_node(0)
-        engine.add_node(1)
         medium = Medium(engine, n_channels=1)
         medium.add_link(0, 1, per=p)
         medium.add_link(1, 0, per=p)
@@ -86,8 +84,6 @@ def test_criterion_02_reliability_closed_form():
 
 def test_criterion_03_flood_diversity():
     engine = Engine(seed=7)
-    for node in (0, 1, 2):
-        engine.add_node(node)
     medium = Medium(engine, n_channels=1)
     medium.add_link(0, 2, per=0.5)
     medium.add_link(1, 2, per=0.5)

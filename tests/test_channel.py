@@ -10,8 +10,6 @@ from wctrlsim.frames import CmdFrame
 
 def make_medium(seed=0, n_channels=1, nodes=(0, 1), per=0.0, **link_kwargs):
     engine = Engine(seed=seed)
-    for node in nodes:
-        engine.add_node(node)
     medium = Medium(engine, n_channels=n_channels)
     for a in nodes:
         for b in nodes:
@@ -55,8 +53,6 @@ def test_empirical_delivery_ratio_matches_binomial(per):
 
 def test_missing_link_model_is_an_error():
     engine = Engine(seed=0)
-    engine.add_node(0)
-    engine.add_node(1)
     medium = Medium(engine, n_channels=1)
     medium.add_link(0, 1, per=0.0)
     tx = tx_of(medium)
@@ -81,8 +77,6 @@ def test_flood_single_sender_reduces_to_deliver():
 
 def test_flood_two_senders_half_loss_gives_three_quarters():
     engine = Engine(seed=2)
-    for node in (0, 1, 2):
-        engine.add_node(node)
     medium = Medium(engine, n_channels=1)
     medium.add_link(0, 2, per=0.5)
     medium.add_link(1, 2, per=0.5)
@@ -99,8 +93,6 @@ def test_flood_two_senders_half_loss_gives_three_quarters():
 
 def test_flood_with_perfect_link_always_delivers():
     engine = Engine(seed=3)
-    for node in (0, 1, 2):
-        engine.add_node(node)
     medium = Medium(engine, n_channels=1)
     medium.add_link(0, 2, per=1.0)
     medium.add_link(1, 2, per=0.0)
@@ -113,8 +105,6 @@ def test_flood_with_perfect_link_always_delivers():
 
 def test_flood_rejects_non_identical_frames():
     engine = Engine(seed=0)
-    for node in (0, 1, 2):
-        engine.add_node(node)
     medium = Medium(engine, n_channels=1)
     medium.add_link(0, 2, per=0.0)
     medium.add_link(1, 2, per=0.0)
@@ -160,8 +150,6 @@ def test_burst_model_occupancy():
     # are correlated (decay factor 1 - 0.1 - 0.3 = 0.6), inflating the variance
     # by about (1+0.6)/(1-0.6) = 4, so the tolerance is 3 * 2 * binomial sigma.
     engine = Engine(seed=21)
-    engine.add_node(0)
-    engine.add_node(1)
     medium = Medium(engine, n_channels=1)
     burst = BurstModel(p_good_to_bad=0.1, p_bad_to_good=0.3, per_good=0.0, per_bad=1.0)
     medium.add_link(0, 1, per=0.0, burst=burst)

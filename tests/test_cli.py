@@ -51,14 +51,41 @@ def test_seed_override_changes_output(tiny_config, tmp_path):
     assert (out_a / "trace.csv").read_bytes() != (out_b / "trace.csv").read_bytes()
 
 
-def test_invalid_config_is_rejected_with_exit_code_2(tmp_path, capsys):
+def _square_with(patch):
+    raw = json.loads((SCENARIO_DIR / "remote_control_square.json").read_text())
+    patch(raw)
+    return raw
+
+
+def _fast_wheels(raw):
+    # commands are clipped to max_wheel_speed_mms, which must fit the CMD frame's i16
+    raw["nodes"][1]["params"] = {"max_wheel_speed_mms": 40000}
+    raw["nodes"][1]["path"] = [[100, 0]]
+    raw["controller"]["cruise_speed_mms"] = 40000
+    raw["duration_s"] = 1
+
+
+BAD_CONFIGS = {
+    "missing-robot": {"kind": "remote-control", "seed": 1,
+                      "nodes": [{"id": 0, "role": "controller"}]},
+    "negative-cruise-speed": _square_with(
+        lambda raw: raw["controller"].update(cruise_speed_mms=-1)),
+    "non-numeric-retx-slots": _square_with(
+        lambda raw: raw["protocol"].update(retx_slots="two")),
+    "null-duration": _square_with(lambda raw: raw.update(duration_s=None)),
+    "wheel-speed-beyond-i16": _square_with(_fast_wheels),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_CONFIGS))
+def test_invalid_config_is_rejected_with_exit_code_2(name, tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({
-        "kind": "remote-control", "seed": 1,
-        "nodes": [{"id": 0, "role": "controller"}],
-    }), encoding="utf-8")
-    assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
-    assert "error" in capsys.readouterr().err
+    bad.write_text(json.dumps(BAD_CONFIGS[name]), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
 
 
 def test_unknown_node_in_link_is_rejected(tmp_path, capsys):

@@ -1,128 +1,18 @@
-import math
-
-import pytest
-from hypothesis import given, strategies as st
-
-from wctrlsim.engine import Engine, NodeClock, SimulationError, stream_rng
+from wctrlsim.engine import Engine, stream_rng
 
 
-def test_same_time_events_fire_in_insertion_order():
-    engine = Engine(seed=0)
-    order = []
-    engine.schedule(0, order.append, "A")
-    engine.schedule(0, order.append, "B")
-    engine.schedule(0, order.append, "C")
-    engine.run_until(10)
-    assert order == ["A", "B", "C"]
-
-
-def test_event_fires_at_scheduled_time():
+def test_run_until_steps_each_period_until_the_first_false():
     engine = Engine(seed=0)
     seen = []
-    engine.schedule(100, lambda: seen.append(engine.now))
-    engine.run_until(1_000_000)
-    assert seen == [100]
 
+    def step():
+        seen.append(engine.now)
+        return len(seen) < 4
 
-def test_scheduling_in_the_past_is_a_hard_error():
-    engine = Engine(seed=0)
-    engine.schedule(10, lambda: None)
-    engine.run_until(10)
-    with pytest.raises(SimulationError):
-        engine.schedule(5, lambda: None)
-
-
-def test_run_until_with_empty_queue_advances_time():
-    engine = Engine(seed=0)
-    summary = engine.run_until(1_000_000)
-    assert summary.events_processed == 0
-    assert summary.final_time == 1_000_000
-    assert engine.now == 1_000_000
-
-
-def test_single_event_summary():
-    engine = Engine(seed=0)
-    engine.schedule(5, lambda: None)
-    summary = engine.run_until(1_000_000)
-    assert summary.events_processed == 1
-    assert summary.final_time == 1_000_000
-
-
-def test_events_scheduled_during_processing_run_in_order():
-    engine = Engine(seed=0)
-    order = []
-
-    def first():
-        order.append("first")
-        engine.schedule(engine.now, lambda: order.append("nested"))
-
-    engine.schedule(0, first)
-    engine.schedule(0, lambda: order.append("second"))
-    engine.run_until(1)
-    assert order == ["first", "second", "nested"]
-
-
-@given(st.lists(st.integers(min_value=0, max_value=1000), max_size=60))
-def test_pop_order_matches_stable_sort(times):
-    engine = Engine(seed=0)
-    fired = []
-    for tag, at in enumerate(times):
-        engine.schedule(at, lambda pair=(at, tag): fired.append(pair))
-    engine.run_until(2000)
-    # ties broken by insertion order, i.e. a stable sort on time
-    assert fired == sorted(((at, tag) for tag, at in enumerate(times)),
-                           key=lambda p: (p[0], p[1]))
-
-
-def test_local_time_identity_without_drift():
-    clock = NodeClock(node=1, drift_ppm=0.0)
-    assert clock.local_time(123_456) == 123_456
-
-
-def test_local_time_positive_drift():
-    # 1e6 * (1 + 40e-6) = 1_000_040
-    clock = NodeClock(node=1, drift_ppm=40.0)
-    assert clock.local_time(1_000_000) == pytest.approx(1_000_040.0)
-
-
-def test_local_time_negative_drift_with_offset():
-    # 500_000 + 10 - 40e-6 * 500_000 = 499_990
-    clock = NodeClock(node=1, drift_ppm=-40.0, offset_us=10.0)
-    assert clock.local_time(500_000) == pytest.approx(499_990.0)
-
-
-def test_engine_local_time_unknown_node():
-    engine = Engine(seed=0)
-    with pytest.raises(SimulationError):
-        engine.local_time(42)
-
-
-def test_node_drift_within_configured_limit():
-    engine = Engine(seed=3, max_drift_ppm=40.0)
-    for node in range(20):
-        clock = engine.add_node(node)
-        assert abs(clock.drift_ppm) <= 40.0
-
-
-def test_duplicate_node_rejected():
-    engine = Engine(seed=0)
-    engine.add_node(1)
-    with pytest.raises(SimulationError):
-        engine.add_node(1)
-
-
-@given(st.floats(-40, 40), st.floats(-100, 100), st.integers(0, 10_000_000))
-def test_clock_error_bound(drift, offset, t):
-    clock = NodeClock(node=0, drift_ppm=drift, offset_us=offset, last_sync=0)
-    assert abs(clock.local_time(t) - t) <= abs(offset) + abs(drift) * 1e-6 * t + 1e-6
-
-
-def test_clock_correction_resets_reference():
-    clock = NodeClock(node=0, drift_ppm=10.0, offset_us=50.0, last_sync=0)
-    clock.correct(1_000_000, residual_us=2.0)
-    assert clock.local_time(1_000_000) == pytest.approx(1_000_002.0)
-    # drift accumulates from the new reference point
-    assert clock.local_time(2_000_000) == pytest.approx(2_000_002.0 + 10.0)
+    summary = engine.run_until(250, step)
+    assert seen == [0, 250, 500, 750]
+    assert summary.events_processed == len(seen)
+    assert summary.final_time == engine.now == 750
 
 
 def test_streams_reproducible_for_same_seed():

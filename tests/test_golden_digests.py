@@ -1,0 +1,30 @@
+"""Golden digests: the bundled scenarios must keep producing the same bytes.
+
+The values are the full sha256 of `trace.csv` and `metrics.json` as the CLI
+writes them for the bundled configs at their own seeds.  A refactor that
+claims to keep behaviour must leave both unchanged.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+GOLDEN = {
+    "square": ("0e01381b5410a2be702239a1f8a656e4231d9b415e3b73bc93c350e692454b9a",
+               "645c9270695336f5af824e2c45f215a694ce78baf72f26d462786a55919bf43e"),
+    "platoon": ("9aa9e7a858c0fff0dc5fb1c54ef680c26bba58a9d7c080640be4711ab3618074",
+                "350afa952cb2c1fa4a75c2c11094918b3e3b37cfa3be474c2b4a49a19d469834"),
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN))
+def test_bundled_scenario_outputs_match_golden_digests(scenario, request):
+    result = request.getfixturevalue(f"{scenario}_result")
+    trace_digest, metrics_digest = GOLDEN[scenario]
+    assert _sha256(result.trace.to_csv()) == trace_digest
+    assert _sha256(json.dumps(result.metrics, sort_keys=True, indent=2) + "\n") == metrics_digest

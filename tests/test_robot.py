@@ -162,6 +162,12 @@ def test_apply_command_sets_commanded_speeds():
     assert robot.commanded == (100.0, 100.0)
 
 
+def test_wheel_speed_limit_must_fit_the_command_frame():
+    RobotParams(max_wheel_speed_mms=0x7FFF).validate()
+    with pytest.raises(ValueError, match="i16"):
+        RobotParams(max_wheel_speed_mms=0x8000).validate()
+
+
 def test_apply_command_clamps_to_wheel_limit():
     robot = make_robot(max_wheel_speed_mms=300)
     robot.apply_command(CmdFrame(src=0, dst=1, seq=1, left_mms=32767, right_mms=-32768))
