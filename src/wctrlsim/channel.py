@@ -20,6 +20,11 @@ from .engine import Engine, SimTime
 from .frames import FRAME_SIZE, Frame, encode_frame
 
 
+def frame_airtime_us(phy_overhead_bytes: int, phy_rate_mbps: float) -> int:
+    """On-air time of one frame: (frame size + PHY overhead) * 8 / rate."""
+    return int(round((FRAME_SIZE + phy_overhead_bytes) * 8 / phy_rate_mbps))
+
+
 class ChannelError(ValueError):
     """Scenario misconfiguration: missing or invalid link model."""
 
@@ -114,17 +119,10 @@ class Medium:
             raise ChannelError("need at least one hop channel")
         self.engine = engine
         self.n_channels = n_channels
-        self.phy_overhead_bytes = phy_overhead_bytes
-        self.phy_rate_mbps = phy_rate_mbps
+        self.airtime_us = frame_airtime_us(phy_overhead_bytes, phy_rate_mbps)
         self._links: dict[tuple[int, int], RadioLink] = {}
         self._blackouts: dict[int, list[tuple[SimTime, SimTime]]] = {}
         self._slot_counter = 0
-
-    @property
-    def airtime_us(self) -> int:
-        """On-air time of one frame: (frame size + PHY overhead) * 8 / rate."""
-        bits = (FRAME_SIZE + self.phy_overhead_bytes) * 8
-        return int(round(bits / self.phy_rate_mbps))
 
     def add_link(self, sender: int, receiver: int, per: float | None = None,
                  per_by_channel: list[float] | tuple[float, ...] | None = None,

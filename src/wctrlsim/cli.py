@@ -50,11 +50,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
         grid = json.loads(Path(args.grid).read_text(encoding="utf-8"))
-        config_from_dict(raw)  # reject a bad template before running anything
+        rows = run_sweep(raw, grid)  # checks every grid point before the first run
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rows = run_sweep(raw, grid)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     columns: list[str] = []

@@ -22,6 +22,9 @@ from dataclasses import dataclass, field
 from .frames import CmdFrame, FbFrame
 from .robot import Pose, RobotParams, advance_by_wheel_arcs, normalize_angle
 
+TURN_EXIT_RAD = 0.15   # once rotating in place, keep going until the bearing is this small
+TURN_TAPER_RAD = 0.5   # rotation slows below this bearing (slew headroom)
+
 
 @dataclass(frozen=True)
 class SteeringParams:
@@ -31,8 +34,6 @@ class SteeringParams:
     max_curvature: float = 8.0       # 1/m; clamp on the fitted curve
     approach_gain: float = 1.0       # 1/s; speed taper toward the target
     turn_rate: float = 2.0           # rad/s for in-place rotation
-    turn_exit_rad: float = 0.15      # once rotating, keep going until this bearing
-    turn_taper_rad: float = 0.5      # rotation slows below this bearing (slew headroom)
     curve_mode: str = "parabola"     # or "arc"
     estop_threshold_mm: int = 150
 
@@ -41,8 +42,7 @@ class SteeringParams:
             raise ValueError(f"unknown curve mode {self.curve_mode!r}")
         if (self.cruise_speed_mms <= 0 or self.tolerance_m <= 0
                 or self.max_curvature <= 0 or self.approach_gain <= 0
-                or self.turn_rate <= 0 or self.turn_exit_rad <= 0
-                or self.turn_taper_rad <= 0 or self.estop_threshold_mm <= 0):
+                or self.turn_rate <= 0 or self.estop_threshold_mm <= 0):
             raise ValueError("steering parameters must be strictly positive")
 
 
@@ -81,10 +81,10 @@ def rotation_speeds(bearing: float, params: SteeringParams,
                     robot: RobotParams) -> tuple[float, float]:
     """In-place rotation toward a bearing: opposite wheel speeds (mm/s).
 
-    The rate tapers once the bearing drops below turn_taper_rad so the
+    The rate tapers once the bearing drops below TURN_TAPER_RAD so the
     slew-limited wheels can settle without rotating past the target heading.
     """
-    scale = min(1.0, abs(bearing) / params.turn_taper_rad)
+    scale = min(1.0, abs(bearing) / TURN_TAPER_RAD)
     wheel = params.turn_rate * scale * robot.track_width_m * 0.5 * 1e3
     wheel = min(wheel, float(robot.max_wheel_speed_mms))
     return (-wheel, wheel) if bearing >= 0 else (wheel, -wheel)
@@ -303,7 +303,7 @@ class PathController:
         so the robot leaves a sharp corner roughly aligned with the next leg."""
         x_t, y_t = target_in_robot_frame(lane.est_pose, target)
         bearing = math.atan2(y_t, x_t)
-        if lane.turning and abs(bearing) <= self.steering.turn_exit_rad:
+        if lane.turning and abs(bearing) <= TURN_EXIT_RAD:
             lane.turning = False
         if not lane.turning and x_t <= self.steering.min_forward_m:
             lane.turning = True

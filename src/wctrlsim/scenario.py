@@ -10,17 +10,25 @@ drives one or more robots over the radio) and "leader-follower" (the
 controller is hosted on the leader robot, which drives itself locally and
 drives the follower over the radio, feeding it reference points traced from
 its own position).
+
+The dataclasses are the schema.  Every JSON key is a dataclass field, every
+default is the field's default, and every value must have the JSON type of
+the field's annotation.  An unknown key or a value of the wrong type is
+rejected with its path, before any run starts.
 """
 
 from __future__ import annotations
 
+import difflib
+import functools
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import Any
+from types import UnionType
+from typing import Any, Callable, Union, get_args, get_origin, get_type_hints
 
-from .channel import BurstModel
+from .channel import BurstModel, frame_airtime_us
 from .controller import FollowerParams, SteeringParams
 from .mac import LoopSpec, SyncParams
 from .robot import Pose, RobotParams, Segment
@@ -137,11 +145,11 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         if self.kind not in ("remote-control", "leader-follower"):
-            raise ConfigError(f"unknown scenario kind {self.kind!r}")
+            raise ConfigError(f"kind: unknown scenario kind {self.kind!r}")
         if self.duration_s <= 0:
-            raise ConfigError("duration must be positive")
+            raise ConfigError("duration_s must be positive")
         if self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
+            raise ConfigError("seed must be non-negative")
 
         ids = self.node_ids()
         if len(set(ids)) != len(ids):
@@ -177,7 +185,7 @@ class ScenarioConfig:
 
         known = set(ids)
         if not 0.0 <= self.channel.default_per <= 1.0:
-            raise ConfigError("default erasure probability outside [0, 1]")
+            raise ConfigError("channel.default_per outside [0, 1]")
         for link in self.channel.links:
             if link.sender not in known or link.receiver not in known:
                 raise ConfigError(f"link {link.sender}->{link.receiver} references unknown node")
@@ -210,206 +218,161 @@ class ScenarioConfig:
             raise ConfigError("sync waves and miss limit must be at least 1")
         if proto.sync.jitter_us < 0:
             raise ConfigError("sync jitter must be non-negative")
+        if proto.phy_rate_mbps <= 0 or proto.phy_overhead_bytes < 0:
+            raise ConfigError("protocol.phy_rate_mbps must be positive, "
+                              "protocol.phy_overhead_bytes non-negative")
+        try:
+            airtime = frame_airtime_us(proto.phy_overhead_bytes, proto.phy_rate_mbps)
+        except OverflowError:
+            raise ConfigError("protocol.phy_rate_mbps is too small for a frame to fit a slot") from None
+        if proto.sync.max_waves * airtime > proto.slot_duration_us:
+            raise ConfigError(
+                f"protocol.slot_duration_us: {proto.slot_duration_us} us cannot hold "
+                f"protocol.sync.max_waves={proto.sync.max_waves} frames of {airtime} us")
 
         self.steering.validate()
         self.follower.validate()
         if self.sensor_range_mm < 1 or self.sensor_range_mm > 0xFFFE:
-            raise ConfigError("sensor range must fit the feedback distance field")
+            raise ConfigError("sensor_range_mm must fit the feedback distance field (1..65534)")
 
 
-# -- JSON parsing ------------------------------------------------------------
+# -- JSON conversion -----------------------------------------------------------
+#
+# A field's JSON key is its name unless _KEYS renames it.  Pose, Segment and
+# fixed-length tuples are arrays of numbers.  Converters are built once per
+# annotation; a bad value raises _Invalid, whose path fills in as it unwinds.
+
+_KEYS = {"node_id": "id", "sender": "from", "receiver": "to"}
+_EXPECTED = {bool: "a boolean", int: "an integer", str: "a string"}
 
 
-def _take(d: dict, key: str, default: Any = None) -> Any:
-    return d[key] if key in d else default
+class _Invalid(Exception):
+    def __init__(self, message: str):
+        super().__init__(message)
+        self.where: list[str | int] = []  # innermost key or index first
 
 
-def _parse_pose(raw: Any, where: str) -> Pose:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 3:
-        raise ConfigError(f"{where}: start_pose must be [x, y, theta]")
-    return Pose(float(raw[0]), float(raw[1]), float(raw[2]))
+def _got(expected: str, value: Any) -> _Invalid:
+    shown = {list: "an array", dict: "an object"}.get(type(value)) or json.dumps(value, default=repr)
+    return _Invalid(f"expected {expected}, got {shown}")
 
 
-def _parse_path(raw: Any, where: str) -> tuple[tuple[float, float], ...]:
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{where}: path must be a non-empty list of [x, y] points")
-    points = []
-    for p in raw:
-        if not isinstance(p, (list, tuple)) or len(p) != 2:
-            raise ConfigError(f"{where}: path points must be [x, y]")
-        points.append((float(p[0]), float(p[1])))
-    return tuple(points)
+def _float(value: Any) -> float:
+    if type(value) is float:
+        if value - value == 0.0:  # finite: json.loads also reads NaN and Infinity
+            return value
+    elif type(value) is int:
+        return float(value)
+    raise _got("a finite number", value)
 
 
-def _parse_robot_params(raw: dict | None) -> RobotParams:
-    if not raw:
-        return RobotParams()
-    defaults = RobotParams()
-    return RobotParams(
-        wheel_radius_m=float(_take(raw, "wheel_radius_m", defaults.wheel_radius_m)),
-        track_width_m=float(_take(raw, "track_width_m", defaults.track_width_m)),
-        ticks_per_rev=int(_take(raw, "ticks_per_rev", defaults.ticks_per_rev)),
-        max_wheel_speed_mms=int(_take(raw, "max_wheel_speed_mms", defaults.max_wheel_speed_mms)),
-        actuation_rate_limit_mms2=float(_take(raw, "actuation_rate_limit_mms2",
-                                              defaults.actuation_rate_limit_mms2)),
-    )
+def _scalar(tp: type, value: Any) -> Any:
+    if type(value) is tp:
+        return value
+    raise _got(_EXPECTED[tp], value)
 
 
-def _parse_node(raw: dict) -> NodeSpec:
-    try:
-        node_id = int(raw["id"])
-        role = str(raw["role"])
-    except KeyError as exc:
-        raise ConfigError(f"node entry missing {exc.args[0]!r}") from None
-    where = f"node {node_id}"
-    pose = _parse_pose(raw["start_pose"], where) if "start_pose" in raw else None
-    path = _parse_path(raw["path"], where) if "path" in raw else None
-    return NodeSpec(node_id=node_id, role=role, start_pose=pose, path=path,
-                    params=_parse_robot_params(raw.get("params")))
-
-
-def _parse_burst(raw: dict | None) -> BurstModel | None:
-    if not raw:
-        return None
-    try:
-        return BurstModel(p_good_to_bad=float(raw["p_good_to_bad"]),
-                          p_bad_to_good=float(raw["p_bad_to_good"]),
-                          per_good=float(raw["per_good"]),
-                          per_bad=float(raw["per_bad"]))
-    except KeyError as exc:
-        raise ConfigError(f"burst model missing {exc.args[0]!r}") from None
-
-
-def _parse_channel(raw: dict | None) -> ChannelConfig:
-    if not raw:
-        return ChannelConfig()
-    links = []
-    for entry in raw.get("links", []):
+def _array(item: Callable[[Any], Any], value: Any) -> tuple:
+    if type(value) is not list:
+        raise _got("an array", value)
+    out = []
+    for i, x in enumerate(value):
         try:
-            sender = int(entry["from"])
-            receiver = int(entry["to"])
-        except KeyError as exc:
-            raise ConfigError(f"link entry missing {exc.args[0]!r}") from None
-        per = entry.get("per")
-        pbc = entry.get("per_by_channel")
-        links.append(LinkSpec(sender=sender, receiver=receiver,
-                              per=None if per is None else float(per),
-                              per_by_channel=None if pbc is None else tuple(float(p) for p in pbc),
-                              burst=_parse_burst(entry.get("burst"))))
-    blackouts = []
-    for entry in raw.get("blackouts", []):
+            out.append(item(x))
+        except _Invalid as exc:
+            exc.where.append(i)
+            raise
+    return tuple(out)
+
+
+def _numbers(cls: type, n: int, value: Any) -> Any:
+    if type(value) is not list or len(value) != n:
+        raise _Invalid(f"expected an array of {n} numbers")
+    return tuple(map(_float, value)) if cls is tuple else cls(*map(_float, value))
+
+
+def _members(convs: dict, required: list[str], value: Any) -> dict[str, Any]:
+    """Keyword arguments from a JSON object, converted key by key."""
+    if type(value) is not dict:
+        raise _got("an object", value)
+    kwargs = {}
+    for key, x in value.items():
+        member = convs.get(key)
+        if member is None:
+            close = difflib.get_close_matches(str(key), convs, n=1)
+            raise _Invalid(f"unknown key {key!r}" + (f" (did you mean {close[0]!r}?)" if close else ""))
+        name, conv = member
         try:
-            blackouts.append(BlackoutSpec(node=int(entry["node"]),
-                                          from_us=int(entry["from_us"]),
-                                          until_us=int(entry["until_us"])))
-        except KeyError as exc:
-            raise ConfigError(f"blackout entry missing {exc.args[0]!r}") from None
-    return ChannelConfig(default_per=float(raw.get("default_per", 0.0)),
-                         links=tuple(links), blackouts=tuple(blackouts))
+            kwargs[name] = conv(x)
+        except _Invalid as exc:
+            exc.where.append(key)
+            raise
+    for key in required:
+        if key not in value:
+            raise _Invalid(f"missing key {key!r}")
+    return kwargs
 
 
-def _parse_protocol(raw: dict | None) -> ProtocolParams:
-    if not raw:
-        return ProtocolParams()
-    defaults = ProtocolParams()
-    sync_raw = raw.get("sync") or {}
-    sync_defaults = SyncParams()
-    sync = SyncParams(
-        jitter_us=float(_take(sync_raw, "jitter_us", sync_defaults.jitter_us)),
-        max_waves=int(_take(sync_raw, "max_waves", sync_defaults.max_waves)),
-        miss_limit=int(_take(sync_raw, "miss_limit", sync_defaults.miss_limit)),
-    )
-    return ProtocolParams(
-        slot_duration_us=int(_take(raw, "slot_duration_us", defaults.slot_duration_us)),
-        compute_gap_us=int(_take(raw, "compute_gap_us", defaults.compute_gap_us)),
-        retx_slots=int(_take(raw, "retx_slots", defaults.retx_slots)),
-        n_channels=int(_take(raw, "n_channels", defaults.n_channels)),
-        watchdog_cycles=int(_take(raw, "watchdog_cycles", defaults.watchdog_cycles)),
-        phy_overhead_bytes=int(_take(raw, "phy_overhead_bytes", defaults.phy_overhead_bytes)),
-        phy_rate_mbps=float(_take(raw, "phy_rate_mbps", defaults.phy_rate_mbps)),
-        sync=sync,
-    )
+@functools.cache
+def _converter(tp: Any) -> Callable[[Any], Any]:
+    """The JSON -> Python converter for one field annotation."""
+    if tp is float:
+        return _float
+    if tp in _EXPECTED:
+        return functools.partial(_scalar, tp)
+    args = get_args(tp)
+    if get_origin(tp) in (Union, UnionType):  # X | None
+        inner = _converter(next(a for a in args if a is not type(None)))
+        return lambda value: None if value is None else inner(value)
+    if get_origin(tp) is tuple and args[-1] is Ellipsis:
+        return functools.partial(_array, _converter(args[0]))
+    if get_origin(tp) is tuple and set(args) == {float}:
+        return functools.partial(_numbers, tuple, len(args))
+    if tp in (Pose, Segment):
+        return functools.partial(_numbers, tp, len(fields(tp)))
+    convs, required = _schema(tp)
+    return lambda value: tp(**_members(convs, required, value))
 
 
-def _parse_steering(raw: dict | None) -> tuple[SteeringParams, FollowerParams]:
-    if not raw:
-        return SteeringParams(), FollowerParams()
-    defaults = SteeringParams()
-    steering = SteeringParams(
-        cruise_speed_mms=float(_take(raw, "cruise_speed_mms", defaults.cruise_speed_mms)),
-        tolerance_m=float(_take(raw, "tolerance_m", defaults.tolerance_m)),
-        min_forward_m=float(_take(raw, "min_forward_m", defaults.min_forward_m)),
-        max_curvature=float(_take(raw, "max_curvature", defaults.max_curvature)),
-        approach_gain=float(_take(raw, "approach_gain", defaults.approach_gain)),
-        turn_rate=float(_take(raw, "turn_rate", defaults.turn_rate)),
-        curve_mode=str(_take(raw, "curve_mode", defaults.curve_mode)),
-        estop_threshold_mm=int(_take(raw, "estop_threshold_mm", defaults.estop_threshold_mm)),
-    )
-    fol_raw = raw.get("follower") or {}
-    fol_defaults = FollowerParams()
-    follower = FollowerParams(
-        min_spacing_m=float(_take(fol_raw, "min_spacing_m", fol_defaults.min_spacing_m)),
-        standoff_m=float(_take(fol_raw, "standoff_m", fol_defaults.standoff_m)),
-    )
-    return steering, follower
+@functools.cache
+def _schema(cls: type, skip: tuple[str, ...] = ()) -> tuple[dict, list[str]]:
+    """JSON key -> (field name, converter) for a dataclass, and its required keys."""
+    hints = get_type_hints(cls)
+    keyed = [(_KEYS.get(f.name, f.name), f) for f in fields(cls) if f.name not in skip]
+    convs = {key: (f.name, _converter(hints[f.name])) for key, f in keyed}
+    required = [key for key, f in keyed
+                if f.default is MISSING and f.default_factory is MISSING]
+    return convs, required
 
 
-def _parse_obstacles(raw: list | None) -> tuple[ObstacleSpec, ...]:
-    if not raw:
-        return ()
-    obstacles = []
-    for entry in raw:
-        seg = entry.get("segment")
-        if not isinstance(seg, (list, tuple)) or len(seg) != 4:
-            raise ConfigError("obstacle segment must be [x1, y1, x2, y2]")
-        obstacles.append(ObstacleSpec(
-            segment=Segment(float(seg[0]), float(seg[1]), float(seg[2]), float(seg[3])),
-            appears_at_us=int(entry.get("appears_at_us", 0))))
-    return tuple(obstacles)
+# The steering fields sit under "controller", with FollowerParams under "controller.follower".
+_CONTROLLER = {**_schema(SteeringParams)[0], "follower": ("follower", _converter(FollowerParams))}
+_TOP_FIELDS, _TOP_REQUIRED = _schema(ScenarioConfig, ("steering", "follower", "raw"))
+_TOP = {**_TOP_FIELDS, "controller": ("controller", functools.partial(_members, _CONTROLLER, []))}
 
 
 def config_from_dict(raw: dict) -> ScenarioConfig:
     """Build and validate a ScenarioConfig from a plain JSON-shaped dict.
 
-    Any value that cannot be converted or fails a range check raises
-    ConfigError, never a bare ValueError or TypeError.
+    An unknown key, a value of the wrong JSON type, or a value that fails a
+    range check raises ConfigError, never a bare ValueError or TypeError.
     """
     try:
-        config = _parse_config(raw)
+        if type(raw) is not dict:
+            raise ConfigError("scenario config must be a JSON object")
+        kwargs = _members(_TOP, _TOP_REQUIRED, raw)
+        steering = kwargs.pop("controller", {})
+        kwargs["follower"] = steering.pop("follower", FollowerParams())
+        config = ScenarioConfig(**kwargs, steering=SteeringParams(**steering), raw=raw)
         config.validate()
+    except _Invalid as exc:
+        where = "".join(f"[{p}]" if type(p) is int else f".{p}" for p in reversed(exc.where))
+        raise ConfigError(f"{where.lstrip('.')}: {exc}" if where else str(exc)) from None
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from None
     return config
-
-
-def _parse_config(raw: dict) -> ScenarioConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("scenario config must be a JSON object")
-    try:
-        kind = str(raw["kind"])
-        seed = int(raw["seed"])
-    except KeyError as exc:
-        raise ConfigError(f"config missing {exc.args[0]!r}") from None
-    nodes_raw = raw.get("nodes")
-    if not isinstance(nodes_raw, list) or not nodes_raw:
-        raise ConfigError("config needs a non-empty node list")
-    steering, follower = _parse_steering(raw.get("controller"))
-    return ScenarioConfig(
-        kind=kind,
-        seed=seed,
-        nodes=tuple(_parse_node(n) for n in nodes_raw),
-        protocol=_parse_protocol(raw.get("protocol")),
-        steering=steering,
-        follower=follower,
-        channel=_parse_channel(raw.get("channel")),
-        obstacles=_parse_obstacles(raw.get("obstacles")),
-        duration_s=float(raw.get("duration_s", 120.0)),
-        run_to_completion=bool(raw.get("run_to_completion", True)),
-        sensor_range_mm=int(raw.get("sensor_range_mm", 1000)),
-        raw=raw,
-    )
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
@@ -435,3 +398,4 @@ def apply_overrides(raw: dict, overrides: dict[str, Any]) -> dict:
             cursor = cursor[part]
         cursor[parts[-1]] = value
     return patched
+

@@ -426,37 +426,53 @@ def run_sweep(raw_config: dict, grid: dict) -> list[dict]:
     """One run per grid point; returns one aggregated metrics row per run.
 
     `grid` holds "parameters" (dotted config path -> list of values) and
-    optionally "seeds" (list of seeds, overriding the config seed).  Runs are
-    independent: each builds its own engine and shares no state.
+    optionally "seeds" (list of seeds, overriding the config seed).  Every
+    point is built and validated before the first run, so a bad grid raises
+    ConfigError and runs nothing.  Runs are independent: each builds its own
+    engine and shares no state.
     """
     from itertools import product
 
-    from .scenario import apply_overrides, config_from_dict
+    from .scenario import ConfigError, apply_overrides, config_from_dict
 
-    parameters: dict = grid.get("parameters", {})
-    seeds = grid.get("seeds", None)
+    if type(raw_config) is not dict or type(grid) is not dict:
+        raise ConfigError("the scenario config and the grid must be JSON objects")
+    for key in grid:
+        if key not in ("parameters", "seeds"):
+            raise ConfigError(f'grid: unknown key {key!r}; a grid takes "parameters" and "seeds"')
+    parameters = grid.get("parameters", {})
+    seeds = grid.get("seeds", [raw_config.get("seed", 0)])
+    if type(parameters) is not dict or "seed" in parameters:
+        raise ConfigError('grid.parameters: expected an object of dotted paths; '
+                          'seeds go in "seeds"')
+    for name, values in [*parameters.items(), ("seeds", seeds)]:
+        if type(values) is not list or not values:
+            raise ConfigError(f"grid: {name} needs a non-empty array of values")
+
     names = sorted(parameters)
-    value_lists = [parameters[name] for name in names]
-    combos = list(product(*value_lists)) if names else [()]
-    seed_list = seeds if seeds else [raw_config.get("seed", 0)]
+    points = []
+    for combo in product(*(parameters[name] for name in names)):
+        for seed in seeds:
+            point = dict(zip(names, combo), seed=seed)
+            try:
+                points.append((point, config_from_dict(apply_overrides(raw_config, point))))
+            except ConfigError as exc:
+                label = ", ".join(f"{k}={v}" for k, v in point.items())
+                raise ConfigError(f"sweep point {label}: {exc}") from None
 
     rows = []
-    for combo in combos:
-        overrides = dict(zip(names, combo))
-        for seed in seed_list:
-            patched = apply_overrides(raw_config, {**overrides, "seed": seed})
-            result = run_scenario(config_from_dict(patched))
-            m = result.metrics
-            row: dict = {**{name: value for name, value in overrides.items()},
-                         "seed": seed,
-                         "end_reason": result.end_reason,
-                         "cycles": result.cycles,
-                         "cmd_delivery_ratio": m["delivery"]["cmd"]["ratio"],
-                         "fb_delivery_ratio": m["delivery"]["fb"]["ratio"],
-                         "latency_mean_us": m["cycle_time"]["mean_us"],
-                         "latency_p99_us": m["cycle_time"]["p99_us"]}
-            tracking = m.get("tracking") or {}
-            if tracking:
-                row["worst_rms_m"] = max(v["rms_m"] for v in tracking.values())
-            rows.append(row)
+    for point, config in points:
+        result = run_scenario(config)
+        m = result.metrics
+        row: dict = {**point,
+                     "end_reason": result.end_reason,
+                     "cycles": result.cycles,
+                     "cmd_delivery_ratio": m["delivery"]["cmd"]["ratio"],
+                     "fb_delivery_ratio": m["delivery"]["fb"]["ratio"],
+                     "latency_mean_us": m["cycle_time"]["mean_us"],
+                     "latency_p99_us": m["cycle_time"]["p99_us"]}
+        tracking = m.get("tracking") or {}
+        if tracking:
+            row["worst_rms_m"] = max(v["rms_m"] for v in tracking.values())
+        rows.append(row)
     return rows

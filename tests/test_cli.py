@@ -65,26 +65,56 @@ def _fast_wheels(raw):
     raw["duration_s"] = 1
 
 
+# name -> (config, text the single error line must contain: the path and the fault)
 BAD_CONFIGS = {
-    "missing-robot": {"kind": "remote-control", "seed": 1,
-                      "nodes": [{"id": 0, "role": "controller"}]},
-    "negative-cruise-speed": _square_with(
+    "missing-robot": ({"kind": "remote-control", "seed": 1,
+                       "nodes": [{"id": 0, "role": "controller"}]},
+                      "remote-control needs at least one robot"),
+    "negative-cruise-speed": (_square_with(
         lambda raw: raw["controller"].update(cruise_speed_mms=-1)),
-    "non-numeric-retx-slots": _square_with(
+        "steering parameters must be strictly positive"),
+    "non-numeric-retx-slots": (_square_with(
         lambda raw: raw["protocol"].update(retx_slots="two")),
-    "null-duration": _square_with(lambda raw: raw.update(duration_s=None)),
-    "wheel-speed-beyond-i16": _square_with(_fast_wheels),
+        'protocol.retx_slots: expected an integer, got "two"'),
+    "null-duration": (_square_with(lambda raw: raw.update(duration_s=None)),
+                      "duration_s: expected a finite number, got null"),
+    "wheel-speed-beyond-i16": (_square_with(_fast_wheels), "i16"),
+    "unknown-key": (_square_with(
+        lambda raw: raw["nodes"][1].update(params={"max_wheel_speed": 200})),
+        "nodes[1].params: unknown key 'max_wheel_speed' (did you mean 'max_wheel_speed_mms'?)"),
+    "removed-key-max-drift-ppm": (_square_with(
+        lambda raw: raw["protocol"].update(max_drift_ppm=40)),
+        "protocol: unknown key 'max_drift_ppm'"),
+    "string-for-bool": (_square_with(lambda raw: raw.update(run_to_completion="false")),
+                        'run_to_completion: expected a boolean, got "false"'),
+    "fractional-retx-slots": (_square_with(
+        lambda raw: raw["protocol"].update(retx_slots=2.7)),
+        "protocol.retx_slots: expected an integer, got 2.7"),
+    "bool-seed": (_square_with(lambda raw: raw.update(seed=True)),
+                  "seed: expected an integer, got true"),
+    "protocol-not-an-object": (_square_with(lambda raw: raw.update(protocol=[1])),
+                               "protocol: expected an object, got an array"),
+    "zero-phy-rate": (_square_with(lambda raw: raw["protocol"].update(phy_rate_mbps=0)),
+                      "protocol.phy_rate_mbps must be positive"),
+    "negative-phy-overhead": (_square_with(
+        lambda raw: raw["protocol"].update(phy_overhead_bytes=-100)),
+        "protocol.phy_overhead_bytes non-negative"),
+    "slot-shorter-than-sync-waves": (_square_with(
+        lambda raw: raw["protocol"].update(slot_duration_us=50)),
+        "protocol.slot_duration_us: 50 us cannot hold protocol.sync.max_waves=2 frames of 104 us"),
 }
 
 
 @pytest.mark.parametrize("name", list(BAD_CONFIGS))
 def test_invalid_config_is_rejected_with_exit_code_2(name, tmp_path, capsys):
+    config, expected = BAD_CONFIGS[name]
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(BAD_CONFIGS[name]), encoding="utf-8")
+    bad.write_text(json.dumps(config), encoding="utf-8")
     out = tmp_path / "out"
     assert main(["run", str(bad), "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert expected in err[0]
     assert not out.exists()
 
 
@@ -148,3 +178,29 @@ def test_sweep_grid(tiny_config, tmp_path):
     assert len(lines) == 5  # header + 2 pers x 2 seeds
     header = lines[0].split(",")
     assert "cmd_delivery_ratio" in header
+
+
+# name -> (grid, text the single error line must contain)
+BAD_GRIDS = {
+    "misspelled-path": ({"parameters": {"channel.defualt_per": [0.5]}},
+                        "channel: unknown key 'defualt_per' (did you mean 'default_per'?)"),
+    "value-out-of-range": ({"parameters": {"channel.default_per": [0.1, 1.5]}},
+                           "sweep point channel.default_per=1.5, seed=11: "
+                           "channel.default_per outside [0, 1]"),
+    "unknown-grid-key": ({"seed": [1, 2, 3]},
+                         "grid: unknown key 'seed'; a grid takes \"parameters\" and \"seeds\""),
+    "seed-as-parameter": ({"parameters": {"seed": [1, 2]}}, '"seeds"'),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_GRIDS))
+def test_invalid_sweep_grid_is_rejected_before_any_run(name, tiny_config, tmp_path, capsys):
+    grid_raw, expected = BAD_GRIDS[name]
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(grid_raw), encoding="utf-8")
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(tiny_config), "--grid", str(grid), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert expected in err[0]
+    assert not out.exists()

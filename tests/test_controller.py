@@ -59,7 +59,7 @@ def test_wheel_speeds_taper_near_target():
 
 
 def test_wheel_speeds_rotate_in_place_when_target_behind():
-    steering = SteeringParams(turn_rate=2.0, turn_taper_rad=0.5)
+    steering = SteeringParams(turn_rate=2.0)
     left, right = wheel_speeds(Pose(0, 0, 0), (-1.0, 0.5), steering, PARAMS)
     # full-rate rotation: wheel speed = 2.0 rad/s * track/2 = 117 mm/s
     assert (left, right) == pytest.approx((-117.0, 117.0))

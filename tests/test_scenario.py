@@ -1,7 +1,16 @@
+import json
+import re
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wctrlsim.scenario import (ConfigError, apply_overrides, config_from_dict,
                                load_config)
+from wctrlsim.simulation import run_scenario
+
+README = Path(__file__).parent.parent / "README.md"
+END_REASONS = ("completed", "estopped", "timeout")
 
 
 def minimal_remote(**extra):
@@ -148,3 +157,62 @@ def test_obstacle_parsing():
     assert config.obstacles[0].segment.x1 == 0.5
     with pytest.raises(ConfigError):
         config_from_dict(minimal_remote(obstacles=[{"segment": [1, 2, 3]}]))
+
+
+# (key, values inside its valid range, values outside it).  A slow PHY rate can
+# also make an in-range config fail: its frames overrun the slot.
+PROTOCOL_RANGES = [
+    ("slot_duration_us", st.integers(250, 600), st.integers(-10, 0)),
+    ("compute_gap_us", st.integers(0, 600), st.integers(-10, -1)),
+    ("retx_slots", st.integers(0, 4), st.just(-1)),
+    ("n_channels", st.integers(1, 16), st.just(0)),
+    ("watchdog_cycles", st.integers(1, 12), st.just(0)),
+    ("phy_overhead_bytes", st.integers(0, 40), st.integers(-40, -1)),
+    ("phy_rate_mbps", st.floats(1.0, 8.0), st.just(0.0) | st.floats(-1.0, 0.01)),
+]
+SYNC_RANGES = [
+    ("jitter_us", st.floats(0.0, 200.0), st.floats(-5.0, -0.1)),
+    ("max_waves", st.integers(1, 3), st.just(0)),
+    ("miss_limit", st.integers(1, 4), st.just(0)),
+]
+
+
+def _values(draw, ranges):
+    """One value per key; at most one of them drawn from outside its range."""
+    broken = draw(st.sets(st.sampled_from([key for key, _, _ in ranges]), max_size=1))
+    return {key: draw(outside if key in broken else inside) for key, inside, outside in ranges}
+
+
+@st.composite
+def remote_configs(draw):
+    """Short remote-control configs with 1-4 robots and drawn protocol and PHY values."""
+    robots = draw(st.integers(1, 4))
+    nodes = [{"id": 0, "role": "controller"}]
+    for i in range(1, robots + 1):
+        nodes.append({"id": i, "role": "robot", "start_pose": [0.0, 0.5 * i, 0.0],
+                      "path": [[draw(st.floats(-1.0, 1.0)), 0.5 * i]]})
+    return {
+        "kind": "remote-control",
+        "seed": draw(st.integers(0, 2**32)),
+        "duration_s": draw(st.floats(0.001, 0.05)),
+        "nodes": nodes,
+        "protocol": {**_values(draw, PROTOCOL_RANGES), "sync": _values(draw, SYNC_RANGES)},
+        "channel": {"default_per": draw(st.floats(0.0, 1.0))},
+    }
+
+
+@settings(max_examples=50, deadline=None)
+@given(remote_configs())
+def test_a_config_that_validates_runs_to_an_end_reason(raw):
+    try:
+        config = config_from_dict(raw)
+    except ConfigError:
+        return
+    assert run_scenario(config).end_reason in END_REASONS
+
+
+def test_readme_config_example_is_valid():
+    block = re.search(r"```jsonc\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
+    raw = json.loads(re.sub(r"\s*//.*", "", block))
+    raw["duration_s"] = 0.1
+    assert run_scenario(config_from_dict(raw)).end_reason in END_REASONS
