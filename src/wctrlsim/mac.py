@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .channel import Medium, ReceptionOutcome, Transmission
 from .engine import Engine, SimTime
@@ -83,7 +84,7 @@ class CycleSchedule:
     def cycle_length_us(self) -> int:
         return cycle_length_us(len(self.slots), self.slot_duration_us, self.compute_gap_us)
 
-    @property
+    @cached_property
     def gap_position(self) -> int:
         for slot in self.slots:
             if slot.direction is Direction.GAP:

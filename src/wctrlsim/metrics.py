@@ -88,11 +88,10 @@ class TraceView:
         for row in rows:
             kind = row[_KIND]
             if kind == "pose":
-                t = int(row[_TIME])
-                node = int(row[_NODE])
-                self.poses.setdefault(node, []).append(
-                    (t, float(row[_V1]), float(row[_V2]), float(row[_V3]),
-                     float(row[_V4]), float(row[_V5])))
+                # six decimals, as written to trace.csv: round(v, 6) == float(f"{v:.6f}")
+                self.poses.setdefault(row[_NODE], []).append(
+                    (row[_TIME], round(row[_V1], 6), round(row[_V2], 6), round(row[_V3], 6),
+                     round(row[_V4], 6), round(row[_V5], 6)))
             elif kind == "rx":
                 if row[_CAUSE] == "delivered" and row[_FRAME] in ("CMD", "FB"):
                     if row[_NODE] == row[_DST]:
@@ -101,45 +100,45 @@ class TraceView:
                 if row[_FRAME] in ("CMD", "FB"):
                     self.attempted[row[_FRAME]].add((row[_SRC], row[_DST], row[_SEQ]))
             elif kind == "fb-sample":
-                fb_time[(int(row[_NODE]), int(row[_SEQ]))] = int(row[_TIME])
+                fb_time[(row[_NODE], row[_SEQ])] = row[_TIME]
             elif kind == "cmd-emit":
-                emit_informing[(int(row[_DST]), int(row[_SEQ]))] = int(row[_V3])
+                emit_informing[(row[_DST], row[_SEQ])] = row[_V3]
             elif kind == "cmd-apply":
                 # radio applications only: local (co-located) loops have no slot
-                if row[_CAUSE] in ("applied", "estop") and row[_SLOT] != "":
-                    robot = int(row[_NODE])
-                    informing = emit_informing.get((robot, int(row[_SEQ])))
+                if row[_CAUSE] in ("applied", "estop") and row[_SLOT] is not None:
+                    robot = row[_NODE]
+                    informing = emit_informing.get((robot, row[_SEQ]))
                     if informing is not None and informing >= 0:
                         t_fb = fb_time.get((robot, informing))
                         if t_fb is not None:
-                            t_apply = int(row[_TIME])
+                            t_apply = row[_TIME]
                             self.latencies.append((t_apply, robot, t_apply - t_fb))
             elif kind == "ref-point":
-                self.refpoints.setdefault(int(row[_NODE]), []).append(
-                    (float(row[_V1]), float(row[_V2])))
+                self.refpoints.setdefault(row[_NODE], []).append(
+                    (round(row[_V1], 6), round(row[_V2], 6)))
             elif kind == "estop":
-                t = int(row[_TIME])
+                t = row[_TIME]
                 if row[_CAUSE] == "controller-latch":
                     if self.controller_latch_us is None:
                         self.controller_latch_us = t
                 elif row[_CAUSE] == "plant-latch":
-                    self.plant_latch_us.setdefault(int(row[_NODE]), t)
+                    self.plant_latch_us.setdefault(row[_NODE], t)
             elif kind == "waypoint":
-                node = int(row[_NODE])
-                popped = int(row[_V1] or 0)
+                node = row[_NODE]
+                popped = row[_V1] or 0
                 if popped:
-                    self.follower_pops.append((int(row[_TIME]), node, popped))
+                    self.follower_pops.append((row[_TIME], node, popped))
                 if row[_CAUSE] == "complete":
-                    self.waypoint_complete_us.setdefault(node, int(row[_TIME]))
+                    self.waypoint_complete_us.setdefault(node, row[_TIME])
             elif kind == "meta":
-                self.meta = {"cycle_length_us": int(row[_V1]),
-                             "airtime_us": int(row[_V2]),
-                             "n_slots": int(row[_V3]),
-                             "seed": int(row[_V4])}
+                self.meta = {"cycle_length_us": row[_V1],
+                             "airtime_us": row[_V2],
+                             "n_slots": row[_V3],
+                             "seed": row[_V4]}
             elif kind == "end":
                 self.end_reason = row[_CAUSE]
-                self.end_time_us = int(row[_TIME])
-                self.cycles = int(row[_V1])
+                self.end_time_us = row[_TIME]
+                self.cycles = row[_V1]
 
     # -- derived series ------------------------------------------------------
 

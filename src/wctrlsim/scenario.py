@@ -34,6 +34,7 @@ from .mac import LoopSpec, SyncParams
 from .robot import Pose, RobotParams, Segment
 
 ROLES = ("controller", "robot", "leader", "follower", "relay")
+MAX_CHANNELS = 256  # hop sequences and per-link tables are n_channels long
 
 
 class ConfigError(ValueError):
@@ -210,8 +211,11 @@ class ScenarioConfig:
         proto = self.protocol
         if proto.slot_duration_us <= 0 or proto.compute_gap_us < 0:
             raise ConfigError("slot duration must be positive, compute gap non-negative")
-        if proto.retx_slots < 0 or proto.n_channels < 1:
-            raise ConfigError("retx slot count and channel count must be sensible")
+        if proto.retx_slots < 0:
+            raise ConfigError("protocol.retx_slots must be non-negative")
+        if not 1 <= proto.n_channels <= MAX_CHANNELS:
+            raise ConfigError(f"protocol.n_channels must be in 1..{MAX_CHANNELS}, "
+                              f"got {proto.n_channels}")
         if proto.watchdog_cycles < 1:
             raise ConfigError("watchdog must be at least one cycle")
         if proto.sync.max_waves < 1 or proto.sync.miss_limit < 1:
@@ -387,15 +391,18 @@ def apply_overrides(raw: dict, overrides: dict[str, Any]) -> dict:
     """Return a deep copy of `raw` with dotted-path overrides applied.
 
     Used by parameter sweeps: "channel.default_per" -> raw["channel"]["default_per"].
+    Missing objects on the path are created; a path through an existing value
+    that is not an object (an array element, say) raises ConfigError.
     """
     patched = json.loads(json.dumps(raw))
     for dotted, value in overrides.items():
         parts = dotted.split(".")
         cursor = patched
-        for part in parts[:-1]:
-            if part not in cursor or not isinstance(cursor[part], dict):
-                cursor[part] = {}
-            cursor = cursor[part]
+        for i, part in enumerate(parts[:-1]):
+            cursor = cursor.setdefault(part, {})
+            if type(cursor) is not dict:
+                raise ConfigError(f"{dotted}: {'.'.join(parts[:i + 1])} is not an object; "
+                                  "a sweep path can only name object keys")
         cursor[parts[-1]] = value
     return patched
 

@@ -22,8 +22,11 @@ v1..v5); the meaning of v1..v5 depends on the kind:
     pose        node=robot, v1=x v2=y v3=theta v4=left actual v5=right actual
     end         cause=completed|estopped|timeout, v1=cycles run
 
-Floats are formatted to six decimals at append time, so a rerun with the same
-config reproduces the file byte for byte.
+Rows hold the native values exactly as passed to `Trace.add` (ints, strs,
+floats, None) and are formatted once, in `to_csv`: None is an empty cell, a
+bool is 1/0, a float has six decimals, anything else is `str`.  A rerun with
+the same config reproduces the file byte for byte.  `load_trace` parses a CSV
+back into the same typed form, with each float the six-decimal value.
 """
 
 from __future__ import annotations
@@ -36,46 +39,65 @@ COLUMNS = ("time_us", "cycle", "slot", "node", "kind", "frame", "src", "dst",
            "seq", "cause", "v1", "v2", "v3", "v4", "v5")
 
 
-def _fmt(value) -> str:
+def _spec(value) -> str:
+    """The %-format of one cell: None -> "", bool -> 1/0, float -> six decimals."""
     if value is None:
-        return ""
+        return "%.0s"
     if isinstance(value, bool):
-        return "1" if value else "0"
+        return "%d"
     if isinstance(value, float):
-        return f"{value:.6f}"
-    return str(value)
+        return "%.6f"
+    return "%s"
 
 
 class Trace:
-    """In-memory rows plus CSV serialization; rows are plain string tuples."""
+    """In-memory rows of native values plus CSV serialization."""
 
     def __init__(self) -> None:
-        self.rows: list[tuple[str, ...]] = []
+        self.rows: list[tuple] = []
 
     def add(self, time_us: int, kind: str, *, cycle=None, slot=None, node=None,
             frame=None, src=None, dst=None, seq=None, cause=None,
             v1=None, v2=None, v3=None, v4=None, v5=None) -> None:
-        self.rows.append((_fmt(time_us), _fmt(cycle), _fmt(slot), _fmt(node),
-                          kind, _fmt(frame), _fmt(src), _fmt(dst), _fmt(seq),
-                          _fmt(cause), _fmt(v1), _fmt(v2), _fmt(v3), _fmt(v4),
-                          _fmt(v5)))
+        self.rows.append((time_us, cycle, slot, node, kind, frame, src, dst, seq,
+                          cause, v1, v2, v3, v4, v5))
 
     def to_csv(self) -> str:
+        # a run has only a dozen or so row type-shapes: one pattern per shape
+        patterns: dict[tuple[type, ...], str] = {}
         out = io.StringIO()
         out.write(",".join(COLUMNS) + "\n")
         for row in self.rows:
-            out.write(",".join(row) + "\n")
+            shape = tuple(map(type, row))
+            pattern = patterns.get(shape)
+            if pattern is None:
+                pattern = patterns[shape] = ",".join(map(_spec, row)) + "\n"
+            out.write(pattern % row)
         return out.getvalue()
 
     def write_csv(self, path: str | Path) -> None:
         Path(path).write_text(self.to_csv(), encoding="utf-8")
 
 
-def load_trace(path: str | Path) -> list[tuple[str, ...]]:
-    """Read a trace CSV back into the in-memory row form (string tuples)."""
+def _parse(cell: str):
+    if cell == "":
+        return None
+    try:
+        return int(cell)
+    except ValueError:
+        pass
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def load_trace(path: str | Path) -> list[tuple]:
+    """Read a trace CSV back into the in-memory row form: "" -> None, integer
+    text -> int, decimal text -> float, anything else stays a str."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if tuple(header) != COLUMNS:
             raise ValueError(f"not a trace file: unexpected header {header}")
-        return [tuple(row) for row in reader]
+        return [tuple(map(_parse, row)) for row in reader]

@@ -38,6 +38,35 @@ def make_remote_config(**overrides):
     return config_from_dict(raw)
 
 
+def lossy_raw():
+    """Three robots over lossy links: a burst link, a blackout, an obstacle that
+    trips the emergency stop.  Exercises the erased, desynced-listener, flood,
+    sync-miss, desync and estop rows that the PER-0 bundled scenarios never write."""
+    return {
+        "kind": "remote-control",
+        "seed": 5,
+        "duration_s": 1.5,
+        "nodes": [{"id": 0, "role": "controller"}] + [
+            {"id": r, "role": "robot", "start_pose": [0.0, 0.5 * r, 0.0],
+             "path": [[2.0, 0.5 * r]]}
+            for r in (1, 2, 3)],
+        "channel": {
+            "default_per": 0.3,
+            "links": [{"from": 0, "to": 3,
+                       "burst": {"p_good_to_bad": 0.05, "p_bad_to_good": 0.3,
+                                 "per_good": 0.1, "per_bad": 0.8}}],
+            "blackouts": [{"node": 1, "from_us": 100_000, "until_us": 160_000}],
+        },
+        "obstacles": [{"segment": [0.3, 0.3, 0.3, 1.7], "appears_at_us": 900_000}],
+        "run_to_completion": False,
+    }
+
+
+@pytest.fixture(scope="session")
+def lossy_result():
+    return run_scenario(config_from_dict(lossy_raw()))
+
+
 @pytest.fixture(scope="session")
 def square_config():
     return load_config(SCENARIO_DIR / "remote_control_square.json")

@@ -309,16 +309,16 @@ def test_criterion_11_desync_safety():
     })
     result = run_scenario(config)
     desync_at = [int(r[TIME]) for r in result.trace.rows
-                 if r[KIND] == "desync" and r[NODE] == "1"]
+                 if r[KIND] == "desync" and r[NODE] == 1]
     resync_at = [int(r[TIME]) for r in result.trace.rows
-                 if r[KIND] == "sync" and r[NODE] == "1" and int(r[TIME]) > 20 * cycle_len]
+                 if r[KIND] == "sync" and r[NODE] == 1 and int(r[TIME]) > 20 * cycle_len]
     ok = bool(desync_at and resync_at)
     if ok:
         # desync after exactly miss_limit missed beacons
         ok &= desync_at[0] == (20 + config.protocol.sync.miss_limit - 1) * cycle_len
         ok &= resync_at[0] == 40 * cycle_len
         tx_times = [int(r[TIME]) for r in result.trace.rows
-                    if r[KIND] == "tx" and r[NODE] == "1"]
+                    if r[KIND] == "tx" and r[NODE] == 1]
         silent = [t for t in tx_times if desync_at[0] <= t < resync_at[0]]
         resumed = [t for t in tx_times if t >= resync_at[0]]
         ok &= not silent and bool(resumed)

@@ -102,6 +102,9 @@ BAD_CONFIGS = {
     "slot-shorter-than-sync-waves": (_square_with(
         lambda raw: raw["protocol"].update(slot_duration_us=50)),
         "protocol.slot_duration_us: 50 us cannot hold protocol.sync.max_waves=2 frames of 104 us"),
+    "too-many-channels": (_square_with(
+        lambda raw: raw["protocol"].update(n_channels=2_000_000)),
+        "protocol.n_channels must be in 1..256, got 2000000"),
 }
 
 
@@ -190,6 +193,8 @@ BAD_GRIDS = {
     "unknown-grid-key": ({"seed": [1, 2, 3]},
                          "grid: unknown key 'seed'; a grid takes \"parameters\" and \"seeds\""),
     "seed-as-parameter": ({"parameters": {"seed": [1, 2]}}, '"seeds"'),
+    "array-on-path": ({"parameters": {"nodes.1.path": [[[1, 0]]]}},
+                      "nodes.1.path: nodes is not an object"),
 }
 
 

@@ -1,7 +1,9 @@
 """Golden digests: the bundled scenarios must keep producing the same bytes.
 
 The values are the full sha256 of `trace.csv` and `metrics.json` as the CLI
-writes them for the bundled configs at their own seeds.  A refactor that
+writes them for the bundled configs at their own seeds, and for the lossy
+three-robot run of `conftest.lossy_raw` (PER 0.3, a burst link, a blackout
+and an obstacle that ends the run in an emergency stop).  A refactor that
 claims to keep behaviour must leave both unchanged.
 """
 
@@ -15,6 +17,8 @@ GOLDEN = {
                "645c9270695336f5af824e2c45f215a694ce78baf72f26d462786a55919bf43e"),
     "platoon": ("9aa9e7a858c0fff0dc5fb1c54ef680c26bba58a9d7c080640be4711ab3618074",
                 "350afa952cb2c1fa4a75c2c11094918b3e3b37cfa3be474c2b4a49a19d469834"),
+    "lossy": ("a19dda6614fce446d3b445ced6060432a6106a4f39b99e8c1b7f512ad4697e43",
+              "8bf94d945044f2548039ba8e6b7481d71dbf38c41b06cf144de39c654068a9d9"),
 }
 
 

@@ -19,7 +19,7 @@ def desync_windows(result, node):
     windows = []
     open_at = None
     for row in result.trace.rows:
-        if row[NODE] != str(node):
+        if row[NODE] != node:
             continue
         if row[KIND] == "desync" and open_at is None:
             open_at = int(row[TIME])
@@ -64,7 +64,7 @@ def test_zero_order_hold_keeps_commands_flowing_without_feedback():
     result = run_scenario(config)
     emits = rows_of(result, "cmd-emit")
     assert len(emits) == result.cycles
-    assert all(r[V3] == "-1" for r in emits)  # no feedback ever informed a command
+    assert all(r[V3] == -1 for r in emits)  # no feedback ever informed a command
     seqs = [int(r[SEQ]) for r in emits]
     assert seqs == list(range(1, len(seqs) + 1))
 
@@ -106,13 +106,13 @@ def test_desynced_node_never_transmits():
     result = run_scenario(config)
     windows = desync_windows(result, 1)
     assert windows, "the blackout should have desynced the robot"
-    tx_times = [int(r[TIME]) for r in rows_of(result, "tx") if r[NODE] == "1"]
+    tx_times = [int(r[TIME]) for r in rows_of(result, "tx") if r[NODE] == 1]
     for start, end in windows:
         assert not any(start <= t < end for t in tx_times)
     # it resumed transmitting after re-syncing
     assert any(t >= windows[-1][1] for t in tx_times)
     # desynced listener outcomes appear while desynced
-    causes = {r[CAUSE] for r in rows_of(result, "rx") if r[NODE] == "1"
+    causes = {r[CAUSE] for r in rows_of(result, "rx") if r[NODE] == 1
               and windows[0][0] <= int(r[TIME]) < windows[0][1]}
     assert "desynced-listener" in causes
 
@@ -134,7 +134,7 @@ def test_relay_rescues_broken_direct_link():
     assert applies, "commands must reach the robot through the relay"
     # every delivery needed a retransmission flood (direct link is dead)
     sched = result.schedule
-    retx_positions = {str(s.position) for s in sched.slots if s.direction.value == "retx"}
+    retx_positions = {s.position for s in sched.slots if s.direction.value == "retx"}
     assert all(r[SLOT] in retx_positions for r in applies)
     assert result.metrics["delivery"]["cmd"]["ratio"] == 1.0
 
@@ -166,10 +166,10 @@ def test_estop_stops_both_robots_and_dominates():
     for r in rows_of(result, "cmd-emit"):
         if int(r[TIME]) >= latch:
             assert r[CAUSE] == "estop"
-            assert (r[V1], r[V2]) == ("0", "0")
+            assert (r[V1], r[V2]) == (0, 0)
     # both plants latched
     latches = {r[NODE] for r in rows_of(result, "estop") if r[CAUSE] == "plant-latch"}
-    assert latches == {"1", "2"}
+    assert latches == {1, 2}
 
 
 def test_estop_in_platoon_stops_leader_locally_and_follower_over_radio():
@@ -191,7 +191,7 @@ def test_estop_in_platoon_stops_leader_locally_and_follower_over_radio():
     for robot in ("1", "2"):
         assert estop["per_robot"][robot]["latency_us"] is not None
     latches = {r[NODE] for r in rows_of(result, "estop") if r[CAUSE] == "plant-latch"}
-    assert latches == {"1", "2"}
+    assert latches == {1, 2}
     # the leader's local stop is immediate; latency samples stay radio-only
     values = [lat for _, robot, lat in TraceView(result.trace.rows).latencies]
     assert values and min(values) >= 104  # at least one airtime
