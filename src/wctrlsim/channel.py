@@ -14,7 +14,8 @@ PHY is treated as a black box.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
+from operator import attrgetter
+from typing import Iterator
 
 from .engine import Engine, SimTime
 from .frames import FRAME_SIZE, Frame, encode_frame
@@ -33,7 +34,9 @@ class ProtocolViolation(RuntimeError):
     """A flood was attempted with non-identical frames; surfaced, not modeled."""
 
 
-class Cause(str, Enum):
+class Cause:
+    """Reception causes, as written in the cause column of `rx` rows."""
+
     DELIVERED = "delivered"
     ERASED = "erased"
     NO_TRANSMITTER = "no-transmitter"
@@ -65,7 +68,8 @@ class RadioLink:
     per_by_channel: tuple[float, ...]
     burst: BurstModel | None = None
     bad: bool = False
-    _slot_cursor: int = field(default=0, repr=False)
+    _slot_cursor: int = field(default=0, repr=False)  # burst links only
+    _draws: Iterator[float] | None = field(default=None, repr=False, compare=False)
 
     def validate(self, n_channels: int) -> None:
         if len(self.per_by_channel) != n_channels:
@@ -79,11 +83,6 @@ class RadioLink:
         if self.burst is not None:
             self.burst.validate()
 
-    def erasure_prob(self, channel: int) -> float:
-        if self.burst is not None:
-            return self.burst.per_bad if self.bad else self.burst.per_good
-        return self.per_by_channel[channel]
-
 
 @dataclass(frozen=True)
 class Transmission:
@@ -95,14 +94,24 @@ class Transmission:
     slot: int  # global slot counter, for burst-state bookkeeping
     channel: int
     start: SimTime
-    airtime_us: int
 
 
 @dataclass(frozen=True)
 class ReceptionOutcome:
     receiver: int
     received: bool
-    cause: Cause
+    cause: str  # a Cause value
+
+
+@dataclass(slots=True)
+class _Receiver:
+    """One listening node: links by sender, blackouts, draws, shared outcomes."""
+
+    links: dict[int, RadioLink]
+    blackouts: list[tuple[SimTime, SimTime]]
+    draws: Iterator[float]
+    delivered: ReceptionOutcome
+    erased: ReceptionOutcome
 
 
 class Medium:
@@ -110,7 +119,8 @@ class Medium:
 
     Delivery draws come from the receiver's "channel" RNG stream, so adding a
     node never perturbs another node's outcomes.  Burst chains advance lazily,
-    one step per elapsed slot, from a per-link stream.
+    one step per elapsed slot, from a per-link stream.  Both streams are
+    buffered (`Engine.draws`) and drawn only here.
     """
 
     def __init__(self, engine: Engine, n_channels: int, phy_overhead_bytes: int = 10,
@@ -120,9 +130,19 @@ class Medium:
         self.engine = engine
         self.n_channels = n_channels
         self.airtime_us = frame_airtime_us(phy_overhead_bytes, phy_rate_mbps)
-        self._links: dict[tuple[int, int], RadioLink] = {}
-        self._blackouts: dict[int, list[tuple[SimTime, SimTime]]] = {}
+        self._receivers: dict[int, _Receiver] = {}
         self._slot_counter = 0
+        self._encoded: tuple[Frame | None, bytes] = (None, b"")
+        self._flood: tuple[tuple[Transmission, ...], list[Transmission]] = ((), [])
+
+    def _receiver(self, node: int) -> _Receiver:
+        rx = self._receivers.get(node)
+        if rx is None:
+            rx = self._receivers[node] = _Receiver(
+                {}, [], self.engine.draws(node, "channel"),
+                ReceptionOutcome(node, True, Cause.DELIVERED),
+                ReceptionOutcome(node, False, Cause.ERASED))
+        return rx
 
     def add_link(self, sender: int, receiver: int, per: float | None = None,
                  per_by_channel: list[float] | tuple[float, ...] | None = None,
@@ -132,27 +152,21 @@ class Medium:
         if per_by_channel is None:
             per_by_channel = (0.0 if per is None else float(per),) * self.n_channels
         link = RadioLink(sender=sender, receiver=receiver,
-                         per_by_channel=tuple(float(p) for p in per_by_channel),
+                         per_by_channel=tuple(map(float, per_by_channel)),
                          burst=burst)
         link.validate(self.n_channels)
-        self._links[(sender, receiver)] = link
-        return link
-
-    def link(self, sender: int, receiver: int) -> RadioLink:
-        link = self._links.get((sender, receiver))
-        if link is None:
-            raise ChannelError(f"no link model for {sender}->{receiver}")
+        if burst is not None:
+            link._draws = self.engine.draws(receiver, f"burst:{sender}")
+        self._receiver(receiver).links[sender] = link
         return link
 
     def add_blackout(self, node: int, start_us: SimTime, end_us: SimTime) -> None:
         """Force every reception at `node` to fail for start_us <= t < end_us."""
-        self._blackouts.setdefault(node, []).append((start_us, end_us))
+        self._receiver(node).blackouts.append((start_us, end_us))
 
     def in_blackout(self, node: int, at: SimTime) -> bool:
-        for start, end in self._blackouts.get(node, ()):
-            if start <= at < end:
-                return True
-        return False
+        rx = self._receivers.get(node)
+        return rx is not None and any(start <= at < end for start, end in rx.blackouts)
 
     def begin_slot(self) -> int:
         """Advance the global slot counter; burst chains catch up lazily."""
@@ -161,58 +175,77 @@ class Medium:
 
     def make_transmission(self, sender: int, frame: Frame, slot: int, channel: int,
                           start: SimTime) -> Transmission:
-        return Transmission(sender=sender, frame=frame, payload=encode_frame(frame),
-                            slot=slot, channel=channel, start=start,
-                            airtime_us=self.airtime_us)
+        # frames are immutable: the senders of one flood share one encoding
+        encoded_frame, payload = self._encoded
+        if frame is not encoded_frame:
+            payload = encode_frame(frame)
+            self._encoded = (frame, payload)
+        return Transmission(sender=sender, frame=frame, payload=payload,
+                            slot=slot, channel=channel, start=start)
 
-    def _advance_burst(self, link: RadioLink, slot: int) -> None:
-        if link.burst is None:
-            link._slot_cursor = slot
-            return
-        steps = slot - link._slot_cursor
-        if steps <= 0:
-            return
-        rng = self.engine.stream(link.receiver, f"burst:{link.sender}")
+    def _burst_prob(self, link: RadioLink, slot: int) -> float:
+        """Erasure probability of a burst link in `slot`: its chain first steps
+        once per slot elapsed since it last carried a frame."""
         burst = link.burst
-        for _ in range(steps):
-            u = rng.random()
-            if link.bad:
-                if u < burst.p_bad_to_good:
-                    link.bad = False
-            elif u < burst.p_good_to_bad:
-                link.bad = True
-        link._slot_cursor = slot
+        steps = slot - link._slot_cursor
+        if steps > 0:
+            draws = link._draws
+            for _ in range(steps):
+                u = next(draws)
+                if link.bad:
+                    if u < burst.p_bad_to_good:
+                        link.bad = False
+                elif u < burst.p_good_to_bad:
+                    link.bad = True
+            link._slot_cursor = slot
+        return burst.per_bad if link.bad else burst.per_good
 
     def deliver(self, tx: Transmission, receiver: int) -> ReceptionOutcome:
         """Draw the reception outcome of a single transmission at `receiver`."""
-        link = self.link(tx.sender, receiver)
-        if self.in_blackout(receiver, tx.start):
-            return ReceptionOutcome(receiver, False, Cause.ERASED)
-        self._advance_burst(link, tx.slot)
-        p = link.erasure_prob(tx.channel)
-        received = self.engine.stream(receiver, "channel").random() >= p
-        return ReceptionOutcome(receiver, received,
-                                Cause.DELIVERED if received else Cause.ERASED)
+        try:
+            rx = self._receivers[receiver]
+            link = rx.links[tx.sender]
+        except KeyError:
+            raise ChannelError(f"no link model for {tx.sender}->{receiver}") from None
+        if rx.blackouts and self.in_blackout(receiver, tx.start):
+            return rx.erased
+        p = (link.per_by_channel[tx.channel] if link.burst is None
+             else self._burst_prob(link, tx.slot))
+        return rx.delivered if next(rx.draws) >= p else rx.erased
+
+    def _flood_order(self, txs: list[Transmission]) -> list[Transmission]:
+        """Check that `txs` form one flood; return them in sender order.  Kept for
+        the next call, since every listener of a send gets the same list."""
+        if not txs:
+            raise ChannelError("flood needs at least one transmission")
+        key = tuple(txs)
+        seen, order = self._flood
+        if key != seen:
+            head = txs[0]
+            for tx in txs[1:]:
+                if tx.payload != head.payload:
+                    raise ProtocolViolation(
+                        f"flood with non-identical frames from {head.sender} and {tx.sender}"
+                    )
+                if tx.channel != head.channel or tx.slot != head.slot:
+                    raise ProtocolViolation("flood transmissions must share slot and channel")
+            order = sorted(key, key=attrgetter("sender"))
+            self._flood = (key, order)
+        return order
 
     def deliver_flood(self, txs: list[Transmission], receiver: int) -> ReceptionOutcome:
         """Reception of simultaneous identical transmissions: fails only if all links fail."""
-        if not txs:
-            raise ChannelError("flood needs at least one transmission")
-        head = txs[0]
-        for tx in txs[1:]:
-            if tx.payload != head.payload:
-                raise ProtocolViolation(
-                    f"flood with non-identical frames from {head.sender} and {tx.sender}"
-                )
-            if tx.channel != head.channel or tx.slot != head.slot:
-                raise ProtocolViolation("flood transmissions must share slot and channel")
-        if self.in_blackout(receiver, head.start):
-            return ReceptionOutcome(receiver, False, Cause.ERASED)
+        order = self._flood_order(txs)
+        rx = self._receivers.get(receiver)
+        if rx is None:
+            raise ChannelError(f"no link model for {order[0].sender}->{receiver}")
+        if rx.blackouts and self.in_blackout(receiver, txs[0].start):
+            return rx.erased
         fail = 1.0
-        for tx in sorted(txs, key=lambda t: t.sender):
-            link = self.link(tx.sender, receiver)
-            self._advance_burst(link, tx.slot)
-            fail *= link.erasure_prob(tx.channel)
-        received = self.engine.stream(receiver, "channel").random() >= fail
-        return ReceptionOutcome(receiver, received,
-                                Cause.DELIVERED if received else Cause.ERASED)
+        for tx in order:
+            link = rx.links.get(tx.sender)
+            if link is None:
+                raise ChannelError(f"no link model for {tx.sender}->{receiver}")
+            fail *= (link.per_by_channel[tx.channel] if link.burst is None
+                     else self._burst_prob(link, tx.slot))
+        return rx.delivered if next(rx.draws) >= fail else rx.erased

@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 SimTime = int  # virtual microseconds since run start
 
 _U64 = 0xFFFFFFFFFFFFFFFF
+
+DRAW_BLOCK = 256  # values a buffered stream takes from numpy at a time
 
 
 def stream_rng(master_seed: int, node: int | None, purpose: str) -> np.random.Generator:
@@ -30,6 +32,13 @@ def stream_rng(master_seed: int, node: int | None, purpose: str) -> np.random.Ge
     return np.random.default_rng(np.random.SeedSequence([master_seed & _U64, *words]))
 
 
+def _blocks(master_seed: int, node: int | None, purpose: str,
+            low: float, high: float) -> Iterator[float]:
+    rng = stream_rng(master_seed, node, purpose)  # seeded at the first draw
+    while True:
+        yield from rng.uniform(low, high, DRAW_BLOCK).tolist()
+
+
 @dataclass(frozen=True)
 class RunSummary:
     events_processed: int
@@ -39,22 +48,44 @@ class RunSummary:
 class Engine:
     """Virtual clock and RNG substreams of one run.
 
-    Everything stochastic in a run draws from `stream()` substreams of the
-    master seed.
+    Everything stochastic in a run draws from substreams of the master seed,
+    either directly (`stream()`) or in blocks (`draws()`).
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self.now: SimTime = 0
         self._streams: dict[tuple[int | None, str], np.random.Generator] = {}
+        self._buffered: dict[tuple[int | None, str], Iterator[float]] = {}
 
     def stream(self, node: int | None, purpose: str) -> np.random.Generator:
-        """Return the (cached) RNG substream for (node, purpose)."""
+        """Return the (cached) RNG substream for (node, purpose).
+
+        A substream is drawn either here or through `draws()`, never both: a
+        direct draw would skip the values a buffer already holds.  So a buffered
+        stream must have one consumer; the medium's "channel" and "burst:<sender>"
+        and the MAC's "sync" streams each have exactly one call site.
+        """
         key = (node, purpose)
         rng = self._streams.get(key)
         if rng is None:
+            if key in self._buffered:
+                raise RuntimeError(f"stream {key} is buffered; draw it through draws()")
             rng = self._streams[key] = stream_rng(self.seed, node, purpose)
         return rng
+
+    def draws(self, node: int | None, purpose: str, low: float = 0.0,
+              high: float = 1.0) -> Iterator[float]:
+        """Return the (cached) buffered draws of the (node, purpose) substream:
+        `uniform(low, high, DRAW_BLOCK)` gives exactly the values of as many
+        single `uniform(low, high)` calls.  The first call's bounds hold."""
+        key = (node, purpose)
+        draws = self._buffered.get(key)
+        if draws is None:
+            if key in self._streams:
+                raise RuntimeError(f"stream {key} is drawn directly; it cannot be buffered")
+            draws = self._buffered[key] = _blocks(self.seed, node, purpose, low, high)
+        return draws
 
     def run_until(self, period: SimTime, step: Callable[[], bool]) -> RunSummary:
         """Call `step()` at now = 0, period, 2*period, ... until it returns False."""

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import islice
 
 from .channel import Medium, ReceptionOutcome, Transmission
 from .engine import Engine, SimTime
@@ -99,11 +100,14 @@ class CycleSchedule:
             offset += self.compute_gap_us
         return offset
 
-    def channel_for(self, cycle_index: int, position: int) -> int:
-        slot = self.slots[position]
+    def hop_of(self, slot: Slot) -> tuple[int, ...]:
+        """The hop sequence of the slot's band."""
         if slot.direction is Direction.GAP:
             raise ScheduleError("gap entry has no channel")
-        hop = self.hop_feedback if slot.band is Band.FEEDBACK else self.hop_forward
+        return self.hop_feedback if slot.band is Band.FEEDBACK else self.hop_forward
+
+    def channel_for(self, cycle_index: int, position: int) -> int:
+        hop = self.hop_of(self.slots[position])
         return hop[(cycle_index + position) % len(hop)]
 
 
@@ -199,6 +203,7 @@ def run_sync_beacon(engine: Engine, medium: Medium, schedule: CycleSchedule,
     channel = schedule.channel_for(cycle_index, 0)
     slot = medium.begin_slot()
     beacon_seq = cycle_index & 0xFFFF
+    nodes = sorted(nodes)
     holders: dict[int, int] = {originator: 0}  # node -> wave it first held the beacon
     transmissions: list[tuple[int, Transmission]] = []
     outcomes: list[tuple[int, SimTime, ReceptionOutcome]] = []
@@ -212,23 +217,22 @@ def run_sync_beacon(engine: Engine, medium: Medium, schedule: CycleSchedule,
         frame = SyncFrame(src=originator, seq=beacon_seq, cycle_index=cycle_index, wave=wave)
         txs = [medium.make_transmission(s, frame, slot, channel, at) for s in senders]
         transmissions.extend((wave, tx) for tx in txs)
-        for node in sorted(nodes):
+        for node in nodes:
             if node in holders:
                 continue
             outcome = medium.deliver_flood(txs, node)
             outcomes.append((wave, at, outcome))
             if outcome.received:
                 holders[node] = wave
-                rng = engine.stream(node, "sync")
-                residual = float(sum(rng.uniform(-params.jitter_us, params.jitter_us)
-                                     for _ in range(wave)))
+                draws = engine.draws(node, "sync", -params.jitter_us, params.jitter_us)
+                residual = float(sum(islice(draws, wave)))
                 state = states[node]
                 state.synced = True
                 state.missed_beacons = 0
                 receptions.append(BeaconReception(node=node, wave=wave, residual_us=residual))
 
     desynced: list[int] = []
-    for node in sorted(nodes):
+    for node in nodes:
         if node == originator or node in holders:
             continue
         state = states[node]

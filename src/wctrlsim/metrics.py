@@ -64,6 +64,12 @@ def cdf_pairs(values) -> list[tuple[float, float]]:
     return [(float(v), float(f)) for v, f in zip(uniq, fractions)]
 
 
+def _frame_id(row) -> int:
+    """(cycle, src, dst, seq) packed into an int, half a tuple's memory: the cycle
+    parts frames whose 16-bit seq wrapped; retx copies share their frame's cycle."""
+    return row[_CYCLE] << 32 | row[_SRC] << 24 | row[_DST] << 16 | row[_SEQ]
+
+
 class TraceView:
     """Single-pass extraction of everything the metrics need from trace rows."""
 
@@ -72,8 +78,8 @@ class TraceView:
         self.latencies: list[tuple[int, int, int]] = []  # (apply time, robot, latency us)
         self.poses: dict[int, list[tuple[int, float, float, float, float, float]]] = {}
         self.refpoints: dict[int, list[tuple[float, float]]] = {}
-        self.attempted: dict[str, set] = {"CMD": set(), "FB": set()}
-        self.delivered: dict[str, set] = {"CMD": set(), "FB": set()}
+        self.attempted: dict[str, set[int]] = {"CMD": set(), "FB": set()}  # _frame_id
+        self.delivered: dict[str, set[int]] = {"CMD": set(), "FB": set()}
         self.controller_latch_us: int | None = None
         self.plant_latch_us: dict[int, int] = {}
         self.waypoint_complete_us: dict[int, int] = {}
@@ -95,10 +101,10 @@ class TraceView:
             elif kind == "rx":
                 if row[_CAUSE] == "delivered" and row[_FRAME] in ("CMD", "FB"):
                     if row[_NODE] == row[_DST]:
-                        self.delivered[row[_FRAME]].add((row[_SRC], row[_DST], row[_SEQ]))
+                        self.delivered[row[_FRAME]].add(_frame_id(row))
             elif kind == "tx":
                 if row[_FRAME] in ("CMD", "FB"):
-                    self.attempted[row[_FRAME]].add((row[_SRC], row[_DST], row[_SEQ]))
+                    self.attempted[row[_FRAME]].add(_frame_id(row))
             elif kind == "fb-sample":
                 fb_time[(row[_NODE], row[_SEQ])] = row[_TIME]
             elif kind == "cmd-emit":

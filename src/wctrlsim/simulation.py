@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import metrics as metrics_mod
-from .channel import Cause, Medium, ReceptionOutcome
+from .channel import Cause, Medium
 from .controller import PathController
 from .engine import Engine, SimTime
 from .frames import CmdFrame, EstopFrame, FbFrame, Frame, msg_type_of
@@ -86,6 +86,18 @@ class Simulation:
         self.controller = PathController(self.controller_node, config.steering,
                                          config.follower)
         self._build_lanes()
+        self._robot_loop = {loop.plant: loop.loop_id for loop in self.loops}
+        # one (handler, slot, start offset, hop sequence) per slot; plain functions,
+        # so that the plan holds no reference back to the run
+        handlers = {Direction.SYNC: Simulation._run_sync_slot,
+                    Direction.UPLINK: Simulation._run_uplink_slot,
+                    Direction.GAP: Simulation._run_compute,
+                    Direction.DOWNLINK: Simulation._run_downlink_slot,
+                    Direction.RETX: Simulation._run_retx_slot}
+        sched = self.schedule
+        self._plan = [(handlers[s.direction], s, sched.slot_offset_us(s.position),
+                       None if s.direction is Direction.GAP else sched.hop_of(s))
+                      for s in sched.slots]
         self.sync_states = {node: SyncState(node=node) for node in self.all_nodes}
         self.trace = Trace()
         self.cycle = 0
@@ -170,33 +182,37 @@ class Simulation:
             self.trace.add(at, "estop", cycle=self.cycle, node=robot_id, cause="plant-latch")
         self._commands_seen.add(robot_id)
 
-    def _send(self, senders: list[int], frame: Frame, slot: Slot, at: SimTime) -> list[int]:
+    def _send(self, senders: list[int], frame: Frame, slot: Slot, at: SimTime,
+              channel: int) -> list[int]:
         """Put `frame` on the air from every sender in one slot (a flood if more
         than one), logging each transmission and one reception outcome per
         listening node; returns the listeners that received it, in node order."""
-        slot_uid = self.medium.begin_slot()
-        channel = self.schedule.channel_for(self.cycle, slot.position)
-        txs = [self.medium.make_transmission(s, frame, slot_uid, channel, at) for s in senders]
-        name = msg_type_of(frame).name
+        medium, add = self.medium, self.trace.add
+        cycle, position = self.cycle, slot.position
+        slot_uid = medium.begin_slot()
+        txs = [medium.make_transmission(s, frame, slot_uid, channel, at) for s in senders]
+        name, src, dst, seq = msg_type_of(frame).name, frame.src, frame.dst, frame.seq
         for sender in senders:
-            self.trace.add(at, "tx", cycle=self.cycle, slot=slot.position, node=sender,
-                           frame=name, src=frame.src, dst=frame.dst, seq=frame.seq, v1=channel)
+            add(at, "tx", cycle=cycle, slot=position, node=sender,
+                frame=name, src=src, dst=dst, seq=seq, v1=channel)
+        if len(txs) == 1:
+            tx, deliver = txs[0], medium.deliver
+        else:
+            tx, deliver = txs, medium.deliver_flood
         sending = set(senders)
         received: list[int] = []
         for node in self.all_nodes:
             if node in sending:
                 continue
-            if not self.sync_states[node].synced:
-                outcome = ReceptionOutcome(node, False, Cause.DESYNCED_LISTENER)
-            elif len(txs) == 1:
-                outcome = self.medium.deliver(txs[0], node)
+            if self.sync_states[node].synced:
+                outcome = deliver(tx, node)
+                cause = outcome.cause
+                if outcome.received:
+                    received.append(node)
             else:
-                outcome = self.medium.deliver_flood(txs, node)
-            self.trace.add(at, "rx", cycle=self.cycle, slot=slot.position, node=node,
-                           frame=name, src=frame.src, dst=frame.dst, seq=frame.seq,
-                           cause=outcome.cause.value, v1=channel)
-            if outcome.received:
-                received.append(node)
+                cause = Cause.DESYNCED_LISTENER
+            add(at, "rx", cycle=cycle, slot=position, node=node,
+                frame=name, src=src, dst=dst, seq=seq, cause=cause, v1=channel)
         return received
 
     def _log_empty_slot(self, slot: Slot, at: SimTime) -> None:
@@ -204,15 +220,14 @@ class Simulation:
             if node == slot.owner:
                 continue
             self.trace.add(at, "rx", cycle=self.cycle, slot=slot.position, node=node,
-                           cause=Cause.NO_TRANSMITTER.value)
+                           cause=Cause.NO_TRANSMITTER)
 
     # -- per-slot handlers -----------------------------------------------------
 
-    def _run_sync_slot(self, cycle_start: SimTime) -> None:
+    def _run_sync_slot(self, slot: Slot, cycle_start: SimTime, channel: int) -> None:
         report = run_sync_beacon(self.engine, self.medium, self.schedule, self.cycle,
                                  self.controller_node, self.all_nodes, self.sync_states,
                                  self.config.protocol.sync, cycle_start)
-        channel = self.schedule.channel_for(self.cycle, 0)
         for wave, tx in report.transmissions:
             self.trace.add(tx.start, "tx", cycle=self.cycle, slot=0, node=tx.sender,
                            frame="SYNC", src=tx.frame.src, dst=tx.frame.dst,
@@ -220,7 +235,7 @@ class Simulation:
         for wave, at, outcome in report.outcomes:
             self.trace.add(at, "rx", cycle=self.cycle, slot=0, node=outcome.receiver,
                            frame="SYNC", src=self.controller_node, dst=0xFF,
-                           seq=self.cycle & 0xFFFF, cause=outcome.cause.value,
+                           seq=self.cycle & 0xFFFF, cause=outcome.cause,
                            v1=channel, v2=wave)
         for rec in report.receptions:
             self.trace.add(cycle_start, "sync", cycle=self.cycle, slot=0, node=rec.node,
@@ -235,13 +250,13 @@ class Simulation:
         for node in report.desynced:
             self.trace.add(cycle_start, "desync", cycle=self.cycle, slot=0, node=node)
 
-    def _run_uplink_slot(self, slot: Slot, at: SimTime) -> None:
+    def _run_uplink_slot(self, slot: Slot, at: SimTime, channel: int) -> None:
         robot_id = slot.owner
         if not self.sync_states[robot_id].synced:
             self._log_empty_slot(slot, at)
             return
         frame = self._sample_feedback(robot_id, at, slot.position)
-        received = self._send([robot_id], frame, slot, at)
+        received = self._send([robot_id], frame, slot, at, channel)
         if self.controller_node in received:
             self.controller.ingest_feedback(frame)
         else:
@@ -249,7 +264,7 @@ class Simulation:
                                           dest=self.controller_node,
                                           holders={robot_id, *received}))
 
-    def _run_compute(self, at: SimTime) -> None:
+    def _run_compute(self, slot: Slot, at: SimTime, channel: None) -> None:
         # leader-follower: the co-located leader loop closes here, off the air
         for robot_id, lane in self.controller.lanes.items():
             if lane.local:
@@ -260,7 +275,6 @@ class Simulation:
             self.trace.add(at, "estop", cycle=self.cycle, node=self.controller_node,
                            cause="controller-latch", v1=decisions.estop_source)
         self._cycle_cmds.clear()
-        robot_to_loop = {loop.plant: loop.loop_id for loop in self.loops}
         for decision in decisions.commands:
             lane = self.controller.lanes[decision.robot]
             self._last_holding[decision.robot] = decision.holding
@@ -282,14 +296,14 @@ class Simulation:
             if lane.local:
                 self._apply_cmd(decision.robot, decision.cmd, at, None, local=True)
             else:
-                self._cycle_cmds[robot_to_loop[decision.robot]] = decision.cmd
+                self._cycle_cmds[self._robot_loop[decision.robot]] = decision.cmd
 
-    def _run_downlink_slot(self, slot: Slot, at: SimTime) -> None:
+    def _run_downlink_slot(self, slot: Slot, at: SimTime, channel: int) -> None:
         cmd = self._cycle_cmds.get(slot.loop_id)
         if cmd is None:
             self._log_empty_slot(slot, at)
             return
-        received = self._send([self.controller_node], cmd, slot, at)
+        received = self._send([self.controller_node], cmd, slot, at, channel)
         if cmd.dst in received:
             self._apply_cmd(cmd.dst, cmd, at + self.medium.airtime_us, slot.position)
         else:
@@ -302,10 +316,10 @@ class Simulation:
             self._cycle_estop = EstopFrame(src=self.controller_node, seq=self._estop_seq)
             self._estop_holders = {self.controller_node}
 
-    def _run_retx_slot(self, slot: Slot, at: SimTime) -> None:
+    def _run_retx_slot(self, slot: Slot, at: SimTime, channel: int) -> None:
         if self.controller.estop_latched:
             self._ensure_estop_frame()
-            self._flood_estop(slot, at)
+            self._flood_estop(slot, at, channel)
             return
         self._pending.sort(key=lambda p: p.priority)
         entry = self._pending[0] if self._pending else None
@@ -316,7 +330,7 @@ class Simulation:
         if not senders:
             self._log_empty_slot(slot, at)
             return
-        received = self._send(senders, entry.frame, slot, at)
+        received = self._send(senders, entry.frame, slot, at, channel)
         entry.holders.update(received)
         if entry.dest in received:
             self._pending.remove(entry)
@@ -326,9 +340,9 @@ class Simulation:
             elif isinstance(entry.frame, FbFrame):
                 self.controller.ingest_feedback(entry.frame)
 
-    def _flood_estop(self, slot: Slot, at: SimTime) -> None:
+    def _flood_estop(self, slot: Slot, at: SimTime, channel: int) -> None:
         senders = sorted(n for n in self._estop_holders if self.sync_states[n].synced)
-        for node in self._send(senders, self._cycle_estop, slot, at):
+        for node in self._send(senders, self._cycle_estop, slot, at, channel):
             self._estop_holders.add(node)
             if node in self.robots:
                 self._latch_estop_plant(node, at + self.medium.airtime_us)
@@ -347,18 +361,9 @@ class Simulation:
         self._cycle_estop = None
         self._estop_holders = set()
 
-        for slot in self.schedule.slots:
-            at = cycle_start + self.schedule.slot_offset_us(slot.position)
-            if slot.direction is Direction.SYNC:
-                self._run_sync_slot(cycle_start)
-            elif slot.direction is Direction.UPLINK:
-                self._run_uplink_slot(slot, at)
-            elif slot.direction is Direction.GAP:
-                self._run_compute(at)
-            elif slot.direction is Direction.DOWNLINK:
-                self._run_downlink_slot(slot, at)
-            elif slot.direction is Direction.RETX:
-                self._run_retx_slot(slot, at)
+        for handler, slot, offset, hop in self._plan:
+            handler(self, slot, cycle_start + offset,
+                    None if hop is None else hop[(self.cycle + slot.position) % len(hop)])
 
         cycle_end = cycle_start + cycle_len
         cycle_s = cycle_len * 1e-6

@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -65,6 +66,32 @@ def lossy_raw():
 @pytest.fixture(scope="session")
 def lossy_result():
     return run_scenario(config_from_dict(lossy_raw()))
+
+
+def fleet_raw():
+    """Eight robots on disjoint 0.5 m squares, 1 m apart, under 10% loss, with a
+    burst chain on every fourth command link.  Exercises the many-holder retx
+    floods and burst-chain draws that the smaller cases barely reach."""
+    raw = json.loads((SCENARIO_DIR / "remote_control_square.json").read_text(encoding="utf-8"))
+    path = raw["nodes"][1]["path"]
+    nodes = [{"id": 0, "role": "controller"}]
+    links = []
+    for robot in range(1, 9):
+        x0 = float(robot - 1)
+        nodes.append({"id": robot, "role": "robot", "start_pose": [x0, 0.0, 0.0],
+                      "path": [[x0 + x, y] for x, y in path]})
+        if robot % 4 == 0:
+            links.append({"from": 0, "to": robot,
+                          "burst": {"p_good_to_bad": 0.05, "p_bad_to_good": 0.3,
+                                    "per_good": 0.1, "per_bad": 0.8}})
+    raw.update(seed=8, duration_s=1.0, nodes=nodes,
+               channel={"default_per": 0.1, "links": links})
+    return raw
+
+
+@pytest.fixture(scope="session")
+def fleet_result():
+    return run_scenario(config_from_dict(fleet_raw()))
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wctrlsim.channel import BurstModel, ChannelError, Medium, ProtocolViolation
-from wctrlsim.engine import Engine
+from wctrlsim.engine import DRAW_BLOCK, Engine, stream_rng
 from wctrlsim.frames import CmdFrame
 
 
@@ -38,7 +38,7 @@ def test_per_one_never_delivers():
     _, medium = make_medium(per=1.0)
     outcomes = [medium.deliver(tx_of(medium), 1) for _ in range(1000)]
     assert not any(o.received for o in outcomes)
-    assert {o.cause.value for o in outcomes} == {"erased"}
+    assert {o.cause for o in outcomes} == {"erased"}
 
 
 @pytest.mark.parametrize("per", [0.05, 0.1, 0.3])
@@ -179,3 +179,42 @@ def test_deliveries_are_reproducible_for_same_seed():
     seq_a = [medium_a.deliver(tx_of(medium_a), 1).received for _ in range(200)]
     seq_b = [medium_b.deliver(tx_of(medium_b), 1).received for _ in range(200)]
     assert seq_a == seq_b
+
+
+def test_buffered_draws_equal_single_draws_across_refills():
+    # receiver 2 hears a plain link from 0 and a burst link from 1; each round
+    # is a single send on each link and then a flood of both.  The reference
+    # replays the same rules on one stream_rng().random() call per draw.
+    seed, rounds = 17, 2 * DRAW_BLOCK
+    burst = BurstModel(p_good_to_bad=0.05, p_bad_to_good=0.3, per_good=0.1, per_bad=0.8)
+    engine = Engine(seed)
+    medium = Medium(engine, n_channels=1)
+    medium.add_link(0, 2, per=0.3)
+    medium.add_link(1, 2, burst=burst)
+    frame = CmdFrame(src=0, dst=2, seq=1, left_mms=0, right_mms=0)
+    got = []
+    for _ in range(rounds):
+        for senders in ((0,), (1,), (0, 1)):
+            slot = medium.begin_slot()
+            txs = [medium.make_transmission(s, frame, slot, 0, 0) for s in senders]
+            outcome = (medium.deliver(txs[0], 2) if len(txs) == 1
+                       else medium.deliver_flood(txs, 2))
+            got.append(outcome.received)
+
+    channel = stream_rng(seed, 2, "channel")
+    chain = stream_rng(seed, 2, "burst:1")
+    bad, cursor, expected, slot = False, 0, [], 0
+    for _ in range(rounds):
+        for senders in ((0,), (1,), (0, 1)):
+            slot += 1
+            fail = 1.0
+            if 0 in senders:
+                fail *= 0.3
+            if 1 in senders:
+                for _ in range(slot - cursor):
+                    u = chain.random()
+                    bad = u >= burst.p_bad_to_good if bad else u < burst.p_good_to_bad
+                cursor = slot
+                fail *= burst.per_bad if bad else burst.per_good
+            expected.append(channel.random() >= fail)
+    assert got == expected  # each stream took 3 * rounds draws: six refills

@@ -1,3 +1,5 @@
+import pytest
+
 from wctrlsim.engine import Engine, stream_rng
 
 
@@ -44,3 +46,13 @@ def test_adding_a_node_never_perturbs_other_streams():
 
 def test_stream_rng_depends_on_master_seed():
     assert stream_rng(1, 0, "x").random() != stream_rng(2, 0, "x").random()
+
+
+def test_a_stream_is_either_buffered_or_drawn_directly():
+    engine = Engine(seed=3)
+    engine.draws(1, "channel")
+    engine.stream(1, "sync")
+    with pytest.raises(RuntimeError):
+        engine.stream(1, "channel")
+    with pytest.raises(RuntimeError):
+        engine.draws(1, "sync")

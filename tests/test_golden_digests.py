@@ -1,10 +1,12 @@
 """Golden digests: the bundled scenarios must keep producing the same bytes.
 
 The values are the full sha256 of `trace.csv` and `metrics.json` as the CLI
-writes them for the bundled configs at their own seeds, and for the lossy
+writes them for the bundled configs at their own seeds, for the lossy
 three-robot run of `conftest.lossy_raw` (PER 0.3, a burst link, a blackout
-and an obstacle that ends the run in an emergency stop).  A refactor that
-claims to keep behaviour must leave both unchanged.
+and an obstacle that ends the run in an emergency stop), and for the
+eight-robot run of `conftest.fleet_raw` (PER 0.1, burst chains, many-holder
+retx floods).  A refactor that claims to keep behaviour must leave both
+unchanged.
 """
 
 import hashlib
@@ -19,6 +21,8 @@ GOLDEN = {
                 "350afa952cb2c1fa4a75c2c11094918b3e3b37cfa3be474c2b4a49a19d469834"),
     "lossy": ("a19dda6614fce446d3b445ced6060432a6106a4f39b99e8c1b7f512ad4697e43",
               "8bf94d945044f2548039ba8e6b7481d71dbf38c41b06cf144de39c654068a9d9"),
+    "fleet": ("c1e4b1ac4d9f94fa98dea20986abfc4d04c097bc3c228afb86b87c5fd2f9d88f",
+              "19c0f1d8597d4ac496a9e36ae2fbf8621235aece4e442cb98f1b61d906960ce5"),
 }
 
 

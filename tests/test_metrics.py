@@ -106,3 +106,19 @@ def test_stationary_time_scan():
     view = TraceView(trace.rows)
     assert view.stationary_time_us(1, after_us=0) == 6000
     assert view.stationary_time_us(1, after_us=6001) is None
+
+
+def test_delivery_counts_frames_whose_sequence_numbers_wrapped():
+    # the 16-bit command sequence has wrapped between cycle 3 and cycle 65539:
+    # two frames share (src, dst, seq), and only the first reached the robot
+    trace = Trace()
+    for cycle in (3, 65_539):
+        trace.add(1250, "tx", cycle=cycle, slot=3, node=0, frame="CMD", src=0, dst=1,
+                  seq=3, v1=0)
+    trace.add(1250, "rx", cycle=3, slot=3, node=1, frame="CMD", src=0, dst=1, seq=3,
+              cause="delivered", v1=0)
+    trace.add(1250, "rx", cycle=65_539, slot=3, node=1, frame="CMD", src=0, dst=1, seq=3,
+              cause="erased", v1=0)
+    view = TraceView(trace.rows)
+    assert len(view.attempted["CMD"]) == 2
+    assert len(view.delivered["CMD"] & view.attempted["CMD"]) == 1

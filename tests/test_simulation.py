@@ -1,5 +1,7 @@
 import math
 
+from hypothesis import given, settings, strategies as st
+
 from conftest import make_remote_config
 from wctrlsim.metrics import TraceView
 from wctrlsim.scenario import config_from_dict
@@ -248,3 +250,42 @@ def test_single_point_grid_equals_single_run():
     assert len(rows) == 1
     assert rows[0]["cycles"] == single.cycles
     assert rows[0]["latency_mean_us"] == single.metrics["cycle_time"]["mean_us"]
+
+
+@st.composite
+def configs_with_a_deaf_relay(draw):
+    """A short lossy remote-control run, and the same run with one more node: a
+    relay whose links in both directions all have per = 1."""
+    robots = draw(st.sets(st.sampled_from([10, 20, 30]), min_size=1))
+    nodes = [{"id": 0, "role": "controller"}]
+    for r in sorted(robots):
+        nodes.append({"id": r, "role": "robot", "start_pose": [0.0, 0.01 * r, 0.0],
+                      "path": [[1.0, 0.01 * r]]})
+    links = []
+    if draw(st.booleans()):
+        links.append({"from": 0, "to": min(robots),
+                      "burst": {"p_good_to_bad": 0.1, "p_bad_to_good": 0.3,
+                                "per_good": 0.1, "per_bad": 0.9}})
+    raw = {"kind": "remote-control", "seed": draw(st.integers(0, 2**32)),
+           "duration_s": draw(st.floats(0.02, 0.2)), "nodes": nodes,
+           "channel": {"default_per": draw(st.sampled_from([0.0, 0.1, 0.3])),
+                       "links": links},
+           "run_to_completion": False}
+    relay = draw(st.integers(1, 40).filter(lambda n: n not in robots))
+    deaf = [{"from": a, "to": b, "per": 1.0}
+            for n in [0, *robots] for a, b in ((relay, n), (n, relay))]
+    with_relay = {**raw, "nodes": [*nodes, {"id": relay, "role": "relay"}],
+                  "channel": {**raw["channel"], "links": links + deaf}}
+    return raw, with_relay, relay
+
+
+@settings(max_examples=25, deadline=None)
+@given(configs_with_a_deaf_relay())
+def test_a_new_node_never_shifts_another_nodes_draws(case):
+    # every stream is keyed by its own (node, purpose), so a node that never
+    # receives leaves every row that does not name it unchanged
+    raw, with_relay, relay = case
+    alone = run_scenario(config_from_dict(raw)).trace.rows
+    joined = run_scenario(config_from_dict(with_relay)).trace.rows
+    assert len(joined) > len(alone)
+    assert [r for r in joined if relay not in (r[NODE], r[SRC], r[DST])] == alone
