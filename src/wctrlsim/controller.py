@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .frames import CmdFrame, FbFrame
+from .frames import CmdFrame, FbFrame, seq_is_newer, wrap_i32
 from .robot import Pose, RobotParams, advance_by_wheel_arcs, normalize_angle
 
 TURN_EXIT_RAD = 0.15   # once rotating in place, keep going until the bearing is this small
@@ -182,12 +182,6 @@ class FollowerQueue:
         return self.points[0] if self.points else None
 
 
-def _fb_seq_is_newer(seq: int, last: int | None) -> bool:
-    if last is None:
-        return True
-    return 0 < ((seq - last) & 0xFFFF) < 0x8000
-
-
 @dataclass
 class RobotLane:
     """Controller-side state for one robot: estimate, feedback, references."""
@@ -262,9 +256,9 @@ class PathController:
         lane = self.lanes.get(fb.src)
         if lane is None:
             return False
-        if lane.pending_fb is not None and not _fb_seq_is_newer(fb.seq, lane.pending_fb.seq):
+        if lane.pending_fb is not None and not seq_is_newer(fb.seq, lane.pending_fb.seq):
             return False
-        if not _fb_seq_is_newer(fb.seq, lane.last_fb_seq):
+        if not seq_is_newer(fb.seq, lane.last_fb_seq):
             return False
         lane.pending_fb = fb
         return True
@@ -273,8 +267,8 @@ class PathController:
         fb = lane.pending_fb
         if fb is None:
             return  # zero-order hold: keep the last estimate
-        d_left = ((fb.left_ticks - lane.last_ticks[0] + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-        d_right = ((fb.right_ticks - lane.last_ticks[1] + 0x80000000) & 0xFFFFFFFF) - 0x80000000
+        d_left = wrap_i32(fb.left_ticks - lane.last_ticks[0])
+        d_right = wrap_i32(fb.right_ticks - lane.last_ticks[1])
         meters_per_tick = 1.0 / lane.params.ticks_per_meter
         lane.est_pose = advance_by_wheel_arcs(lane.est_pose,
                                               d_left * meters_per_tick,

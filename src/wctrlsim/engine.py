@@ -46,44 +46,27 @@ class RunSummary:
 
 
 class Engine:
-    """Virtual clock and RNG substreams of one run.
+    """Virtual clock and buffered RNG substreams of one run.
 
-    Everything stochastic in a run draws from substreams of the master seed,
-    either directly (`stream()`) or in blocks (`draws()`).
+    One-off draws, such as the hop permutations, take their own `stream_rng`.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self.now: SimTime = 0
-        self._streams: dict[tuple[int | None, str], np.random.Generator] = {}
         self._buffered: dict[tuple[int | None, str], Iterator[float]] = {}
-
-    def stream(self, node: int | None, purpose: str) -> np.random.Generator:
-        """Return the (cached) RNG substream for (node, purpose).
-
-        A substream is drawn either here or through `draws()`, never both: a
-        direct draw would skip the values a buffer already holds.  So a buffered
-        stream must have one consumer; the medium's "channel" and "burst:<sender>"
-        and the MAC's "sync" streams each have exactly one call site.
-        """
-        key = (node, purpose)
-        rng = self._streams.get(key)
-        if rng is None:
-            if key in self._buffered:
-                raise RuntimeError(f"stream {key} is buffered; draw it through draws()")
-            rng = self._streams[key] = stream_rng(self.seed, node, purpose)
-        return rng
 
     def draws(self, node: int | None, purpose: str, low: float = 0.0,
               high: float = 1.0) -> Iterator[float]:
         """Return the (cached) buffered draws of the (node, purpose) substream:
         `uniform(low, high, DRAW_BLOCK)` gives exactly the values of as many
-        single `uniform(low, high)` calls.  The first call's bounds hold."""
+        single `uniform(low, high)` calls.  The first call's bounds hold, so a
+        substream must have one consumer: the medium's "channel" and
+        "burst:<sender>" and the MAC's "sync" streams each have exactly one
+        call site."""
         key = (node, purpose)
         draws = self._buffered.get(key)
         if draws is None:
-            if key in self._streams:
-                raise RuntimeError(f"stream {key} is drawn directly; it cannot be buffered")
             draws = self._buffered[key] = _blocks(self.seed, node, purpose, low, high)
         return draws
 

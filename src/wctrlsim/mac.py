@@ -1,4 +1,4 @@
-"""TDMA cycle construction, flooding time sync, and in-cycle retransmission.
+"""TDMA cycle construction and flooding time sync.
 
 One cycle (superframe) is built as:
 
@@ -14,9 +14,10 @@ commands and retransmissions; feedback band for uplink slots), both indexed by
 per-band hop sequences: the concrete channel of slot `i` in cycle `c` is
 `hop[(c + i) % len(hop)]`.
 
-The slot layout, the shared retransmission pool, and the flooding sync wave
-rules here are documented reconstructions of a proprietary industrial MAC;
-scenario configs expose every constant.
+The slot layout and the flooding sync wave rules here are documented
+reconstructions of a proprietary industrial MAC; scenario configs expose every
+constant.  What the retx slots carry, and who floods it, is decided by the
+per-cycle executor in `simulation.py`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from itertools import islice
 
 from .channel import Medium, ReceptionOutcome, Transmission
 from .engine import Engine, SimTime
-from .frames import Frame, SyncFrame
+from .frames import SyncFrame
 
 
 class ScheduleError(ValueError):
@@ -187,11 +188,11 @@ class BeaconReport:
     desynced: list[int]
 
 
-def run_sync_beacon(engine: Engine, medium: Medium, schedule: CycleSchedule,
-                    cycle_index: int, originator: int, nodes: list[int],
-                    states: dict[int, SyncState], params: SyncParams,
-                    cycle_start: SimTime) -> BeaconReport:
-    """Flood one sync beacon through the sync slot and update node sync states.
+def run_sync_beacon(engine: Engine, medium: Medium, channel: int, cycle_index: int,
+                    originator: int, nodes: list[int], states: dict[int, SyncState],
+                    params: SyncParams, cycle_start: SimTime) -> BeaconReport:
+    """Flood one sync beacon on `channel`, the sync slot's hop channel in this
+    cycle, and update node sync states.
 
     The originator transmits in wave 1; every node that first received in wave
     k retransmits in wave k+1, up to max_waves.  A node that receives in wave k
@@ -200,7 +201,6 @@ def run_sync_beacon(engine: Engine, medium: Medium, schedule: CycleSchedule,
     Desynced nodes still listen for beacons (that is the recovery path);
     reception resets their miss count.
     """
-    channel = schedule.channel_for(cycle_index, 0)
     slot = medium.begin_slot()
     beacon_seq = cycle_index & 0xFFFF
     nodes = sorted(nodes)
@@ -242,46 +242,3 @@ def run_sync_beacon(engine: Engine, medium: Medium, schedule: CycleSchedule,
             desynced.append(node)
     return BeaconReport(transmissions=transmissions, outcomes=outcomes,
                         receptions=receptions, desynced=desynced)
-
-
-@dataclass(frozen=True)
-class DeliveryReport:
-    """Outcome of one frame's primary attempt plus shared retransmission floods."""
-
-    delivered: bool
-    attempts: int
-    delivered_on: int | None  # 0 = primary slot, k = k-th retx slot
-    latency_us: int | None    # time from primary slot start to full reception
-
-
-def transmit_with_retx(medium: Medium, frame: Frame, sender: int, dest: int,
-                       channels: list[int], *, relays: tuple[int, ...] = (),
-                       slot_spacing_us: int = 250, start: SimTime = 0) -> DeliveryReport:
-    """Send `frame` in its owned slot, then flood it in up to R retx slots.
-
-    `channels` lists the hop channel of the primary slot followed by one entry
-    per retransmission slot.  Relays that overhear any attempt join later
-    floods.  This is the single-frame reliability primitive; the simulator's
-    per-cycle executor applies the same rules with the retx slots shared
-    across loops.
-    """
-    if not channels:
-        raise ScheduleError("need at least the primary slot channel")
-    holders = {sender}
-    attempts = 0
-    for attempt, channel in enumerate(channels):
-        slot = medium.begin_slot()
-        at = start + attempt * slot_spacing_us
-        txs = [medium.make_transmission(s, frame, slot, channel, at) for s in sorted(holders)]
-        attempts += 1
-        outcome = (medium.deliver(txs[0], dest) if len(txs) == 1
-                   else medium.deliver_flood(txs, dest))
-        for relay in sorted(set(relays) - holders):
-            relay_outcome = (medium.deliver(txs[0], relay) if len(txs) == 1
-                             else medium.deliver_flood(txs, relay))
-            if relay_outcome.received:
-                holders.add(relay)
-        if outcome.received:
-            return DeliveryReport(delivered=True, attempts=attempts, delivered_on=attempt,
-                                  latency_us=attempt * slot_spacing_us + medium.airtime_us)
-    return DeliveryReport(delivered=False, attempts=attempts, delivered_on=None, latency_us=None)

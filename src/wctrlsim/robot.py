@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .frames import CmdFrame
+from .frames import CmdFrame, seq_is_newer, wrap_i32
 
 
 @dataclass(frozen=True)
@@ -109,13 +109,6 @@ def ray_distance_m(pose: Pose, obstacles: list[Segment]) -> float | None:
     return best
 
 
-def _seq_is_newer(seq: int, last: int | None) -> bool:
-    # wrap-aware u16 comparison: newer iff it is 1..32767 ahead of `last`
-    if last is None:
-        return True
-    return 0 < ((seq - last) & 0xFFFF) < 0x8000
-
-
 class Robot:
     """One mobile platform: commanded/actual wheel speeds, pose, encoders, sensor."""
 
@@ -152,13 +145,13 @@ class Robot:
         """
         if cmd.estop:
             self.latch_estop()
-            if _seq_is_newer(cmd.seq, self.last_cmd_seq):
+            if seq_is_newer(cmd.seq, self.last_cmd_seq):
                 self.last_cmd_seq = cmd.seq
             self.cycles_without_command = 0
             return "estop"
         if self.estop_latched:
             return "latched"
-        if not _seq_is_newer(cmd.seq, self.last_cmd_seq):
+        if not seq_is_newer(cmd.seq, self.last_cmd_seq):
             return "stale"
         self.last_cmd_seq = cmd.seq
         limit = float(self.params.max_wheel_speed_mms)
@@ -215,7 +208,5 @@ class Robot:
 
     def sample_feedback(self, obstacles: list[Segment]) -> tuple[int, int, int | None]:
         """Encoder ticks (i32-wrapped) and distance reading for a feedback frame."""
-        from .frames import wrap_i32
-
         return (wrap_i32(self._ticks[0]), wrap_i32(self._ticks[1]),
                 self.read_distance_mm(obstacles))

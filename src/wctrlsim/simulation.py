@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from . import metrics as metrics_mod
 from .channel import Cause, Medium
 from .controller import PathController
-from .engine import Engine, SimTime
+from .engine import Engine, SimTime, stream_rng
 from .frames import CmdFrame, EstopFrame, FbFrame, Frame, msg_type_of
 from .mac import (CycleSchedule, Direction, Slot, SyncState, build_schedule,
                   run_sync_beacon)
@@ -65,9 +65,9 @@ class Simulation:
         self.all_nodes = sorted(config.node_ids())
         self._build_links()
 
-        hop_rng = self.engine.stream(None, "hop-forward")
+        hop_rng = stream_rng(config.seed, None, "hop-forward")
         hop_forward = tuple(int(c) for c in hop_rng.permutation(proto.n_channels))
-        hop_rng = self.engine.stream(None, "hop-feedback")
+        hop_rng = stream_rng(config.seed, None, "hop-feedback")
         hop_feedback = tuple(int(c) for c in hop_rng.permutation(proto.n_channels))
         self.loops = config.loops()
         self.schedule = build_schedule(self.loops,
@@ -225,7 +225,7 @@ class Simulation:
     # -- per-slot handlers -----------------------------------------------------
 
     def _run_sync_slot(self, slot: Slot, cycle_start: SimTime, channel: int) -> None:
-        report = run_sync_beacon(self.engine, self.medium, self.schedule, self.cycle,
+        report = run_sync_beacon(self.engine, self.medium, channel, self.cycle,
                                  self.controller_node, self.all_nodes, self.sync_states,
                                  self.config.protocol.sync, cycle_start)
         for wave, tx in report.transmissions:

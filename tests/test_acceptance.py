@@ -7,20 +7,24 @@ default parameters.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conftest import make_remote_config
 from oracles import rk4_unicycle
 from test_frames import _boundary_frames
+from test_retx_rules import delivery_probabilities, one_cycle_config, one_loop_pers
 from wctrlsim.channel import Medium
 from wctrlsim.engine import Engine
 from wctrlsim.frames import CmdFrame, FrameError, decode_frame, encode_frame
-from wctrlsim.mac import Direction, LoopSpec, build_schedule, transmit_with_retx
+from wctrlsim.mac import Direction, LoopSpec, build_schedule
 from wctrlsim.metrics import TraceView
 from wctrlsim.robot import Pose, step_kinematics
 from wctrlsim.scenario import config_from_dict
-from wctrlsim.simulation import run_scenario
+from wctrlsim.simulation import Simulation, run_scenario
+from wctrlsim.trace import Trace
 
 TIME, CYCLE, SLOT, NODE, KIND, FRAME, SRC, DST, SEQ, CAUSE = range(10)
 V1 = 10
@@ -59,23 +63,47 @@ def test_criterion_01_determinism(square_config, square_result,
 # -- 2: reliability closed form -------------------------------------------------
 
 
+class _CommandCount(Trace):
+    """Counts emitted commands and commands applied over the radio; keeps no rows."""
+
+    def __init__(self):
+        super().__init__()
+        self.emitted = self.applied = 0
+
+    def add(self, time_us, kind, *, cause=None, **fields):
+        if kind == "cmd-emit":
+            self.emitted += 1
+        elif kind == "cmd-apply" and cause == "applied":
+            self.applied += 1
+
+
 def test_criterion_02_reliability_closed_form():
     n = 100_000
     details = []
     ok = True
-    for p in (0.1, 0.3):
-        engine = Engine(seed=123)
-        medium = Medium(engine, n_channels=1)
-        medium.add_link(0, 1, per=p)
-        medium.add_link(1, 0, per=p)
-        frame = CmdFrame(src=0, dst=1, seq=1, left_mms=100, right_mms=-100)
-        delivered = sum(transmit_with_retx(medium, frame, 0, 1, [0, 0, 0]).delivered
-                        for _ in range(n))
-        ratio = delivered / n
+    for p in (Fraction(1, 10), Fraction(3, 10)):
         expect = 1 - p ** 3
+        # exact: one cycle of the simulator for every erasure pattern
+        pers = one_loop_pers(p)
+        with pytest.MonkeyPatch.context() as mp:
+            exact = delivery_probabilities(mp, one_cycle_config([1], pers), pers)[1]
+        ok &= exact == expect
+        # sampled: n cycles of one run.  The sync miss limit is out of reach,
+        # because beacon losses on the same link would otherwise desync the
+        # robot, and a desynced robot's missed commands break 1 - p^3.
+        config = make_remote_config(
+            seed=123, duration_s=n * 0.002,
+            protocol={"n_channels": 1, "sync": {"miss_limit": 10 * n}},
+            channel={"default_per": 0.0, "links": [{"from": 0, "to": 1, "per": float(p)}]})
+        sim = Simulation(config)
+        sim.trace = count = _CommandCount()
+        sim.run()
+        ratio = count.applied / count.emitted
         sigma = math.sqrt(expect * (1 - expect) / n)
-        ok &= abs(ratio - expect) <= 3 * sigma
-        details.append(f"p={p}: {ratio:.5f} vs {expect:.5f} +/- {3 * sigma:.5f}")
+        ok &= count.emitted == n and abs(ratio - expect) <= 3 * sigma
+        details.append(f"p={p}: exact {exact} = 1-p^3 over every erasure pattern; "
+                       f"sampled {ratio:.5f} vs {float(expect):.5f} +/- {3 * sigma:.5f} "
+                       f"over {count.emitted} cycles")
     report(2, "reliability 1-p^3", ok, "; ".join(details))
 
 

@@ -1,16 +1,13 @@
-import math
-
 import pytest
 
 from wctrlsim.channel import Medium
 from wctrlsim.engine import Engine
-from wctrlsim.frames import CmdFrame
-from wctrlsim.mac import (Band, CycleSchedule, Direction, LoopSpec, ScheduleError,
-                          SyncParams, SyncState, build_schedule, cycle_length_us,
-                          run_sync_beacon, transmit_with_retx)
+from wctrlsim.mac import (Band, Direction, LoopSpec, ScheduleError, SyncParams,
+                          SyncState, build_schedule, cycle_length_us, run_sync_beacon)
 
 HOP4 = (2, 0, 3, 1)
 HOP8 = (3, 6, 0, 5, 2, 7, 1, 4)
+SYNC_CHANNEL = 3
 
 
 def schedule_for(n_loops, retx=2, **kwargs):
@@ -122,24 +119,22 @@ def test_bands_use_their_own_hop_sequence():
 # -- sync flooding -----------------------------------------------------------
 
 
-def sync_setup(pers, seed=0, params=None):
+def sync_setup(pers, seed=0):
     """pers: dict (sender, receiver) -> erasure probability; node 0 originates."""
     nodes = sorted({n for pair in pers for n in pair})
     engine = Engine(seed=seed)
     medium = Medium(engine, n_channels=8)
     for (a, b), per in pers.items():
         medium.add_link(a, b, per=per)
-    sched = build_schedule([LoopSpec(0, 0, nodes[-1])], hop_forward=HOP8,
-                           hop_feedback=HOP8[::-1])
     states = {n: SyncState(node=n) for n in nodes}
-    return engine, medium, sched, states, nodes
+    return engine, medium, states, nodes
 
 
 def test_sync_perfect_links_single_wave():
     pers = {(0, 1): 0.0, (0, 2): 0.0, (1, 0): 0.0, (2, 0): 0.0, (1, 2): 0.0, (2, 1): 0.0}
-    engine, medium, sched, states, nodes = sync_setup(pers)
+    engine, medium, states, nodes = sync_setup(pers)
     params = SyncParams(jitter_us=10.0, max_waves=2, miss_limit=3)
-    report = run_sync_beacon(engine, medium, sched, 0, 0, nodes, states, params, 0)
+    report = run_sync_beacon(engine, medium, SYNC_CHANNEL, 0, 0, nodes, states, params, 0)
     received = {r.node: r for r in report.receptions}
     assert set(received) == {1, 2}
     for rec in received.values():
@@ -152,9 +147,9 @@ def test_sync_second_wave_relays_through_first_receivers():
     # originator cannot reach node 2 directly; node 1 relays in wave 2
     pers = {(0, 1): 0.0, (0, 2): 1.0, (1, 2): 0.0,
             (1, 0): 0.0, (2, 0): 0.0, (2, 1): 0.0}
-    engine, medium, sched, states, nodes = sync_setup(pers)
+    engine, medium, states, nodes = sync_setup(pers)
     params = SyncParams(jitter_us=10.0, max_waves=2, miss_limit=3)
-    report = run_sync_beacon(engine, medium, sched, 0, 0, nodes, states, params, 0)
+    report = run_sync_beacon(engine, medium, SYNC_CHANNEL, 0, 0, nodes, states, params, 0)
     received = {r.node: r for r in report.receptions}
     assert received[1].wave == 1
     assert received[2].wave == 2
@@ -163,94 +158,25 @@ def test_sync_second_wave_relays_through_first_receivers():
 
 def test_sync_miss_limit_desyncs_and_beacon_recovers():
     pers = {(0, 1): 1.0, (1, 0): 0.0}
-    engine, medium, sched, states, nodes = sync_setup(pers)
+    engine, medium, states, nodes = sync_setup(pers)
     params = SyncParams(jitter_us=10.0, max_waves=2, miss_limit=3)
     for cycle in range(3):
-        report = run_sync_beacon(engine, medium, sched, cycle, 0, nodes, states, params, cycle * 2000)
+        report = run_sync_beacon(engine, medium, SYNC_CHANNEL, cycle, 0, nodes, states, params,
+                                 cycle * 2000)
     assert states[1].synced is False
     assert states[1].missed_beacons == 3
     assert report.desynced == [1]  # desynced exactly on the 3rd miss
     # re-open the link: next beacon recovers the node
     medium.add_link(0, 1, per=0.0)
-    run_sync_beacon(engine, medium, sched, 3, 0, nodes, states, params, 6000)
+    run_sync_beacon(engine, medium, SYNC_CHANNEL, 3, 0, nodes, states, params, 6000)
     assert states[1].synced is True
     assert states[1].missed_beacons == 0
 
 
 def test_sync_desync_event_fires_exactly_at_miss_limit():
     pers = {(0, 1): 1.0, (1, 0): 0.0}
-    engine, medium, sched, states, nodes = sync_setup(pers)
+    engine, medium, states, nodes = sync_setup(pers)
     params = SyncParams(miss_limit=3)
-    reports = [run_sync_beacon(engine, medium, sched, c, 0, nodes, states, params, c * 2000)
+    reports = [run_sync_beacon(engine, medium, SYNC_CHANNEL, c, 0, nodes, states, params, c * 2000)
                for c in range(4)]
     assert [r.desynced for r in reports] == [[], [], [1], []]
-
-
-# -- retransmission ----------------------------------------------------------
-
-
-def retx_setup(pers, seed=0, n_channels=1):
-    nodes = sorted({n for pair in pers for n in pair})
-    engine = Engine(seed=seed)
-    medium = Medium(engine, n_channels=n_channels)
-    for (a, b), per in pers.items():
-        medium.add_link(a, b, per=per)
-    return engine, medium
-
-
-def test_retx_perfect_link_delivers_on_primary():
-    _, medium = retx_setup({(0, 1): 0.0, (1, 0): 0.0})
-    frame = CmdFrame(src=0, dst=1, seq=1, left_mms=10, right_mms=10)
-    report = transmit_with_retx(medium, frame, 0, 1, [0, 0, 0])
-    assert report.delivered and report.attempts == 1 and report.delivered_on == 0
-    assert report.latency_us == medium.airtime_us
-
-
-def test_retx_relay_rescues_broken_direct_link():
-    # direct link always fails; the relay hears the primary and floods next slot
-    pers = {(0, 1): 1.0, (0, 2): 0.0, (2, 1): 0.0, (1, 0): 0.0, (1, 2): 0.0, (2, 0): 0.0}
-    _, medium = retx_setup(pers)
-    frame = CmdFrame(src=0, dst=1, seq=1, left_mms=10, right_mms=10)
-    report = transmit_with_retx(medium, frame, 0, 1, [0, 0, 0], relays=(2,))
-    assert report.delivered and report.attempts == 2 and report.delivered_on == 1
-
-
-def test_retx_reports_failure_after_budget():
-    _, medium = retx_setup({(0, 1): 1.0, (1, 0): 0.0})
-    frame = CmdFrame(src=0, dst=1, seq=1, left_mms=0, right_mms=0)
-    report = transmit_with_retx(medium, frame, 0, 1, [0, 0, 0])
-    assert not report.delivered and report.attempts == 3
-    assert report.delivered_on is None and report.latency_us is None
-
-
-def test_retx_closed_form_monte_carlo():
-    p = 0.3
-    _, medium = retx_setup({(0, 1): p, (1, 0): 0.0}, seed=17)
-    frame = CmdFrame(src=0, dst=1, seq=1, left_mms=0, right_mms=0)
-    n = 20_000
-    delivered = sum(transmit_with_retx(medium, frame, 0, 1, [0, 0, 0]).delivered
-                    for _ in range(n))
-    expect = 1 - p ** 3
-    sigma = math.sqrt(expect * (1 - expect) / n)
-    assert abs(delivered / n - expect) <= 3 * sigma
-
-
-def test_retx_with_relay_matches_link_failure_product():
-    # direct 0->1 per 0.5; relay 2 hears the sender at per 0.3 and reaches the
-    # destination at per 0.4.  Conditioning on the attempt the relay first
-    # overhears (it joins floods one attempt later):
-    #   hears primary (0.7):        fail = 0.5 * (0.5*0.4)^2        = 0.020
-    #   hears 1st retx (0.3*0.7):   fail = 0.5 * 0.5 * (0.5*0.4)    = 0.050
-    #   hears later or never (0.09): fail = 0.5^3                   = 0.125
-    # P(fail) = 0.7*0.02 + 0.21*0.05 + 0.09*0.125 = 0.03575
-    pers = {(0, 1): 0.5, (0, 2): 0.3, (2, 1): 0.4,
-            (1, 0): 0.0, (1, 2): 0.0, (2, 0): 0.0}
-    _, medium = retx_setup(pers, seed=23)
-    frame = CmdFrame(src=0, dst=1, seq=1, left_mms=0, right_mms=0)
-    n = 20_000
-    delivered = sum(transmit_with_retx(medium, frame, 0, 1, [0, 0, 0],
-                                       relays=(2,)).delivered
-                    for _ in range(n))
-    expect = 1 - 0.03575
-    sigma = math.sqrt(expect * (1 - expect) / n)
-    assert abs(delivered / n - expect) <= 3 * sigma

@@ -3,6 +3,7 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_remote_config
+from wctrlsim.channel import Cause
 from wctrlsim.metrics import TraceView
 from wctrlsim.scenario import config_from_dict
 from wctrlsim.simulation import Simulation, run_scenario, run_sweep
@@ -289,3 +290,13 @@ def test_a_new_node_never_shifts_another_nodes_draws(case):
     joined = run_scenario(config_from_dict(with_relay)).trace.rows
     assert len(joined) > len(alone)
     assert [r for r in joined if relay not in (r[NODE], r[SRC], r[DST])] == alone
+
+
+def test_every_transmission_uses_the_hop_channel_of_its_slot(lossy_result, fleet_result):
+    # pins the executor's inline hop lookup to CycleSchedule.channel_for
+    for result in (lossy_result, fleet_result):
+        sched = result.schedule
+        rows = [r for r in result.trace.rows
+                if r[KIND] in ("tx", "rx") and r[CAUSE] != Cause.NO_TRANSMITTER]
+        wrong = [r for r in rows if r[V1] != sched.channel_for(r[CYCLE], r[SLOT])]
+        assert {r[V1] for r in rows} == set(sched.hop_forward) and not wrong
