@@ -15,7 +15,12 @@ On every pattern the trace must show that:
 - no command is applied twice;
 - commands outrank feedback, and lower loop ids go first;
 - the senders of a retx flood are exactly the synced nodes that already held
-  the frame.
+  the frame;
+- once the controller has latched an emergency stop, every retx slot carries
+  the ESTOP frame, sent by the controller and every node that received an
+  earlier ESTOP flood that cycle;
+- a flagged stop command that arrives is applied with cause `estop`, and no
+  robot latches its stop twice.
 """
 
 from collections import defaultdict
@@ -74,7 +79,7 @@ class ScriptedErasures:
                                 Cause.DELIVERED if received else Cause.ERASED)
 
 
-def one_cycle_config(robots, pers, relays=()):
+def one_cycle_config(robots, pers, relays=(), obstacles=()):
     """A remote-control run of exactly one cycle: R = 2, one loop per robot."""
     n_slots = 2 * len(robots) + 4  # sync, FB and CMD per loop, the gap, two retx
     return config_from_dict({
@@ -88,16 +93,18 @@ def one_cycle_config(robots, pers, relays=()):
         "channel": {"default_per": 0.0,
                     "links": [{"from": a, "to": b, "per": float(p)}
                               for (a, b), p in pers.items()]},
+        "obstacles": [{"segment": list(segment)} for segment in obstacles],
         "run_to_completion": False,
     })
 
 
-def erasure_patterns(monkeypatch, config, pers, desynced=frozenset()):
+def erasure_patterns(monkeypatch, config, pers, desynced=frozenset(), end_reason="timeout"):
     """Run the one-cycle `config` once per erasure pattern; yield (weight, run).
 
     Each run takes a script prefix and delivers past it, so every outcome it
     draws past the prefix starts a sibling pattern that erases there instead.
-    The `desynced` nodes start out of sync and never hear the beacon.
+    The `desynced` nodes start out of sync and never hear the beacon.  Every
+    run ends after its one cycle with `end_reason`.
     """
     stack: list[list[bool]] = [[]]
     while stack:
@@ -109,7 +116,8 @@ def erasure_patterns(monkeypatch, config, pers, desynced=frozenset()):
         for node in desynced:
             sim.sync_states[node].synced = False
         result = sim.run()
-        assert result.cycles == 1 and result.end_reason == "timeout"
+        assert result.end_reason == end_reason
+        assert result.end_time_us == sim.schedule.cycle_length_us
         yield source.weight, sim
         stack.extend(source.taken[:i] + [False] for i in range(len(script), len(source.taken)))
 
@@ -122,27 +130,45 @@ def check_retx_rules(sim):
     rows_in = defaultdict(list)
     for row in sim.trace.rows:
         rows_in[row[SLOT]].append(row)
+    flagged = {(r[DST], r[SEQ]) for r in sim.trace.rows
+               if r[KIND] == "cmd-emit" and r[CAUSE] == "estop"}
+    latched_at = min((r[TIME] for r in sim.trace.rows
+                      if r[KIND] == "estop" and r[CAUSE] == "controller-latch"), default=None)
 
     def priority(frame):
         name, src, dst, _ = frame
         return (0, loop_of[dst]) if name == "CMD" else (1, loop_of[src])
 
-    pending: dict[tuple, set[int]] = {}  # frame -> nodes holding it
-    applied: dict[int, int] = {}         # robot -> seq of its applied command
+    pending: dict[tuple, set[int]] = {}     # frame -> nodes holding it
+    stop_holders = {sim.controller_node}  # nodes holding the ESTOP frame
+    applied: dict[int, int] = {}            # robot -> seq of its applied command
     for slot in sim.schedule.slots:
+        if slot.direction not in (Direction.UPLINK, Direction.DOWNLINK, Direction.RETX):
+            continue
         rows = rows_in[slot.position]
         txs = [r for r in rows if r[KIND] == "tx"]
         frames = {(r[FRAME], r[SRC], r[DST], r[SEQ]) for r in txs}
         senders = {r[NODE] for r in txs}
         assert len(frames) <= 1
         frame = next(iter(frames), None)
+        received = {r[NODE] for r in rows if r[KIND] == "rx" and r[CAUSE] == Cause.DELIVERED}
+        assert not received & senders
+        applies = [r for r in rows if r[KIND] == "cmd-apply"]
         if slot.direction in (Direction.UPLINK, Direction.DOWNLINK):
             if frame is None:
                 continue
             assert senders == {slot.owner}
             assert priority(frame)[1] == slot.loop_id
             holders = set(senders)
-        elif slot.direction is Direction.RETX:
+        elif slot.direction is Direction.RETX and latched_at is not None:
+            assert latched_at < sim.schedule.slot_offset_us(slot.position)
+            assert frame is not None and frame[0] == "ESTOP", \
+                "once latched, the stop takes every retx slot"
+            assert senders == stop_holders
+            stop_holders |= received
+            assert not applies
+            continue
+        else:
             head = min(pending, key=priority) if pending else None
             holders = pending.get(head, set())
             if not holders & synced:
@@ -150,20 +176,16 @@ def check_retx_rules(sim):
                 continue
             assert frame == head, "a retx slot carries the head of the queue"
             assert senders == holders & synced
-        else:
-            continue
         name, _, dest, seq = frame
-        received = {r[NODE] for r in rows if r[KIND] == "rx" and r[CAUSE] == Cause.DELIVERED}
-        assert not received & senders
         holders |= received
         if dest in received:
             pending.pop(frame, None)
         else:
             pending[frame] = holders
 
-        applies = [r for r in rows if r[KIND] == "cmd-apply"]
         if name == "CMD" and dest in received:
-            assert [(r[NODE], r[SEQ], r[CAUSE]) for r in applies] == [(dest, seq, "applied")]
+            cause = "estop" if (dest, seq) in flagged else "applied"
+            assert [(r[NODE], r[SEQ], r[CAUSE]) for r in applies] == [(dest, seq, cause)]
             assert dest not in applied, "a command is applied at most once"
             applied[dest] = seq
         else:
@@ -174,13 +196,23 @@ def check_retx_rules(sim):
     return set(applied)
 
 
-def delivery_probabilities(monkeypatch, config, pers, desynced=frozenset()):
-    """P(command applied) per robot over every erasure pattern, exactly."""
+def plant_latches(sim):
+    """Check the retx rules; return the robots that latched their stop."""
+    check_retx_rules(sim)
+    latched = [r[NODE] for r in sim.trace.rows if r[KIND] == "estop" and r[CAUSE] == "plant-latch"]
+    assert len(latched) == len(set(latched)), "a robot latches its stop once"
+    return set(latched)
+
+
+def delivery_probabilities(monkeypatch, config, pers, desynced=frozenset(),
+                           end_reason="timeout", reached=check_retx_rules):
+    """P(robot in `reached(run)`) per robot over every erasure pattern, exactly;
+    by default, that its command was applied."""
     total = Fraction(0)
     delivered: dict[int, Fraction] = defaultdict(Fraction)
-    for weight, sim in erasure_patterns(monkeypatch, config, pers, desynced):
+    for weight, sim in erasure_patterns(monkeypatch, config, pers, desynced, end_reason):
         total += weight
-        for robot in check_retx_rules(sim):
+        for robot in reached(sim):
             delivered[robot] += weight
     assert total == 1, "the patterns cover the whole probability space"
     return dict(delivered)
@@ -233,3 +265,31 @@ def test_two_loops_share_the_retx_slots_in_priority_order(monkeypatch):
     loop_1 = (1 - q) + q * ((1 - q) * (1 - q ** 2) + q * (1 - q) * (1 - q))
     assert got == {1: 1 - q ** 3, 2: loop_1}
     assert loop_1 == Fraction(1169, 1250)
+
+
+# 100 mm ahead of robot 1 from t = 0, below the 150 mm threshold: link 1->0 never
+# erases, so the controller latches at compute and every run ends `estopped`
+OBSTACLE = (0.1, 0.5, 0.1, 1.5)
+
+
+def stop_latch_probabilities(monkeypatch, pers, relays=()):
+    config = one_cycle_config([1], pers, relays=relays, obstacles=[OBSTACLE])
+    return delivery_probabilities(monkeypatch, config, pers, end_reason="estopped",
+                                  reached=plant_latches)
+
+
+def test_the_estop_flood_takes_every_retx_slot(monkeypatch):
+    # the flagged command or either stop flood reaches the robot
+    for p, expect in ((Fraction(1, 10), Fraction(999, 1000)),
+                      (Fraction(3, 10), Fraction(973, 1000))):
+        got = stop_latch_probabilities(monkeypatch, {(0, 1): p, (1, 0): Fraction(0)})
+        assert got == {1: expect} and expect == 1 - p ** 3
+
+
+def test_a_relay_joins_the_estop_flood_only_after_hearing_it(monkeypatch):
+    # overhearing the flagged command does not make the relay a holder; it
+    # fails to join only if it misses the first flood (3/10), after which the
+    # second flood is the controller's alone:
+    #   P(fail) = 1/2 * 1/2 * (7/10 * 1/5 + 3/10 * 1/2) = 29/400
+    got = stop_latch_probabilities(monkeypatch, RELAY_PERS, relays=[2])
+    assert got == {1: Fraction(371, 400)}
