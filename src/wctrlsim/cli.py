@@ -7,7 +7,7 @@
 `run` writes trace.csv and metrics.json into the output directory.  `sweep`
 writes sweep.csv with one aggregated row per grid point.  `plot-data` turns a
 trace into plot-ready CSV on stdout (or --out).  Exit code 2 signals a
-rejected configuration.
+rejected input: a configuration, an --out path or a trace file.
 """
 
 from __future__ import annotations
@@ -27,17 +27,26 @@ def _metrics_json(metrics: dict) -> str:
     return json.dumps(metrics, sort_keys=True, indent=2) + "\n"
 
 
+def _out_dir(path: str) -> Path:
+    """The --out directory, checked before any work; created only once results exist."""
+    out_dir = Path(path)
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"--out {path}: {existing} is not a directory")
+    return out_dir
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
+        out_dir = _out_dir(args.out)
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        if args.seed is not None:
+        if args.seed is not None and type(raw) is dict:
             raw["seed"] = args.seed
         config = config_from_dict(raw)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     result = run_scenario(config)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     result.trace.write_csv(out_dir / "trace.csv")
     (out_dir / "metrics.json").write_text(_metrics_json(result.metrics), encoding="utf-8")
@@ -48,13 +57,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
+        out_dir = _out_dir(args.out)
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
         grid = json.loads(Path(args.grid).read_text(encoding="utf-8"))
         rows = run_sweep(raw, grid)  # checks every grid point before the first run
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     columns: list[str] = []
     for row in rows:

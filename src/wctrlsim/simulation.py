@@ -7,9 +7,10 @@ The engine steps one cycle per period; each cycle runs its slots in order:
 
 Every transmission is drawn against every listening node, so any node can
 overhear a frame and join later retransmission floods.  The shared retx slots
-serve pending frames in a fixed priority order (undelivered commands first,
-then undelivered feedback, by loop id); once the controller has latched an
-emergency stop they instead carry a broadcast stop frame every cycle.
+serve one queue of pending frames in a fixed priority order: once the
+controller has latched an emergency stop, a broadcast stop frame heads it in
+every cycle, then come undelivered commands, then undelivered feedback, each
+by loop id.
 
 In a leader-follower scenario the controller is hosted on the leader robot:
 the leader's own loop closes locally at compute time (encoders sampled and
@@ -34,11 +35,11 @@ from .trace import Trace
 
 @dataclass
 class _Pending:
-    """A frame that missed its destination, awaiting the shared retx slots."""
+    """A frame awaiting the shared retx slots; dest None marks the stop broadcast."""
 
-    priority: tuple[int, int]  # (0, loop) for commands, (1, loop) for feedback
+    priority: tuple[int, int]  # (-1, 0) for the stop, (0, loop) commands, (1, loop) feedback
     frame: Frame
-    dest: int
+    dest: int | None
     holders: set[int]
 
 
@@ -111,8 +112,6 @@ class Simulation:
         self._last_cmd_zero: dict[int, bool] = {}
         self._commands_seen: set[int] = set()
         self._completed: set[int] = set()
-        self._cycle_estop: EstopFrame | None = None
-        self._estop_holders: set[int] = set()
 
     # -- setup ---------------------------------------------------------------
 
@@ -186,7 +185,10 @@ class Simulation:
               channel: int) -> list[int]:
         """Put `frame` on the air from every sender in one slot (a flood if more
         than one), logging each transmission and one reception outcome per
-        listening node; returns the listeners that received it, in node order."""
+        listening node; returns the listeners that received it, in node order.
+
+        A desynced listener never receives, and sync state changes only in
+        slot 0, so every node that holds a frame later in the cycle is synced."""
         medium, add = self.medium, self.trace.add
         cycle, position = self.cycle, slot.position
         slot_uid = medium.begin_slot()
@@ -241,12 +243,10 @@ class Simulation:
             self.trace.add(cycle_start, "sync", cycle=self.cycle, slot=0, node=rec.node,
                            v1=rec.residual_us, v2=rec.wave)
         for node in self.all_nodes:
-            if node == self.controller_node:
-                continue
-            state = self.sync_states[node]
-            if state.missed_beacons > 0 and all(r.node != node for r in report.receptions):
+            missed = self.sync_states[node].missed_beacons
+            if missed > 0:
                 self.trace.add(cycle_start, "sync-miss", cycle=self.cycle, slot=0,
-                               node=node, v1=state.missed_beacons)
+                               node=node, v1=missed)
         for node in report.desynced:
             self.trace.add(cycle_start, "desync", cycle=self.cycle, slot=0, node=node)
 
@@ -274,6 +274,11 @@ class Simulation:
         if decisions.estop_triggered:
             self.trace.add(at, "estop", cycle=self.cycle, node=self.controller_node,
                            cause="controller-latch", v1=decisions.estop_source)
+        if self.controller.estop_latched:
+            self._estop_seq = (self._estop_seq + 1) & 0xFFFF
+            self._pending.append(_Pending(
+                priority=(-1, 0), frame=EstopFrame(src=self.controller_node, seq=self._estop_seq),
+                dest=None, holders={self.controller_node}))
         self._cycle_cmds.clear()
         for decision in decisions.commands:
             lane = self.controller.lanes[decision.robot]
@@ -299,10 +304,7 @@ class Simulation:
                 self._cycle_cmds[self._robot_loop[decision.robot]] = decision.cmd
 
     def _run_downlink_slot(self, slot: Slot, at: SimTime, channel: int) -> None:
-        cmd = self._cycle_cmds.get(slot.loop_id)
-        if cmd is None:
-            self._log_empty_slot(slot, at)
-            return
+        cmd = self._cycle_cmds[slot.loop_id]
         received = self._send([self.controller_node], cmd, slot, at, channel)
         if cmd.dst in received:
             self._apply_cmd(cmd.dst, cmd, at + self.medium.airtime_us, slot.position)
@@ -310,42 +312,25 @@ class Simulation:
             self._pending.append(_Pending(priority=(0, slot.loop_id), frame=cmd, dest=cmd.dst,
                                           holders={self.controller_node, *received}))
 
-    def _ensure_estop_frame(self) -> None:
-        if self._cycle_estop is None:
-            self._estop_seq = (self._estop_seq + 1) & 0xFFFF
-            self._cycle_estop = EstopFrame(src=self.controller_node, seq=self._estop_seq)
-            self._estop_holders = {self.controller_node}
-
     def _run_retx_slot(self, slot: Slot, at: SimTime, channel: int) -> None:
-        if self.controller.estop_latched:
-            self._ensure_estop_frame()
-            self._flood_estop(slot, at, channel)
+        if not self._pending:
+            self._log_empty_slot(slot, at)
             return
         self._pending.sort(key=lambda p: p.priority)
-        entry = self._pending[0] if self._pending else None
-        if entry is None:
-            self._log_empty_slot(slot, at)
-            return
-        senders = sorted(n for n in entry.holders if self.sync_states[n].synced)
-        if not senders:
-            self._log_empty_slot(slot, at)
-            return
-        received = self._send(senders, entry.frame, slot, at, channel)
+        entry = self._pending[0]
+        received = self._send(sorted(entry.holders), entry.frame, slot, at, channel)
         entry.holders.update(received)
-        if entry.dest in received:
+        if entry.dest is None:
+            for node in received:
+                if node in self.robots:
+                    self._latch_estop_plant(node, at + self.medium.airtime_us)
+        elif entry.dest in received:
             self._pending.remove(entry)
             if isinstance(entry.frame, CmdFrame):
                 self._apply_cmd(entry.dest, entry.frame, at + self.medium.airtime_us,
                                 slot.position)
-            elif isinstance(entry.frame, FbFrame):
+            else:
                 self.controller.ingest_feedback(entry.frame)
-
-    def _flood_estop(self, slot: Slot, at: SimTime, channel: int) -> None:
-        senders = sorted(n for n in self._estop_holders if self.sync_states[n].synced)
-        for node in self._send(senders, self._cycle_estop, slot, at, channel):
-            self._estop_holders.add(node)
-            if node in self.robots:
-                self._latch_estop_plant(node, at + self.medium.airtime_us)
 
     # -- one cycle -----------------------------------------------------------------
 
@@ -358,8 +343,6 @@ class Simulation:
             return False
         self._commands_seen = set()
         self._pending = []
-        self._cycle_estop = None
-        self._estop_holders = set()
 
         for handler, slot, offset, hop in self._plan:
             handler(self, slot, cycle_start + offset,

@@ -94,10 +94,17 @@ def _parse(cell: str):
 
 def load_trace(path: str | Path) -> list[tuple]:
     """Read a trace CSV back into the in-memory row form: "" -> None, integer
-    text -> int, decimal text -> float, anything else stays a str."""
+    text -> int, decimal text -> float, anything else stays a str.  A row
+    without one cell per column (a truncated file) raises ValueError."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if tuple(header) != COLUMNS:
             raise ValueError(f"not a trace file: unexpected header {header}")
-        return [tuple(map(_parse, row)) for row in reader]
+        rows = []
+        for row in reader:
+            if len(row) != len(COLUMNS):
+                raise ValueError(f"{path}: line {reader.line_num} has {len(row)} cells, "
+                                 f"expected {len(COLUMNS)}")
+            rows.append(tuple(map(_parse, row)))
+        return rows

@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 
 from wctrlsim.cli import main
+from wctrlsim.scenario import config_from_dict
+from wctrlsim.simulation import run_scenario
 
 SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
 
@@ -119,6 +121,69 @@ def test_invalid_config_is_rejected_with_exit_code_2(name, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: ")
     assert expected in err[0]
     assert not out.exists()
+
+
+def _array_config_with_seed(tiny_config, tmp_path):
+    bad = tmp_path / "array.json"
+    bad.write_text("[1, 2]", encoding="utf-8")
+    return ["run", str(bad), "--seed", "3", "--out", str(tmp_path / "out")]
+
+
+def _out_is_a_file(command, below=""):
+    def build(tiny_config, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n", encoding="utf-8")
+        out = str(taken / below)
+        if command == "run":
+            return ["run", str(tiny_config), "--out", out]
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"seeds": [1, 2]}), encoding="utf-8")
+        return ["sweep", str(tiny_config), "--grid", str(grid), "--out", out]
+    return build
+
+
+def _truncated_trace(tiny_config, tmp_path):
+    text = run_scenario(config_from_dict(json.loads(tiny_config.read_text()))).trace.to_csv()
+    cut = tmp_path / "cut.csv"
+    # cut after the first cell of a row half way through the file
+    cut.write_text(text[:text.index(",", text.index("\n", len(text) // 2))], encoding="utf-8")
+    return ["plot-data", str(cut), "--metric", "cycle-cdf"]
+
+
+def _empty_trace(tiny_config, tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("", encoding="utf-8")
+    return ["plot-data", str(empty), "--metric", "cycle-cdf"]
+
+
+# name -> (argv builder, text the single error line must contain)
+BAD_INPUTS = {
+    "run-config-not-an-object-with-seed": (_array_config_with_seed,
+                                           "scenario config must be a JSON object"),
+    "run-out-is-a-file": (_out_is_a_file("run"), "taken is not a directory"),
+    "sweep-out-is-a-file": (_out_is_a_file("sweep"), "taken is not a directory"),
+    "run-out-below-a-file": (_out_is_a_file("run", below="sub"), "taken is not a directory"),
+    "plot-data-truncated-trace": (_truncated_trace, "has 1 cells, expected 15"),
+    "plot-data-empty-trace": (_empty_trace, "not a trace file"),
+}
+
+
+def _tree(root):
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("name", list(BAD_INPUTS))
+def test_bad_input_exits_2_and_writes_nothing(name, tiny_config, tmp_path, capsys):
+    build, expected = BAD_INPUTS[name]
+    argv = build(tiny_config, tmp_path)
+    before = _tree(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert expected in err[0]
+    assert captured.out == ""
+    assert _tree(tmp_path) == before
 
 
 def test_unknown_node_in_link_is_rejected(tmp_path, capsys):

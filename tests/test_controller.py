@@ -190,6 +190,44 @@ def test_stale_feedback_not_consumed():
     assert controller.ingest_feedback(fb(3, 0, 0)) is False
 
 
+def test_feedback_from_an_unknown_robot_is_rejected():
+    controller = make_controller()
+    stranger = FbFrame(src=9, dst=0, seq=1, left_ticks=0, right_ticks=0, distance_mm=None)
+    assert controller.ingest_feedback(stranger) is False
+    assert controller.lanes[1].pending_fb is None
+
+
+def test_feedback_no_newer_than_the_pending_frame_is_rejected():
+    controller = make_controller()
+    assert controller.ingest_feedback(fb(5, 191, 191)) is True
+    assert controller.ingest_feedback(fb(5, 0, 0)) is False
+    assert controller.ingest_feedback(fb(4, 0, 0)) is False
+    assert controller.lanes[1].pending_fb == fb(5, 191, 191)
+
+
+def test_feedback_no_newer_than_the_last_consumed_is_rejected():
+    controller = make_controller()
+    controller.ingest_feedback(fb(5, 191, 191))
+    controller.run_cycle()
+    assert controller.ingest_feedback(fb(5, 191, 191)) is False
+    assert controller.lanes[1].pending_fb is None
+
+
+def test_feedback_sequence_wraps_from_0xffff_to_0():
+    controller = make_controller()
+    assert controller.ingest_feedback(fb(0xFFFF, 0, 0)) is True
+    assert controller.ingest_feedback(fb(0, 191, 191)) is True  # newer than the pending frame
+    controller.run_cycle()
+    assert controller.lanes[1].last_fb_seq == 0
+    assert controller.ingest_feedback(fb(0xFFFF, 191, 191)) is False  # 0 was consumed after it
+    assert controller.lanes[1].pending_fb is None
+
+    controller = make_controller()
+    controller.ingest_feedback(fb(0xFFFF, 0, 0))
+    controller.run_cycle()
+    assert controller.ingest_feedback(fb(0, 191, 191)) is True  # newer than the consumed one
+
+
 def test_commands_stop_after_path_complete():
     controller = make_controller(path=[(0.01, 0.0)])
     controller.ingest_feedback(fb(1, 0, 0))
