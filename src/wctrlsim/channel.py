@@ -59,6 +59,11 @@ class BurstModel:
                 raise ChannelError(f"burst parameter {name}={value} outside [0, 1]")
 
 
+def _check_probability(p: float) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise ChannelError(f"erasure probability {p} outside [0, 1]")
+
+
 @dataclass
 class RadioLink:
     """Directed link model with per-channel erasure probabilities and burst state."""
@@ -78,8 +83,7 @@ class RadioLink:
                 f"per-channel probabilities, expected {n_channels}"
             )
         for p in self.per_by_channel:
-            if not 0.0 <= p <= 1.0:
-                raise ChannelError(f"erasure probability {p} outside [0, 1]")
+            _check_probability(p)
         if self.burst is not None:
             self.burst.validate()
 
@@ -159,6 +163,18 @@ class Medium:
             link._draws = self.engine.draws(receiver, f"burst:{sender}")
         self._receiver(receiver).links[sender] = link
         return link
+
+    def add_links(self, nodes: list[int], per: float) -> None:
+        """Link every ordered pair of distinct `nodes` that has no link yet, with
+        erasure probability `per` on every channel: the links of one
+        `add_link(sender, receiver, per=per)` per pair, from one checked tuple."""
+        per_by_channel = (float(per),) * self.n_channels
+        _check_probability(per_by_channel[0])
+        for receiver in nodes:
+            links = self._receiver(receiver).links
+            for sender in nodes:
+                if sender != receiver and sender not in links:
+                    links[sender] = RadioLink(sender, receiver, per_by_channel)
 
     def add_blackout(self, node: int, start_us: SimTime, end_us: SimTime) -> None:
         """Force every reception at `node` to fail for start_us <= t < end_us."""

@@ -112,15 +112,13 @@ def _plot_rows(rows, metric: str) -> list[str]:
 
 def _cmd_plot_data(args: argparse.Namespace) -> int:
     try:
-        rows = load_trace(args.trace)
-        lines = _plot_rows(rows, args.metric)
+        text = "\n".join(_plot_rows(load_trace(args.trace), args.metric)) + "\n"
+        if args.out:
+            Path(args.out).write_text(text, encoding="utf-8")
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return 0
 

@@ -8,7 +8,9 @@ cycle length is reported alongside.
 Cross-track error is the distance from each ground-truth pose to the nearest
 point of the reference polyline (the robot's start position prepended to its
 reference points).  In a platoon the follower is measured against the leader's
-traced path, thinned to segments of at least 2 mm.
+traced path, thinned to segments of at least 2 mm.  The search is pruned: each
+block of consecutive poses skips the segments whose bounding boxes are provably
+too far, and the result is bit-identical to a scan of every segment.
 """
 
 from __future__ import annotations
@@ -22,24 +24,49 @@ _TIME, _CYCLE, _SLOT, _NODE, _KIND, _FRAME, _SRC, _DST, _SEQ, _CAUSE = range(10)
 _V1, _V2, _V3, _V4, _V5 = range(10, 15)
 
 
+_BLOCK = 128  # points per block at least; never more blocks than segments
+_MARGIN_M = 1e-9  # slack on the box bound for the rounding of both distances
+
+
 def polyline_distances(points, polyline) -> np.ndarray:
-    """Distance from each point to the nearest location on a polyline."""
+    """Distance from each point to the nearest location on a polyline.
+
+    The points are walked in blocks of consecutive points.  A segment whose
+    bounding box lies farther from the block's box than the block's largest
+    distance so far cannot lower any of them, so each block visits the
+    segments nearest box first and stops at the first that is farther.  Every
+    segment it visits gets the same per-point expression as a scan of all
+    segments, and a minimum is exact, so the result is bit-identical to one.
+    """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     poly = np.asarray(polyline, dtype=float).reshape(-1, 2)
     if len(poly) == 0:
         raise ValueError("empty polyline")
     best = np.hypot(pts[:, 0] - poly[0, 0], pts[:, 1] - poly[0, 1])
-    for i in range(len(poly) - 1):
-        a, b = poly[i], poly[i + 1]
-        ab = b - a
-        denom = float(ab @ ab)
-        if denom == 0.0:
-            d = np.hypot(pts[:, 0] - a[0], pts[:, 1] - a[1])
-        else:
-            t = np.clip(((pts - a) @ ab) / denom, 0.0, 1.0)
-            proj = a + t[:, None] * ab
-            d = np.hypot(pts[:, 0] - proj[:, 0], pts[:, 1] - proj[:, 1])
-        best = np.minimum(best, d)
+    starts, ends = poly[:-1], poly[1:]
+    if len(starts) == 0:
+        return best
+    steps = ends - starts
+    denoms = [float(ab @ ab) for ab in steps]
+    lo, hi = np.minimum(starts, ends), np.maximum(starts, ends)
+    size = max(_BLOCK, -(-len(pts) // len(starts)))
+    for first in range(0, len(pts), size):
+        block = pts[first:first + size]
+        block_best = best[first:first + size]  # a view: updated in place
+        gap = np.maximum(np.maximum(lo - block.max(axis=0), block.min(axis=0) - hi), 0.0)
+        bound = np.hypot(gap[:, 0], gap[:, 1])
+        order = np.argsort(bound)
+        for i, lower in zip(order.tolist(), bound[order].tolist()):
+            if lower > block_best.max() + _MARGIN_M:
+                break
+            a, ab, denom = starts[i], steps[i], denoms[i]
+            if denom == 0.0:
+                d = np.hypot(block[:, 0] - a[0], block[:, 1] - a[1])
+            else:
+                t = np.clip(((block - a) @ ab) / denom, 0.0, 1.0)
+                proj = a + t[:, None] * ab
+                d = np.hypot(block[:, 0] - proj[:, 0], block[:, 1] - proj[:, 1])
+            np.minimum(block_best, d, out=block_best)
     return best
 
 

@@ -116,19 +116,13 @@ class Simulation:
     # -- setup ---------------------------------------------------------------
 
     def _build_links(self) -> None:
-        explicit = {(l.sender, l.receiver): l for l in self.config.channel.links}
-        for sender in self.all_nodes:
-            for receiver in self.all_nodes:
-                if sender == receiver:
-                    continue
-                spec = explicit.get((sender, receiver))
-                if spec is None:
-                    self.medium.add_link(sender, receiver, per=self.config.channel.default_per)
-                else:
-                    self.medium.add_link(sender, receiver, per=spec.per,
-                                         per_by_channel=spec.per_by_channel,
-                                         burst=spec.burst)
-        for blackout in self.config.channel.blackouts:
+        channel = self.config.channel
+        for spec in channel.links:
+            if spec.sender != spec.receiver:
+                self.medium.add_link(spec.sender, spec.receiver, per=spec.per,
+                                     per_by_channel=spec.per_by_channel, burst=spec.burst)
+        self.medium.add_links(self.all_nodes, channel.default_per)
+        for blackout in channel.blackouts:
             self.medium.add_blackout(blackout.node, blackout.from_us, blackout.until_us)
 
     def _build_lanes(self) -> None:

@@ -24,9 +24,11 @@ v1..v5); the meaning of v1..v5 depends on the kind:
 
 Rows hold the native values exactly as passed to `Trace.add` (ints, strs,
 floats, None) and are formatted once, in `to_csv`: None is an empty cell, a
-bool is 1/0, a float has six decimals, anything else is `str`.  A rerun with
-the same config reproduces the file byte for byte.  `load_trace` parses a CSV
-back into the same typed form, with each float the six-decimal value.
+bool is 1/0, a float has six decimals, anything else is `str`.  `write_csv`
+streams the rows to disk one at a time, so the text of the whole file is never
+held in memory.  A rerun with the same config reproduces the file byte for
+byte.  `load_trace` parses a CSV back into the same typed form, with each
+float the six-decimal value.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import csv
 import io
 from pathlib import Path
+from typing import TextIO
 
 COLUMNS = ("time_us", "cycle", "slot", "node", "kind", "frame", "src", "dst",
            "seq", "cause", "v1", "v2", "v3", "v4", "v5")
@@ -62,21 +65,29 @@ class Trace:
         self.rows.append((time_us, cycle, slot, node, kind, frame, src, dst, seq,
                           cause, v1, v2, v3, v4, v5))
 
-    def to_csv(self) -> str:
+    def to_csv(self, out: TextIO | None = None) -> str | None:
+        """Write the header and every row to the text stream `out`, one row at
+        a time; with no stream, return the whole text instead."""
+        if out is None:
+            text = io.StringIO()
+            self.to_csv(text)
+            return text.getvalue()
         # a run has only a dozen or so row type-shapes: one pattern per shape
         patterns: dict[tuple[type, ...], str] = {}
-        out = io.StringIO()
-        out.write(",".join(COLUMNS) + "\n")
+        write = out.write
+        write(",".join(COLUMNS) + "\n")
         for row in self.rows:
             shape = tuple(map(type, row))
             pattern = patterns.get(shape)
             if pattern is None:
                 pattern = patterns[shape] = ",".join(map(_spec, row)) + "\n"
-            out.write(pattern % row)
-        return out.getvalue()
+            write(pattern % row)
+        return None
 
     def write_csv(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_csv(), encoding="utf-8")
+        """Stream the CSV to `path`: no copy of the whole text is ever held."""
+        with open(path, "w", encoding="utf-8") as fh:
+            self.to_csv(fh)
 
 
 def _parse(cell: str):

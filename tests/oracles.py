@@ -1,13 +1,16 @@
 """Independent reference implementations used to pin expected test values.
 
 These deliberately avoid the library's own code paths: the RK4 integrator
-checks the exact-arc kinematics, and the brute-force polyline distance checks
-the vectorized metric.
+checks the exact-arc kinematics, the brute-force polyline distance checks the
+vectorized metric, and the scan of every segment pins the pruned search's
+exact bits.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def rk4_unicycle(x: float, y: float, theta: float, v_left: float, v_right: float,
@@ -43,4 +46,25 @@ def brute_point_to_polyline(px: float, py: float, polyline, samples_per_segment:
             best = min(best, math.hypot(px - qx, py - qy))
     if len(polyline) == 1:
         best = math.hypot(px - polyline[0][0], py - polyline[0][1])
+    return best
+
+
+def scan_polyline_distances(points, polyline) -> np.ndarray:
+    """Distance from each point to a polyline by a scan of every segment over
+    every point: the expression the pruned `polyline_distances` must match bit
+    for bit."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    poly = np.asarray(polyline, dtype=float).reshape(-1, 2)
+    best = np.hypot(pts[:, 0] - poly[0, 0], pts[:, 1] - poly[0, 1])
+    for i in range(len(poly) - 1):
+        a, b = poly[i], poly[i + 1]
+        ab = b - a
+        denom = float(ab @ ab)
+        if denom == 0.0:
+            d = np.hypot(pts[:, 0] - a[0], pts[:, 1] - a[1])
+        else:
+            t = np.clip(((pts - a) @ ab) / denom, 0.0, 1.0)
+            proj = a + t[:, None] * ab
+            d = np.hypot(pts[:, 0] - proj[:, 0], pts[:, 1] - proj[:, 1])
+        best = np.minimum(best, d)
     return best

@@ -67,6 +67,20 @@ def test_invalid_probability_rejected():
         medium.add_link(0, 1, per=1.5)
     with pytest.raises(ChannelError):
         medium.add_link(0, 1, per_by_channel=[0.2, 0.3])  # wrong length
+    with pytest.raises(ChannelError):
+        medium.add_links([0, 1], 1.5)
+
+
+def test_add_links_fills_only_the_missing_pairs():
+    medium = Medium(Engine(seed=0), n_channels=2)
+    medium.add_link(2, 0, per=1.0)
+    medium.add_links([0, 1, 2], 0.0)
+    for sender, receiver in [(0, 1), (0, 2), (1, 0), (1, 2), (2, 1)]:
+        for channel in (0, 1):
+            assert medium.deliver(tx_of(medium, sender, channel), receiver).received
+    assert not medium.deliver(tx_of(medium, 2, 1), 0).received  # the explicit link stays
+    with pytest.raises(ChannelError):
+        medium.deliver(tx_of(medium, 1), 1)  # no self-link
 
 
 def test_flood_single_sender_reduces_to_deliver():

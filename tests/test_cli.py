@@ -142,8 +142,12 @@ def _out_is_a_file(command, below=""):
     return build
 
 
+def _tiny_trace(tiny_config):
+    return run_scenario(config_from_dict(json.loads(tiny_config.read_text()))).trace
+
+
 def _truncated_trace(tiny_config, tmp_path):
-    text = run_scenario(config_from_dict(json.loads(tiny_config.read_text()))).trace.to_csv()
+    text = _tiny_trace(tiny_config).to_csv()
     cut = tmp_path / "cut.csv"
     # cut after the first cell of a row half way through the file
     cut.write_text(text[:text.index(",", text.index("\n", len(text) // 2))], encoding="utf-8")
@@ -156,6 +160,15 @@ def _empty_trace(tiny_config, tmp_path):
     return ["plot-data", str(empty), "--metric", "cycle-cdf"]
 
 
+def _plot_data_out(out):
+    def build(tiny_config, tmp_path):
+        trace = tmp_path / "trace.csv"
+        _tiny_trace(tiny_config).write_csv(trace)
+        (tmp_path / "plots").mkdir()
+        return ["plot-data", str(trace), "--metric", "cycle-cdf", "--out", str(tmp_path / out)]
+    return build
+
+
 # name -> (argv builder, text the single error line must contain)
 BAD_INPUTS = {
     "run-config-not-an-object-with-seed": (_array_config_with_seed,
@@ -165,6 +178,9 @@ BAD_INPUTS = {
     "run-out-below-a-file": (_out_is_a_file("run", below="sub"), "taken is not a directory"),
     "plot-data-truncated-trace": (_truncated_trace, "has 1 cells, expected 15"),
     "plot-data-empty-trace": (_empty_trace, "not a trace file"),
+    "plot-data-out-is-a-directory": (_plot_data_out("plots"), "Is a directory"),
+    "plot-data-out-below-a-missing-directory": (_plot_data_out("missing/cdf.csv"),
+                                                "No such file or directory"),
 }
 
 

@@ -1,12 +1,12 @@
 """Golden digests: the bundled scenarios must keep producing the same bytes.
 
 The values are the full sha256 of `trace.csv` and `metrics.json` as the CLI
-writes them for the bundled configs at their own seeds, for the lossy
-three-robot run of `conftest.lossy_raw` (PER 0.3, a burst link, a blackout
-and an obstacle that ends the run in an emergency stop), and for the
-eight-robot run of `conftest.fleet_raw` (PER 0.1, burst chains, many-holder
-retx floods).  A refactor that claims to keep behaviour must leave both
-unchanged.
+writes them (the trace both as text and as the file `write_csv` streams) for
+the bundled configs at their own seeds, for the lossy three-robot run of
+`conftest.lossy_raw` (PER 0.3, a burst link, a blackout and an obstacle that
+ends the run in an emergency stop), and for the eight-robot run of
+`conftest.fleet_raw` (PER 0.1, burst chains, many-holder retx floods).  A
+refactor that claims to keep behaviour must leave both unchanged.
 """
 
 import hashlib
@@ -31,8 +31,11 @@ def _sha256(text: str) -> str:
 
 
 @pytest.mark.parametrize("scenario", sorted(GOLDEN))
-def test_bundled_scenario_outputs_match_golden_digests(scenario, request):
+def test_bundled_scenario_outputs_match_golden_digests(scenario, request, tmp_path):
     result = request.getfixturevalue(f"{scenario}_result")
     trace_digest, metrics_digest = GOLDEN[scenario]
     assert _sha256(result.trace.to_csv()) == trace_digest
+    written = tmp_path / "trace.csv"
+    result.trace.write_csv(written)
+    assert hashlib.sha256(written.read_bytes()).hexdigest() == trace_digest
     assert _sha256(json.dumps(result.metrics, sort_keys=True, indent=2) + "\n") == metrics_digest

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import brute_point_to_polyline
+from oracles import brute_point_to_polyline, scan_polyline_distances
 from wctrlsim.metrics import TraceView, cdf_pairs, polyline_distances, thin_polyline
 from wctrlsim.trace import Trace
 
@@ -34,6 +35,25 @@ def test_polyline_distance_matches_brute_force():
 def test_single_point_polyline():
     d = polyline_distances([(1.0, 1.0)], [(0.0, 0.0)])
     assert d[0] == pytest.approx(math.sqrt(2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_points=st.integers(0, 600),
+       n_vertices=st.integers(1, 30), repeats=st.integers(0, 4),
+       step=st.sampled_from([0.001, 0.05, 1.0]), offset=st.sampled_from([0.0, 3.0, 1e3]))
+def test_pruned_distances_equal_a_scan_of_every_segment(seed, n_points, n_vertices, repeats,
+                                                        step, offset):
+    # a random-walk trajectory (point counts on and off the block size, near and
+    # far from the path) against a polyline with repeated vertices, that is
+    # zero-length segments; one vertex is a one-point polyline
+    rng = np.random.default_rng(seed)
+    poly = rng.uniform(-2.0, 2.0, (n_vertices, 2))
+    at = np.sort(rng.integers(0, n_vertices, repeats))
+    poly = np.insert(poly, at, poly[at], axis=0)
+    walk = np.cumsum(rng.normal(0.0, step, (n_points, 2)), axis=0) + rng.uniform(-2.0, 2.0, 2)
+    walk += offset
+    pruned = polyline_distances(walk, poly)
+    assert pruned.tobytes() == scan_polyline_distances(walk, poly).tobytes()
 
 
 def test_cdf_pairs_sorted_and_bounded():

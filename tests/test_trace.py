@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 
 from wctrlsim.metrics import TraceView
@@ -39,3 +41,15 @@ def test_loaded_trace_gives_the_same_view_as_the_in_memory_rows(lossy_result, tm
     assert a.delivered["FB"] and a.delivered == b.delivered
     assert (a.controller_latch_us, a.plant_latch_us) == (b.controller_latch_us, b.plant_latch_us)
     assert (a.end_reason, a.cycles) == (b.end_reason, b.cycles) == ("estopped", 484)
+
+
+def test_write_csv_streams_the_file_in_bounded_memory(fleet_result, tmp_path):
+    path = tmp_path / "trace.csv"
+    fleet_result.trace.write_csv(path)  # first use: codec and io set-up
+    tracemalloc.start()
+    try:
+        fleet_result.trace.write_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 10
