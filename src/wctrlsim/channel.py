@@ -8,14 +8,15 @@ constructively: the flood fails only if every contributing link fails
 
 The model deliberately has no SINR, capture or path-loss physics; erasures
 parameterized per hop channel are what frequency hopping exploits, and the
-PHY is treated as a black box.
+PHY is treated as a black box.  A `Transmission` is an immutable named tuple,
+one per sender and slot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .engine import Engine, SimTime
 from .frames import FRAME_SIZE, Frame, encode_frame
@@ -88,8 +89,7 @@ class RadioLink:
             self.burst.validate()
 
 
-@dataclass(frozen=True)
-class Transmission:
+class Transmission(NamedTuple):
     """One frame on the air during one slot."""
 
     sender: int
@@ -196,8 +196,7 @@ class Medium:
         if frame is not encoded_frame:
             payload = encode_frame(frame)
             self._encoded = (frame, payload)
-        return Transmission(sender=sender, frame=frame, payload=payload,
-                            slot=slot, channel=channel, start=start)
+        return Transmission(sender, frame, payload, slot, channel, start)
 
     def _burst_prob(self, link: RadioLink, slot: int) -> float:
         """Erasure probability of a burst link in `slot`: its chain first steps

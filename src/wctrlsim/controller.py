@@ -11,13 +11,16 @@ A circular-arc variant (kappa = 2*y_t / (x_t^2 + y_t^2)) is available as a
 config switch.
 
 Feedback losses are bridged with a zero-order hold: the controller keeps its
-last pose estimate and still emits a command every cycle.
+last pose estimate and still emits a command every cycle.  Each compute pass
+returns immutable named tuples (`CycleDecisions`, one `LaneDecision` per
+robot), and each lane's next reference point is put into the robot frame once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .frames import CmdFrame, FbFrame, seq_is_newer, wrap_i32
 from .robot import Pose, RobotParams, advance_by_wheel_arcs, normalize_angle
@@ -99,6 +102,12 @@ def wheel_speeds(pose: Pose, target: tuple[float, float], params: SteeringParams
     standoff rather than on the next traced point).
     """
     x_t, y_t = target_in_robot_frame(pose, target)
+    return wheel_speeds_in_frame(x_t, y_t, params, robot, speed_distance_m)
+
+
+def wheel_speeds_in_frame(x_t: float, y_t: float, params: SteeringParams, robot: RobotParams,
+                          speed_distance_m: float | None = None) -> tuple[float, float]:
+    """`wheel_speeds` for a target already in the robot frame."""
     distance = math.hypot(x_t, y_t)
     track = robot.track_width_m
     limit = float(robot.max_wheel_speed_mms)
@@ -128,24 +137,25 @@ class PathCursor:
     points: list[tuple[float, float]]
     tolerance_m: float
     index: int = 0
+    in_frame: tuple[float, float] | None = None  # next point in the robot frame, from advance
 
     @property
     def complete(self) -> bool:
         return self.index >= len(self.points)
 
     def advance(self, pose: Pose) -> int:
-        """Skip every reference point already within tolerance; returns steps taken."""
+        """Skip every reference point already within tolerance; returns steps
+        taken.  Keeps the next point in the robot frame in `in_frame`."""
         steps = 0
-        while not self.complete:
-            d, _ = deviation_error(pose, self.points[self.index])
-            if d >= self.tolerance_m:
+        self.in_frame = None
+        while self.index < len(self.points):
+            in_frame = target_in_robot_frame(pose, self.points[self.index])
+            if math.hypot(*in_frame) >= self.tolerance_m:
+                self.in_frame = in_frame
                 break
             self.index += 1
             steps += 1
         return steps
-
-    def target(self) -> tuple[float, float] | None:
-        return None if self.complete else self.points[self.index]
 
 
 @dataclass
@@ -155,6 +165,7 @@ class FollowerQueue:
     min_spacing_m: float
     points: list[tuple[float, float]] = field(default_factory=list)
     consumed: int = 0
+    in_frame: tuple[float, float] | None = None  # next point in the robot frame, from pop_reached
 
     def extend_from_leader(self, leader_pose: Pose) -> bool:
         p = (leader_pose.x, leader_pose.y)
@@ -168,18 +179,19 @@ class FollowerQueue:
         return False
 
     def pop_reached(self, pose: Pose, tolerance_m: float) -> int:
+        """Drop every point already within tolerance; returns points dropped.
+        Keeps the next point in the robot frame in `in_frame`."""
         popped = 0
+        self.in_frame = None
         while self.points:
-            d, _ = deviation_error(pose, self.points[0])
-            if d >= tolerance_m:
+            in_frame = target_in_robot_frame(pose, self.points[0])
+            if math.hypot(*in_frame) >= tolerance_m:
+                self.in_frame = in_frame
                 break
             self.points.pop(0)
             self.consumed += 1
             popped += 1
         return popped
-
-    def target(self) -> tuple[float, float] | None:
-        return self.points[0] if self.points else None
 
 
 @dataclass
@@ -202,8 +214,7 @@ class RobotLane:
     turning: bool = False                      # in-place rotation in progress
 
 
-@dataclass(frozen=True)
-class LaneDecision:
+class LaneDecision(NamedTuple):
     robot: int
     cmd: CmdFrame
     informing_fb_seq: int
@@ -212,8 +223,7 @@ class LaneDecision:
     holding: bool             # follower standoff hold
 
 
-@dataclass(frozen=True)
-class CycleDecisions:
+class CycleDecisions(NamedTuple):
     commands: list[LaneDecision]
     estop_triggered: bool     # latched this cycle
     estop_source: int | None  # robot whose reading tripped the threshold
@@ -231,6 +241,9 @@ class PathController:
         self.steering = steering
         self.follower_params = follower_params or FollowerParams()
         self.lanes: dict[int, RobotLane] = {}
+        # (lanes in robot order, path lanes then followers in robot order), set
+        # by the first run_cycle after a lane is added
+        self._orders: tuple[list[RobotLane], list[RobotLane]] | None = None
         self.queue: FollowerQueue | None = None
         self.estop_latched = False
 
@@ -240,16 +253,20 @@ class PathController:
                          cursor=PathCursor(points=list(path),
                                            tolerance_m=self.steering.tolerance_m),
                          local=local)
-        self.lanes[robot] = lane
+        self._add_lane(lane)
         return lane
 
     def add_follower_lane(self, robot: int, params: RobotParams, start_pose: Pose,
                           leader: int) -> RobotLane:
         lane = RobotLane(robot=robot, params=params, est_pose=start_pose,
                          follower_of=leader)
-        self.lanes[robot] = lane
+        self._add_lane(lane)
         self.queue = FollowerQueue(min_spacing_m=self.follower_params.min_spacing_m)
         return lane
+
+    def _add_lane(self, lane: RobotLane) -> None:
+        self.lanes[lane.robot] = lane
+        self._orders = None
 
     def ingest_feedback(self, fb: FbFrame) -> bool:
         """Keep the newest feedback per robot; returns True if it superseded."""
@@ -280,22 +297,23 @@ class PathController:
         lane.informing_fb_seq = fb.seq
         lane.pending_fb = None
 
-    def _check_estop(self) -> int | None:
+    def _check_estop(self, by_robot: list[RobotLane]) -> int | None:
         if self.estop_latched:
             return None
-        for robot in sorted(self.lanes):
-            reading = self.lanes[robot].distance_mm
+        for lane in by_robot:
+            reading = lane.distance_mm
             if reading is not None and reading < self.steering.estop_threshold_mm:
                 self.estop_latched = True
-                return robot
+                return lane.robot
         return None
 
-    def _steer_toward(self, lane: RobotLane, target: tuple[float, float],
+    def _steer_toward(self, lane: RobotLane, in_frame: tuple[float, float],
                       speed_distance_m: float | None = None) -> tuple[float, float]:
-        """Steering with rotation hysteresis: a rotation triggered by the
-        target falling beside/behind continues until the bearing is small,
-        so the robot leaves a sharp corner roughly aligned with the next leg."""
-        x_t, y_t = target_in_robot_frame(lane.est_pose, target)
+        """Steering toward a target in the robot frame, with rotation
+        hysteresis: a rotation triggered by the target falling beside/behind
+        continues until the bearing is small, so the robot leaves a sharp
+        corner roughly aligned with the next leg."""
+        x_t, y_t = in_frame
         bearing = math.atan2(y_t, x_t)
         if lane.turning and abs(bearing) <= TURN_EXIT_RAD:
             lane.turning = False
@@ -303,18 +321,16 @@ class PathController:
             lane.turning = True
         if lane.turning:
             return rotation_speeds(bearing, self.steering, lane.params)
-        return wheel_speeds(lane.est_pose, target, self.steering, lane.params,
-                            speed_distance_m=speed_distance_m)
+        return wheel_speeds_in_frame(x_t, y_t, self.steering, lane.params, speed_distance_m)
 
     def _steer_lane(self, lane: RobotLane) -> tuple[tuple[float, float], int, bool]:
         """Returns ((left, right) mm/s, points consumed, holding)."""
         if lane.cursor is not None:
             advanced = lane.cursor.advance(lane.est_pose)
-            target = lane.cursor.target()
-            if target is None:
+            if lane.cursor.in_frame is None:
                 lane.complete = True
                 return (0.0, 0.0), advanced, False
-            return self._steer_toward(lane, target), advanced, False
+            return self._steer_toward(lane, lane.cursor.in_frame), advanced, False
 
         # follower lane: track the on-the-fly queue while keeping the standoff
         leader_lane = self.lanes[lane.follower_of]
@@ -324,25 +340,28 @@ class PathController:
                          leader_lane.est_pose.y - lane.est_pose.y)
         if gap < self.follower_params.standoff_m:
             return (0.0, 0.0), popped, True
-        target = self.queue.target()
-        if target is None:
+        if self.queue.in_frame is None:
             return (0.0, 0.0), popped, True
         # taper on the approach to the leader standoff, not on the next point
         approach = max(0.0, gap - self.follower_params.standoff_m)
-        return self._steer_toward(lane, target, speed_distance_m=approach), popped, False
+        return self._steer_toward(lane, self.queue.in_frame, approach), popped, False
 
     def run_cycle(self) -> CycleDecisions:
         """One compute pass: fold feedback, decide estop, emit one command per robot."""
-        for robot in sorted(self.lanes):
-            self._consume_feedback(self.lanes[robot])
+        if self._orders is None:
+            by_robot = [self.lanes[robot] for robot in sorted(self.lanes)]
+            # leader lanes first so follower references see this cycle's leader
+            # pose; a stable sort keeps robot order within each group
+            self._orders = (by_robot,
+                            sorted(by_robot, key=lambda lane: lane.follower_of is not None))
+        by_robot, leaders_first = self._orders
+        for lane in by_robot:
+            self._consume_feedback(lane)
 
-        estop_source = self._check_estop()
+        estop_source = self._check_estop(by_robot)
 
-        # leader lanes first so follower references see this cycle's leader pose
-        ordered = sorted(self.lanes, key=lambda r: (self.lanes[r].follower_of is not None, r))
         decisions = []
-        for robot in ordered:
-            lane = self.lanes[robot]
+        for lane in leaders_first:
             if lane.follower_of is not None and self.queue is not None:
                 self.queue.extend_from_leader(self.lanes[lane.follower_of].est_pose)
             if self.estop_latched:
@@ -350,13 +369,8 @@ class PathController:
             else:
                 speeds, advanced, holding = self._steer_lane(lane)
             lane.cmd_seq = (lane.cmd_seq + 1) & 0xFFFF
-            cmd = CmdFrame(src=self.node, dst=robot, seq=lane.cmd_seq,
-                           left_mms=int(round(speeds[0])), right_mms=int(round(speeds[1])),
-                           estop=self.estop_latched)
-            decisions.append(LaneDecision(robot=robot, cmd=cmd,
-                                          informing_fb_seq=lane.informing_fb_seq,
-                                          advanced=advanced, complete=lane.complete,
-                                          holding=holding))
-        return CycleDecisions(commands=decisions,
-                              estop_triggered=estop_source is not None,
-                              estop_source=estop_source)
+            cmd = CmdFrame(self.node, lane.robot, lane.cmd_seq, int(round(speeds[0])),
+                           int(round(speeds[1])), self.estop_latched)
+            decisions.append(LaneDecision(lane.robot, cmd, lane.informing_fb_seq, advanced,
+                                          lane.complete, holding))
+        return CycleDecisions(decisions, estop_source is not None, estop_source)

@@ -11,14 +11,17 @@ All multi-byte fields are little-endian.  Layouts (offsets in bytes):
 
 Wheel speeds are in mm/s, encoder ticks are cumulative (two's complement wrap).
 Decoding rejects unknown message types and nonzero reserved bytes.
+
+Frames are immutable `NamedTuple`s, built once per slot and shared by every
+sender of a flood.  Tuple equality ignores the type, so code that tells frames
+apart checks `type(frame)` or `isinstance`, never `==` alone.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from enum import IntEnum
-from typing import Union
+from typing import NamedTuple, Union
 
 FRAME_SIZE = 16
 BROADCAST = 0xFF
@@ -46,8 +49,7 @@ class FrameError(ValueError):
     """Invalid frame contents (encode) or malformed payload bytes (decode)."""
 
 
-@dataclass(frozen=True)
-class SyncFrame:
+class SyncFrame(NamedTuple):
     src: int
     seq: int
     cycle_index: int
@@ -55,8 +57,7 @@ class SyncFrame:
     dst: int = BROADCAST
 
 
-@dataclass(frozen=True)
-class CmdFrame:
+class CmdFrame(NamedTuple):
     src: int
     dst: int
     seq: int
@@ -65,8 +66,7 @@ class CmdFrame:
     estop: bool = False
 
 
-@dataclass(frozen=True)
-class FbFrame:
+class FbFrame(NamedTuple):
     src: int
     dst: int
     seq: int
@@ -75,14 +75,16 @@ class FbFrame:
     distance_mm: int | None = None
 
 
-@dataclass(frozen=True)
-class EstopFrame:
+class EstopFrame(NamedTuple):
     src: int
     seq: int
     dst: int = BROADCAST
 
 
 Frame = Union[SyncFrame, CmdFrame, FbFrame, EstopFrame]
+
+# the frame column of trace rows
+FRAME_NAMES = {SyncFrame: "SYNC", CmdFrame: "CMD", FbFrame: "FB", EstopFrame: "ESTOP"}
 
 
 def _check_u8(value: int, name: str) -> int:
@@ -112,18 +114,6 @@ def seq_is_newer(seq: int, last: int | None) -> bool:
     """Wrap-aware u16 sequence order: `seq` is newer iff it is 1..0x7FFF ahead
     of `last`; anything is newer than no sequence at all."""
     return last is None or 0 < ((seq - last) & 0xFFFF) < 0x8000
-
-
-def msg_type_of(frame: Frame) -> MsgType:
-    if isinstance(frame, SyncFrame):
-        return MsgType.SYNC
-    if isinstance(frame, CmdFrame):
-        return MsgType.CMD
-    if isinstance(frame, FbFrame):
-        return MsgType.FB
-    if isinstance(frame, EstopFrame):
-        return MsgType.ESTOP
-    raise FrameError(f"not a frame: {frame!r}")
 
 
 def encode_frame(frame: Frame) -> bytes:

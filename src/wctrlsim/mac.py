@@ -18,6 +18,10 @@ The slot layout and the flooding sync wave rules here are documented
 reconstructions of a proprietary industrial MAC; scenario configs expose every
 constant.  What the retx slots carry, and who floods it, is decided by the
 per-cycle executor in `simulation.py`.
+
+A sync flood visits each listening node once per wave, and a node leaves the
+listeners once it has received; its report (`BeaconReport`, `BeaconReception`)
+is a set of immutable named tuples built once per cycle.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import islice
+from typing import NamedTuple
 
 from .channel import Medium, ReceptionOutcome, Transmission
 from .engine import Engine, SimTime
@@ -173,15 +178,13 @@ class SyncParams:
     miss_limit: int = 3       # consecutive missed beacons before losing sync
 
 
-@dataclass(frozen=True)
-class BeaconReception:
+class BeaconReception(NamedTuple):
     node: int
     wave: int
     residual_us: float
 
 
-@dataclass(frozen=True)
-class BeaconReport:
+class BeaconReport(NamedTuple):
     transmissions: list[tuple[int, Transmission]]          # (wave, tx)
     outcomes: list[tuple[int, SimTime, ReceptionOutcome]]  # (wave, time, outcome)
     receptions: list[BeaconReception]
@@ -203,42 +206,39 @@ def run_sync_beacon(engine: Engine, medium: Medium, channel: int, cycle_index: i
     """
     slot = medium.begin_slot()
     beacon_seq = cycle_index & 0xFFFF
-    nodes = sorted(nodes)
-    holders: dict[int, int] = {originator: 0}  # node -> wave it first held the beacon
+    listening = [n for n in sorted(nodes) if n != originator]
+    senders = [originator]  # the nodes that first received in the previous wave
     transmissions: list[tuple[int, Transmission]] = []
     outcomes: list[tuple[int, SimTime, ReceptionOutcome]] = []
     receptions: list[BeaconReception] = []
 
     for wave in range(1, params.max_waves + 1):
-        senders = sorted(n for n, got in holders.items() if got == wave - 1)
         if not senders:
             break
         at = cycle_start + (wave - 1) * medium.airtime_us
-        frame = SyncFrame(src=originator, seq=beacon_seq, cycle_index=cycle_index, wave=wave)
+        frame = SyncFrame(originator, beacon_seq, cycle_index, wave)
         txs = [medium.make_transmission(s, frame, slot, channel, at) for s in senders]
-        transmissions.extend((wave, tx) for tx in txs)
-        for node in nodes:
-            if node in holders:
-                continue
+        transmissions.extend([(wave, tx) for tx in txs])
+        senders, missed = [], []
+        for node in listening:
             outcome = medium.deliver_flood(txs, node)
             outcomes.append((wave, at, outcome))
             if outcome.received:
-                holders[node] = wave
+                senders.append(node)
                 draws = engine.draws(node, "sync", -params.jitter_us, params.jitter_us)
-                residual = float(sum(islice(draws, wave)))
                 state = states[node]
                 state.synced = True
                 state.missed_beacons = 0
-                receptions.append(BeaconReception(node=node, wave=wave, residual_us=residual))
+                receptions.append(BeaconReception(node, wave, float(sum(islice(draws, wave)))))
+            else:
+                missed.append(node)
+        listening = missed
 
     desynced: list[int] = []
-    for node in nodes:
-        if node == originator or node in holders:
-            continue
+    for node in listening:
         state = states[node]
         state.missed_beacons += 1
         if state.synced and state.missed_beacons >= params.miss_limit:
             state.synced = False
             desynced.append(node)
-    return BeaconReport(transmissions=transmissions, outcomes=outcomes,
-                        receptions=receptions, desynced=desynced)
+    return BeaconReport(transmissions, outcomes, receptions, desynced)

@@ -6,18 +6,22 @@ dt equals any composition of sub-steps.  Wheel speeds slew toward the
 commanded values under an acceleration limit, magnetic encoders accumulate
 ticks with a carried rounding remainder, and an infrared-style distance sensor
 casts a single forward ray against line-segment obstacles.
+
+`Pose` is an immutable named tuple: every integration step builds a new one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .frames import CmdFrame, seq_is_newer, wrap_i32
 
 
-@dataclass(frozen=True)
-class Pose:
+class Pose(NamedTuple):
+    """Immutable planar pose; a new one is built at every integration step."""
+
     x: float
     y: float
     theta: float  # radians, normalized to (-pi, pi]
@@ -127,6 +131,7 @@ class Robot:
         self.cycles_without_command = 0
         self._arc_m = [0.0, 0.0]     # exact cumulative wheel arc lengths
         self._ticks = [0, 0]         # emitted cumulative encoder ticks
+        self._ticks_per_m = params.ticks_per_meter
 
     @property
     def ticks(self) -> tuple[int, int]:
@@ -178,25 +183,20 @@ class Robot:
             raise ValueError(f"dt must be positive, got {dt_s}")
         step = self.params.actuation_rate_limit_mms2 * dt_s
         limit = float(self.params.max_wheel_speed_mms)
-        actual = []
-        for current, target in zip(self.actual, self.commanded):
-            delta = target - current
-            if delta > step:
-                delta = step
-            elif delta < -step:
-                delta = -step
-            actual.append(max(-limit, min(limit, current + delta)))
-        self.actual = (actual[0], actual[1])
+        (left, right), (target_left, target_right) = self.actual, self.commanded
+        left += max(-step, min(step, target_left - left))
+        right += max(-step, min(step, target_right - right))
+        self.actual = (max(-limit, min(limit, left)), max(-limit, min(limit, right)))
 
         v_left = self.actual[0] * 1e-3
         v_right = self.actual[1] * 1e-3
         self.pose = step_kinematics(self.pose, v_left, v_right, dt_s,
                                     self.params.track_width_m)
-        ticks_per_m = self.params.ticks_per_meter
-        for i, v in enumerate((v_left, v_right)):
-            self._arc_m[i] += v * dt_s
-            # round the exact cumulative count so the remainder carries over steps
-            self._ticks[i] = int(round(self._arc_m[i] * ticks_per_m))
+        # round the exact cumulative counts so the remainder carries over steps
+        arc, ticks_per_m = self._arc_m, self._ticks_per_m
+        arc[0] += v_left * dt_s
+        arc[1] += v_right * dt_s
+        self._ticks = [int(round(arc[0] * ticks_per_m)), int(round(arc[1] * ticks_per_m))]
 
     def read_distance_mm(self, obstacles: list[Segment]) -> int | None:
         """Forward-ray distance in mm, saturated at the sensor range; None beyond it."""

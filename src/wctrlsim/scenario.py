@@ -190,6 +190,8 @@ class ScenarioConfig:
         for link in self.channel.links:
             if link.sender not in known or link.receiver not in known:
                 raise ConfigError(f"link {link.sender}->{link.receiver} references unknown node")
+            if link.sender == link.receiver:
+                raise ConfigError(f"link {link.sender}->{link.receiver} is a self-link")
             if link.per is not None and not 0.0 <= link.per <= 1.0:
                 raise ConfigError(f"link {link.sender}->{link.receiver}: per outside [0, 1]")
             if link.per_by_channel is not None:
@@ -332,7 +334,9 @@ def _converter(tp: Any) -> Callable[[Any], Any]:
         return functools.partial(_array, _converter(args[0]))
     if get_origin(tp) is tuple and set(args) == {float}:
         return functools.partial(_numbers, tuple, len(args))
-    if tp in (Pose, Segment):
+    if tp is Pose:
+        return functools.partial(_numbers, tp, len(Pose._fields))
+    if tp is Segment:
         return functools.partial(_numbers, tp, len(fields(tp)))
     convs, required = _schema(tp)
     return lambda value: tp(**_members(convs, required, value))

@@ -25,7 +25,7 @@ from . import metrics as metrics_mod
 from .channel import Cause, Medium
 from .controller import PathController
 from .engine import Engine, SimTime, stream_rng
-from .frames import CmdFrame, EstopFrame, FbFrame, Frame, msg_type_of
+from .frames import FRAME_NAMES, CmdFrame, EstopFrame, FbFrame, Frame
 from .mac import (CycleSchedule, Direction, Slot, SyncState, build_schedule,
                   run_sync_beacon)
 from .robot import Robot, Segment
@@ -84,6 +84,7 @@ class Simulation:
             self.robots[spec.node_id] = Robot(spec.node_id, spec.params, spec.start_pose,
                                               sensor_range_mm=config.sensor_range_mm,
                                               watchdog_cycles=proto.watchdog_cycles)
+        self._robot_order = sorted(self.robots.items())
         self.controller = PathController(self.controller_node, config.steering,
                                          config.follower)
         self._build_lanes()
@@ -100,6 +101,7 @@ class Simulation:
                        None if s.direction is Direction.GAP else sched.hop_of(s))
                       for s in sched.slots]
         self.sync_states = {node: SyncState(node=node) for node in self.all_nodes}
+        self._sync_order = [(node, self.sync_states[node]) for node in self.all_nodes]
         self.trace = Trace()
         self.cycle = 0
         self.end_reason: str | None = None
@@ -118,9 +120,8 @@ class Simulation:
     def _build_links(self) -> None:
         channel = self.config.channel
         for spec in channel.links:
-            if spec.sender != spec.receiver:
-                self.medium.add_link(spec.sender, spec.receiver, per=spec.per,
-                                     per_by_channel=spec.per_by_channel, burst=spec.burst)
+            self.medium.add_link(spec.sender, spec.receiver, per=spec.per,
+                                 per_by_channel=spec.per_by_channel, burst=spec.burst)
         self.medium.add_links(self.all_nodes, channel.default_per)
         for blackout in channel.blackouts:
             self.medium.add_blackout(blackout.node, blackout.from_us, blackout.until_us)
@@ -152,8 +153,7 @@ class Simulation:
         self.trace.add(at, "fb-sample", cycle=self.cycle, slot=slot, node=robot_id, seq=seq,
                        cause="local" if slot is None else None, v1=ticks_l, v2=ticks_r,
                        v3=-1 if distance is None else distance)
-        return FbFrame(src=robot_id, dst=self.controller_node, seq=seq,
-                       left_ticks=ticks_l, right_ticks=ticks_r, distance_mm=distance)
+        return FbFrame(robot_id, self.controller_node, seq, ticks_l, ticks_r, distance)
 
     def _apply_cmd(self, robot_id: int, cmd: CmdFrame, at: SimTime,
                    slot: int | None, local: bool = False) -> None:
@@ -187,7 +187,7 @@ class Simulation:
         cycle, position = self.cycle, slot.position
         slot_uid = medium.begin_slot()
         txs = [medium.make_transmission(s, frame, slot_uid, channel, at) for s in senders]
-        name, src, dst, seq = msg_type_of(frame).name, frame.src, frame.dst, frame.seq
+        name, src, dst, seq = FRAME_NAMES[type(frame)], frame.src, frame.dst, frame.seq
         for sender in senders:
             add(at, "tx", cycle=cycle, slot=position, node=sender,
                 frame=name, src=src, dst=dst, seq=seq, v1=channel)
@@ -197,10 +197,10 @@ class Simulation:
             tx, deliver = txs, medium.deliver_flood
         sending = set(senders)
         received: list[int] = []
-        for node in self.all_nodes:
+        for node, state in self._sync_order:
             if node in sending:
                 continue
-            if self.sync_states[node].synced:
+            if state.synced:
                 outcome = deliver(tx, node)
                 cause = outcome.cause
                 if outcome.received:
@@ -221,28 +221,25 @@ class Simulation:
     # -- per-slot handlers -----------------------------------------------------
 
     def _run_sync_slot(self, slot: Slot, cycle_start: SimTime, channel: int) -> None:
-        report = run_sync_beacon(self.engine, self.medium, channel, self.cycle,
-                                 self.controller_node, self.all_nodes, self.sync_states,
-                                 self.config.protocol.sync, cycle_start)
-        for wave, tx in report.transmissions:
-            self.trace.add(tx.start, "tx", cycle=self.cycle, slot=0, node=tx.sender,
-                           frame="SYNC", src=tx.frame.src, dst=tx.frame.dst,
-                           seq=tx.frame.seq, v1=channel, v2=wave)
-        for wave, at, outcome in report.outcomes:
-            self.trace.add(at, "rx", cycle=self.cycle, slot=0, node=outcome.receiver,
-                           frame="SYNC", src=self.controller_node, dst=0xFF,
-                           seq=self.cycle & 0xFFFF, cause=outcome.cause,
-                           v1=channel, v2=wave)
-        for rec in report.receptions:
-            self.trace.add(cycle_start, "sync", cycle=self.cycle, slot=0, node=rec.node,
-                           v1=rec.residual_us, v2=rec.wave)
-        for node in self.all_nodes:
-            missed = self.sync_states[node].missed_beacons
-            if missed > 0:
-                self.trace.add(cycle_start, "sync-miss", cycle=self.cycle, slot=0,
-                               node=node, v1=missed)
-        for node in report.desynced:
-            self.trace.add(cycle_start, "desync", cycle=self.cycle, slot=0, node=node)
+        cycle, add = self.cycle, self.trace.add
+        transmissions, outcomes, receptions, desynced = run_sync_beacon(
+            self.engine, self.medium, channel, cycle, self.controller_node, self.all_nodes,
+            self.sync_states, self.config.protocol.sync, cycle_start)
+        src, seq = self.controller_node, cycle & 0xFFFF  # the beacon's fields
+        for wave, tx in transmissions:
+            add(tx.start, "tx", cycle=cycle, slot=0, node=tx.sender, frame="SYNC",
+                src=src, dst=0xFF, seq=seq, v1=channel, v2=wave)
+        for wave, at, outcome in outcomes:
+            add(at, "rx", cycle=cycle, slot=0, node=outcome.receiver, frame="SYNC",
+                src=src, dst=0xFF, seq=seq, cause=outcome.cause, v1=channel, v2=wave)
+        for node, wave, residual_us in receptions:
+            add(cycle_start, "sync", cycle=cycle, slot=0, node=node, v1=residual_us, v2=wave)
+        for node, state in self._sync_order:
+            if state.missed_beacons > 0:
+                add(cycle_start, "sync-miss", cycle=cycle, slot=0, node=node,
+                    v1=state.missed_beacons)
+        for node in desynced:
+            add(cycle_start, "desync", cycle=cycle, slot=0, node=node)
 
     def _run_uplink_slot(self, slot: Slot, at: SimTime, channel: int) -> None:
         robot_id = slot.owner
@@ -271,7 +268,7 @@ class Simulation:
         if self.controller.estop_latched:
             self._estop_seq = (self._estop_seq + 1) & 0xFFFF
             self._pending.append(_Pending(
-                priority=(-1, 0), frame=EstopFrame(src=self.controller_node, seq=self._estop_seq),
+                priority=(-1, 0), frame=EstopFrame(self.controller_node, self._estop_seq),
                 dest=None, holders={self.controller_node}))
         self._cycle_cmds.clear()
         for decision in decisions.commands:
@@ -344,12 +341,11 @@ class Simulation:
 
         cycle_end = cycle_start + cycle_len
         cycle_s = cycle_len * 1e-6
-        for robot_id in sorted(self.robots):
-            robot = self.robots[robot_id]
+        for robot_id, robot in self._robot_order:
             robot.end_cycle(cycle_s, robot_id in self._commands_seen)
+            x, y, theta = robot.pose
             self.trace.add(cycle_end, "pose", cycle=self.cycle, node=robot_id,
-                           v1=robot.pose.x, v2=robot.pose.y, v3=robot.pose.theta,
-                           v4=robot.actual[0], v5=robot.actual[1])
+                           v1=x, v2=y, v3=theta, v4=robot.actual[0], v5=robot.actual[1])
 
         reason = self._completion_reason()
         if reason is not None:

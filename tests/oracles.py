@@ -2,15 +2,19 @@
 
 These deliberately avoid the library's own code paths: the RK4 integrator
 checks the exact-arc kinematics, the brute-force polyline distance checks the
-vectorized metric, and the scan of every segment pins the pruned search's
-exact bits.
+vectorized metric, the scan of every segment pins the pruned search's exact
+bits, and the wave-by-wave sync flood pins the one-pass flood draw for draw.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 import numpy as np
+
+from wctrlsim.frames import SyncFrame
+from wctrlsim.mac import BeaconReception, BeaconReport
 
 
 def rk4_unicycle(x: float, y: float, theta: float, v_left: float, v_right: float,
@@ -68,3 +72,49 @@ def scan_polyline_distances(points, polyline) -> np.ndarray:
             d = np.hypot(pts[:, 0] - proj[:, 0], pts[:, 1] - proj[:, 1])
         best = np.minimum(best, d)
     return best
+
+
+def wave_scan_sync_beacon(engine, medium, channel, cycle_index, originator, nodes, states,
+                          params, cycle_start):
+    """Flood one sync beacon wave by wave: each wave's senders are found by a
+    scan of every holder, and every node is visited in every wave.  The same
+    transmissions, draws, receptions and state changes as `run_sync_beacon`."""
+    slot = medium.begin_slot()
+    beacon_seq = cycle_index & 0xFFFF
+    nodes = sorted(nodes)
+    holders = {originator: 0}  # node -> wave it first held the beacon
+    transmissions, outcomes, receptions = [], [], []
+
+    for wave in range(1, params.max_waves + 1):
+        senders = sorted(n for n, got in holders.items() if got == wave - 1)
+        if not senders:
+            break
+        at = cycle_start + (wave - 1) * medium.airtime_us
+        frame = SyncFrame(src=originator, seq=beacon_seq, cycle_index=cycle_index, wave=wave)
+        txs = [medium.make_transmission(s, frame, slot, channel, at) for s in senders]
+        transmissions.extend((wave, tx) for tx in txs)
+        for node in nodes:
+            if node in holders:
+                continue
+            outcome = medium.deliver_flood(txs, node)
+            outcomes.append((wave, at, outcome))
+            if outcome.received:
+                holders[node] = wave
+                draws = engine.draws(node, "sync", -params.jitter_us, params.jitter_us)
+                residual = float(sum(islice(draws, wave)))
+                state = states[node]
+                state.synced = True
+                state.missed_beacons = 0
+                receptions.append(BeaconReception(node=node, wave=wave, residual_us=residual))
+
+    desynced = []
+    for node in nodes:
+        if node == originator or node in holders:
+            continue
+        state = states[node]
+        state.missed_beacons += 1
+        if state.synced and state.missed_beacons >= params.miss_limit:
+            state.synced = False
+            desynced.append(node)
+    return BeaconReport(transmissions=transmissions, outcomes=outcomes,
+                        receptions=receptions, desynced=desynced)

@@ -23,6 +23,13 @@ def tx_of(medium, sender=0, channel=0, frame=None, start=0):
     return medium.make_transmission(sender, frame, medium.begin_slot(), channel, start)
 
 
+def test_transmissions_are_immutable():
+    _, medium = make_medium()
+    tx = tx_of(medium)
+    with pytest.raises(AttributeError):
+        tx.payload = b""
+
+
 def test_airtime_default_is_104_us():
     # (16 payload + 10 PHY overhead) bytes * 8 bits / 2 Mbps
     _, medium = make_medium()

@@ -3,8 +3,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from wctrlsim.controller import (FollowerParams, FollowerQueue, PathController,
-                                 PathCursor, SteeringParams, curvature_to_target,
+from wctrlsim.controller import (CycleDecisions, FollowerParams, FollowerQueue,
+                                 LaneDecision, PathController, PathCursor,
+                                 SteeringParams, curvature_to_target,
                                  deviation_error, target_in_robot_frame, wheel_speeds)
 from wctrlsim.frames import CmdFrame, FbFrame
 from wctrlsim.robot import Pose, Robot, RobotParams
@@ -102,7 +103,7 @@ def test_path_cursor_advances_within_tolerance():
     assert not cursor.complete
     assert cursor.advance(Pose(0.995, 0.0, 0)) == 1
     assert cursor.complete
-    assert cursor.target() is None
+    assert cursor.in_frame is None
 
 
 def test_path_cursor_index_monotone():
@@ -130,7 +131,7 @@ def test_follower_queue_fifo_pop():
     assert queue.points[0] == (0.05, 0.0)
     assert queue.pop_reached(Pose(0.06, 0.0, 0), tolerance_m=0.02) == 1
     assert queue.consumed == 2
-    assert queue.target() == (0.10, 0.0)
+    assert queue.points[0] == (0.10, 0.0)
 
 
 def make_controller(path=((1.0, 0.0),), **steering_kwargs):
@@ -281,3 +282,41 @@ def test_plant_and_dead_reckoning_agree_without_loss():
         robot.end_cycle(dt, command_seen=True)
     err = math.hypot(lane.est_pose.x - robot.pose.x, lane.est_pose.y - robot.pose.y)
     assert err < 0.005  # < 5 mm over a ~2 m run
+
+
+def test_advance_keeps_the_next_point_in_the_robot_frame():
+    cursor = PathCursor(points=[(0.5, 0.0), (1.0, 0.5)], tolerance_m=0.02)
+    pose = Pose(0.49, 0.01, 0.3)
+    assert cursor.advance(pose) == 1
+    assert cursor.in_frame == target_in_robot_frame(pose, (1.0, 0.5))
+    assert cursor.advance(Pose(1.0, 0.5, 0)) == 1
+    assert cursor.in_frame is None and cursor.complete
+
+
+def test_pop_reached_keeps_the_next_point_in_the_robot_frame():
+    queue = FollowerQueue(min_spacing_m=0.05, points=[(0.0, 0.0), (0.3, 0.1)])
+    pose = Pose(0.001, 0.0, -0.2)
+    assert queue.pop_reached(pose, tolerance_m=0.02) == 1
+    assert queue.in_frame == target_in_robot_frame(pose, (0.3, 0.1))
+    assert queue.pop_reached(Pose(0.3, 0.1, 0), tolerance_m=0.02) == 1
+    assert queue.in_frame is None
+
+
+def test_decisions_come_in_robot_order_with_followers_last():
+    controller = PathController(0, SteeringParams(), FollowerParams())
+    controller.add_path_lane(3, PARAMS, Pose(0, 0, 0), [(1.0, 0.0)])
+    controller.add_follower_lane(2, PARAMS, Pose(-0.5, 0, 0), leader=3)
+    controller.add_path_lane(1, PARAMS, Pose(0, 1, 0), [(1.0, 1.0)])
+    decisions = controller.run_cycle()
+    assert [d.robot for d in decisions.commands] == [1, 3, 2]
+    assert [d.cmd.dst for d in decisions.commands] == [1, 3, 2]
+
+
+def test_decision_records_are_immutable():
+    decisions = make_controller().run_cycle()
+    assert type(decisions) is CycleDecisions
+    assert type(decisions.commands[0]) is LaneDecision
+    for record, name in ((decisions, "estop_source"), (decisions.commands[0], "cmd"),
+                         (decisions.commands[0].cmd, "estop")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)

@@ -44,7 +44,8 @@ def _boundary_frames():
 def test_roundtrip_identity_over_field_boundaries():
     count = 0
     for frame in _boundary_frames():
-        assert decode_frame(encode_frame(frame)) == frame
+        decoded = decode_frame(encode_frame(frame))
+        assert decoded == frame and type(decoded) is type(frame)
         count += 1
     assert count > 100  # exhaustive boundary sweep actually ran
 
@@ -123,7 +124,8 @@ def test_seq_is_newer_is_wrap_aware(seq, last, newer):
        st.integers(-32768, 32767), st.integers(-32768, 32767), st.booleans())
 def test_random_command_roundtrip(src, dst, seq, left, right, estop):
     frame = CmdFrame(src=src, dst=dst, seq=seq, left_mms=left, right_mms=right, estop=estop)
-    assert decode_frame(encode_frame(frame)) == frame
+    decoded = decode_frame(encode_frame(frame))
+    assert decoded == frame and type(decoded) is CmdFrame
 
 
 @given(st.integers(0, 255), st.integers(0, 255), st.integers(0, 65535),
@@ -132,4 +134,21 @@ def test_random_command_roundtrip(src, dst, seq, left, right, estop):
 def test_random_feedback_roundtrip(src, dst, seq, lt, rt, distance):
     frame = FbFrame(src=src, dst=dst, seq=seq, left_ticks=lt, right_ticks=rt,
                     distance_mm=distance)
-    assert decode_frame(encode_frame(frame)) == frame
+    decoded = decode_frame(encode_frame(frame))
+    assert decoded == frame and type(decoded) is FbFrame
+
+
+def test_frames_are_immutable():
+    # the medium shares one encoding among the senders of a flood
+    for frame in (SyncFrame(3, 9, 1, 2), CmdFrame(0, 1, 7, 100, -100),
+                  FbFrame(1, 0, 42, -5, 99), EstopFrame(0, 1)):
+        with pytest.raises(AttributeError):
+            frame.seq = 0
+
+
+def test_equal_fields_of_another_frame_type_decode_apart():
+    # tuple equality ignores the type: the wire type byte tells them apart
+    cmd, fb = CmdFrame(0, 1, 7, 100, -100, True), FbFrame(0, 1, 7, 100, -100, 1)
+    assert cmd == fb
+    assert type(decode_frame(encode_frame(cmd))) is CmdFrame
+    assert type(decode_frame(encode_frame(fb))) is FbFrame

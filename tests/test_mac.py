@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import wave_scan_sync_beacon
 from wctrlsim.channel import Medium
 from wctrlsim.engine import Engine
-from wctrlsim.mac import (Band, Direction, LoopSpec, ScheduleError, SyncParams,
-                          SyncState, build_schedule, cycle_length_us, run_sync_beacon)
+from wctrlsim.mac import (Band, BeaconReception, BeaconReport, Direction, LoopSpec,
+                          ScheduleError, SyncParams, SyncState, build_schedule,
+                          cycle_length_us, run_sync_beacon)
 
 HOP4 = (2, 0, 3, 1)
 HOP8 = (3, 6, 0, 5, 2, 7, 1, 4)
@@ -180,3 +183,54 @@ def test_sync_desync_event_fires_exactly_at_miss_limit():
     reports = [run_sync_beacon(engine, medium, SYNC_CHANNEL, c, 0, nodes, states, params, c * 2000)
                for c in range(4)]
     assert [r.desynced for r in reports] == [[], [], [1], []]
+
+
+@st.composite
+def sync_floods(draw):
+    """A 2-8 node mesh with a random erasure probability per directed link,
+    random starting sync states and a run of consecutive beacons."""
+    n = draw(st.integers(2, 8))
+    nodes = draw(st.permutations(range(n)))
+    per = st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]) | st.floats(0.0, 1.0)
+    pers = {(a, b): draw(per) for a in range(n) for b in range(n) if a != b}
+    miss_limit = draw(st.integers(1, 4))
+    states = {node: (draw(st.booleans()), draw(st.integers(0, miss_limit)))
+              for node in range(n)}
+    params = SyncParams(jitter_us=draw(st.sampled_from([0.0, 10.0, 37.5])),
+                        max_waves=draw(st.integers(1, 4)), miss_limit=miss_limit)
+    return (nodes, pers, states, params, draw(st.integers(0, n - 1)),
+            draw(st.integers(0, 2**16 + 3)), draw(st.integers(1, 5)), draw(st.integers(0, 99)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sync_floods())
+def test_one_pass_flood_matches_the_wave_by_wave_scan(case):
+    nodes, pers, start_states, params, originator, first_cycle, cycles, seed = case
+    twins = []
+    for flood in (run_sync_beacon, wave_scan_sync_beacon):
+        engine = Engine(seed)
+        medium = Medium(engine, n_channels=4)
+        for (a, b), per in pers.items():
+            medium.add_link(a, b, per=per)
+        states = {node: SyncState(node, synced, missed)
+                  for node, (synced, missed) in start_states.items()}
+        reports = [flood(engine, medium, cycle % 4, cycle, originator, list(nodes), states,
+                         params, cycle * 2000)
+                   for cycle in range(first_cycle, first_cycle + cycles)]
+        twins.append((reports, states))
+    (reports, states), (expected_reports, expected_states) = twins
+    for report, expected in zip(reports, expected_reports):
+        assert report.transmissions == expected.transmissions
+        assert report.outcomes == expected.outcomes
+        assert report.receptions == expected.receptions
+        assert report.desynced == expected.desynced
+        assert [type(r) for r in report.receptions] == [BeaconReception] * len(report.receptions)
+    assert states == expected_states
+
+
+def test_beacon_records_are_immutable():
+    reception = BeaconReception(1, 1, 0.5)
+    report = BeaconReport([], [], [reception], [])
+    for record, name in ((reception, "residual_us"), (report, "desynced")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)

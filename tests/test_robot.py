@@ -100,6 +100,23 @@ def test_slew_limits_wheel_acceleration():
     assert all(s == pytest.approx(100.0) for s in speeds[20:])
 
 
+def test_each_wheel_slews_on_its_own_within_the_limit():
+    robot = make_robot()
+    robot.apply_command(CmdFrame(src=0, dst=1, seq=1, left_mms=300, right_mms=-2))
+    robot.tick(0.01)  # step 5 mm/s: left is step-limited, right reaches its command
+    assert robot.actual == (5.0, -2.0)
+    robot.commanded = (-1000.0, 1000.0)  # beyond the 300 mm/s wheel limit
+    robot.actual = (-298.0, 298.0)
+    robot.tick(0.01)
+    assert robot.actual == (-300.0, 300.0)
+
+
+def test_pose_is_immutable():
+    pose = Pose(0.1, 0.2, 0.3)
+    with pytest.raises(AttributeError):
+        pose.x = 0.0
+
+
 def test_idle_robot_does_not_move():
     robot = make_robot()
     robot.tick(0.5)

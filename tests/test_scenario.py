@@ -75,6 +75,12 @@ def test_link_referencing_unknown_node_rejected():
         config_from_dict(raw)
 
 
+def test_self_link_rejected():
+    raw = minimal_remote(channel={"links": [{"from": 1, "to": 1, "per": 1.0}]})
+    with pytest.raises(ConfigError, match="link 1->1"):
+        config_from_dict(raw)
+
+
 def test_blackout_referencing_unknown_node_rejected():
     raw = minimal_remote(channel={"blackouts": [{"node": 9, "from_us": 0, "until_us": 10}]})
     with pytest.raises(ConfigError):
