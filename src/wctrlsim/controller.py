@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .frames import CmdFrame, FbFrame, seq_is_newer, wrap_i32
-from .robot import Pose, RobotParams, advance_by_wheel_arcs, normalize_angle
+from .robot import Pose, RobotParams, advance_by_wheel_arcs
 
 TURN_EXIT_RAD = 0.15   # once rotating in place, keep going until the bearing is this small
 TURN_TAPER_RAD = 0.5   # rotation slows below this bearing (slew headroom)
@@ -65,12 +65,6 @@ def target_in_robot_frame(pose: Pose, target: tuple[float, float]) -> tuple[floa
     cos_t = math.cos(pose.theta)
     sin_t = math.sin(pose.theta)
     return (dx * cos_t + dy * sin_t, -dx * sin_t + dy * cos_t)
-
-
-def deviation_error(pose: Pose, target: tuple[float, float]) -> tuple[float, float]:
-    """(Euclidean distance, bearing of the target in the robot frame)."""
-    x_t, y_t = target_in_robot_frame(pose, target)
-    return math.hypot(x_t, y_t), normalize_angle(math.atan2(y_t, x_t))
 
 
 def curvature_to_target(x_t: float, y_t: float, mode: str = "parabola") -> float:
@@ -138,10 +132,6 @@ class PathCursor:
     tolerance_m: float
     index: int = 0
     in_frame: tuple[float, float] | None = None  # next point in the robot frame, from advance
-
-    @property
-    def complete(self) -> bool:
-        return self.index >= len(self.points)
 
     def advance(self, pose: Pose) -> int:
         """Skip every reference point already within tolerance; returns steps

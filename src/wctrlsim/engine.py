@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterator
 
 import numpy as np
@@ -33,10 +34,10 @@ def stream_rng(master_seed: int, node: int | None, purpose: str) -> np.random.Ge
 
 
 def _blocks(master_seed: int, node: int | None, purpose: str,
-            low: float, high: float) -> Iterator[float]:
+            low: float, high: float) -> Iterator[list[float]]:
     rng = stream_rng(master_seed, node, purpose)  # seeded at the first draw
     while True:
-        yield from rng.uniform(low, high, DRAW_BLOCK).tolist()
+        yield rng.uniform(low, high, DRAW_BLOCK).tolist()
 
 
 @dataclass(frozen=True)
@@ -66,8 +67,9 @@ class Engine:
         call site."""
         key = (node, purpose)
         draws = self._buffered.get(key)
-        if draws is None:
-            draws = self._buffered[key] = _blocks(self.seed, node, purpose, low, high)
+        if draws is None:  # chained in C, so a draw resumes no Python frame
+            draws = self._buffered[key] = chain.from_iterable(
+                _blocks(self.seed, node, purpose, low, high))
         return draws
 
     def run_until(self, period: SimTime, step: Callable[[], bool]) -> RunSummary:

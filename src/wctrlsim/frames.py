@@ -10,7 +10,11 @@ All multi-byte fields are little-endian.  Layouts (offsets in bytes):
     ESTOP: [0]=3  [1]=src  [2]=0xFF  [3:5]=seq u16                                  [5:16]=0
 
 Wheel speeds are in mm/s, encoder ticks are cumulative (two's complement wrap).
-Decoding rejects unknown message types and nonzero reserved bytes.
+The `struct` formats below are the one statement of each field's wire range:
+encoding leaves the range checks to `struct.pack` and turns a value it cannot
+pack (out of range, or not an integer) into FrameError; only the broadcast dst
+of SYNC and ESTOP is checked by name.  Decoding rejects unknown message types
+and nonzero reserved bytes.
 
 Frames are immutable `NamedTuple`s, built once per slot and shared by every
 sender of a flood.  Tuple equality ignores the type, so code that tells frames
@@ -29,6 +33,7 @@ NO_READING = 0xFFFF
 
 _ESTOP_FLAG = 0x01
 
+# B u8, H u16, h i16, i i32, I u32
 _SYNC_STRUCT = struct.Struct("<BBBHIB6s")
 _CMD_STRUCT = struct.Struct("<BBBHhhB6s")
 _FB_STRUCT = struct.Struct("<BBBHiiHB")
@@ -43,6 +48,10 @@ class MsgType(IntEnum):
     CMD = 1
     FB = 2
     ESTOP = 3
+
+
+# the type bytes as plain ints: packing an IntEnum member costs more than a field
+_SYNC, _CMD, _FB, _ESTOP = map(int, MsgType)
 
 
 class FrameError(ValueError):
@@ -87,24 +96,6 @@ Frame = Union[SyncFrame, CmdFrame, FbFrame, EstopFrame]
 FRAME_NAMES = {SyncFrame: "SYNC", CmdFrame: "CMD", FbFrame: "FB", EstopFrame: "ESTOP"}
 
 
-def _check_u8(value: int, name: str) -> int:
-    if not 0 <= value <= 0xFF:
-        raise FrameError(f"{name} {value} outside u8 range")
-    return value
-
-
-def _check_u16(value: int, name: str) -> int:
-    if not 0 <= value <= 0xFFFF:
-        raise FrameError(f"{name} {value} outside u16 range")
-    return value
-
-
-def _check_i16(value: int, name: str) -> int:
-    if not -0x8000 <= value <= 0x7FFF:
-        raise FrameError(f"{name} {value} outside i16 range")
-    return value
-
-
 def wrap_i32(value: int) -> int:
     """Two's-complement wrap of an unbounded tick count into i32."""
     return ((value + 0x80000000) & 0xFFFFFFFF) - 0x80000000
@@ -117,60 +108,31 @@ def seq_is_newer(seq: int, last: int | None) -> bool:
 
 
 def encode_frame(frame: Frame) -> bytes:
-    """Serialize a frame to its 16-byte wire form."""
-    if isinstance(frame, SyncFrame):
-        if frame.dst != BROADCAST:
-            raise FrameError("sync frames are broadcast only")
-        if not 0 <= frame.cycle_index <= 0xFFFFFFFF:
-            raise FrameError(f"cycle index {frame.cycle_index} outside u32 range")
-        return _SYNC_STRUCT.pack(
-            MsgType.SYNC,
-            _check_u8(frame.src, "src"),
-            BROADCAST,
-            _check_u16(frame.seq, "seq"),
-            frame.cycle_index,
-            _check_u8(frame.wave, "wave"),
-            _ZERO6,
-        )
-    if isinstance(frame, CmdFrame):
-        return _CMD_STRUCT.pack(
-            MsgType.CMD,
-            _check_u8(frame.src, "src"),
-            _check_u8(frame.dst, "dst"),
-            _check_u16(frame.seq, "seq"),
-            _check_i16(frame.left_mms, "left wheel speed"),
-            _check_i16(frame.right_mms, "right wheel speed"),
-            _ESTOP_FLAG if frame.estop else 0,
-            _ZERO6,
-        )
-    if isinstance(frame, FbFrame):
-        distance = NO_READING if frame.distance_mm is None else frame.distance_mm
-        if not 0 <= distance <= 0xFFFF:
-            raise FrameError(f"distance {distance} outside u16 range")
-        if not -0x80000000 <= frame.left_ticks <= 0x7FFFFFFF:
-            raise FrameError(f"left ticks {frame.left_ticks} outside i32 range")
-        if not -0x80000000 <= frame.right_ticks <= 0x7FFFFFFF:
-            raise FrameError(f"right ticks {frame.right_ticks} outside i32 range")
-        return _FB_STRUCT.pack(
-            MsgType.FB,
-            _check_u8(frame.src, "src"),
-            _check_u8(frame.dst, "dst"),
-            _check_u16(frame.seq, "seq"),
-            frame.left_ticks,
-            frame.right_ticks,
-            distance,
-            0,
-        )
-    if isinstance(frame, EstopFrame):
-        if frame.dst != BROADCAST:
-            raise FrameError("estop frames are broadcast only")
-        return _ESTOP_STRUCT.pack(
-            MsgType.ESTOP,
-            _check_u8(frame.src, "src"),
-            BROADCAST,
-            _check_u16(frame.seq, "seq"),
-            _ZERO11,
-        )
+    """Serialize a frame to its 16-byte wire form.  A field that its struct
+    format cannot pack (out of range, or not an integer) raises FrameError."""
+    kind = type(frame)
+    try:
+        if kind is SyncFrame:
+            src, seq, cycle_index, wave, dst = frame
+            if dst != BROADCAST:
+                raise FrameError("sync frames are broadcast only")
+            return _SYNC_STRUCT.pack(_SYNC, src, BROADCAST, seq, cycle_index, wave,
+                                     _ZERO6)
+        if kind is CmdFrame:
+            src, dst, seq, left, right, estop = frame
+            return _CMD_STRUCT.pack(_CMD, src, dst, seq, left, right,
+                                    _ESTOP_FLAG if estop else 0, _ZERO6)
+        if kind is FbFrame:
+            src, dst, seq, left, right, distance = frame
+            return _FB_STRUCT.pack(_FB, src, dst, seq, left, right,
+                                   NO_READING if distance is None else distance, 0)
+        if kind is EstopFrame:
+            src, seq, dst = frame
+            if dst != BROADCAST:
+                raise FrameError("estop frames are broadcast only")
+            return _ESTOP_STRUCT.pack(_ESTOP, src, BROADCAST, seq, _ZERO11)
+    except struct.error as exc:
+        raise FrameError(f"cannot encode {frame!r}: {exc}") from None
     raise FrameError(f"not a frame: {frame!r}")
 
 

@@ -26,8 +26,7 @@ from .channel import Cause, Medium
 from .controller import PathController
 from .engine import Engine, SimTime, stream_rng
 from .frames import FRAME_NAMES, CmdFrame, EstopFrame, FbFrame, Frame
-from .mac import (CycleSchedule, Direction, Slot, SyncState, build_schedule,
-                  run_sync_beacon)
+from .mac import CycleSchedule, Slot, SyncState, build_schedule, run_sync_beacon
 from .robot import Robot, Segment
 from .scenario import ScenarioConfig
 from .trace import Trace
@@ -90,18 +89,22 @@ class Simulation:
         self._build_lanes()
         self._robot_loop = {loop.plant: loop.loop_id for loop in self.loops}
         # one (handler, slot, start offset, hop sequence) per slot; plain functions,
-        # so that the plan holds no reference back to the run
-        handlers = {Direction.SYNC: Simulation._run_sync_slot,
-                    Direction.UPLINK: Simulation._run_uplink_slot,
-                    Direction.GAP: Simulation._run_compute,
-                    Direction.DOWNLINK: Simulation._run_downlink_slot,
-                    Direction.RETX: Simulation._run_retx_slot}
+        # so that the plan holds no reference back to the run.  Keyed by each
+        # `Direction`'s value, because an Enum member hashes in Python on 3.11
+        handlers = {"sync": Simulation._run_sync_slot,
+                    "uplink": Simulation._run_uplink_slot,
+                    "gap": Simulation._run_compute,
+                    "downlink": Simulation._run_downlink_slot,
+                    "retx": Simulation._run_retx_slot}
         sched = self.schedule
-        self._plan = [(handlers[s.direction], s, sched.slot_offset_us(s.position),
-                       None if s.direction is Direction.GAP else sched.hop_of(s))
-                      for s in sched.slots]
+        self._plan = []
+        for s in sched.slots:
+            handler = handlers[s.direction._value_]
+            self._plan.append((handler, s, sched.slot_offset_us(s.position),
+                               None if handler is Simulation._run_compute else sched.hop_of(s)))
         self.sync_states = {node: SyncState(node=node) for node in self.all_nodes}
         self._sync_order = [(node, self.sync_states[node]) for node in self.all_nodes]
+        self._listeners: dict[int, list[tuple[int, SyncState]]] = {}  # filled by _send
         self.trace = Trace()
         self.cycle = 0
         self.end_reason: str | None = None
@@ -150,9 +153,9 @@ class Simulation:
         ticks_l, ticks_r, distance = self.robots[robot_id].sample_feedback(
             self._active_obstacles(at))
         seq = self._fb_seq[robot_id] = (self._fb_seq[robot_id] + 1) & 0xFFFF
-        self.trace.add(at, "fb-sample", cycle=self.cycle, slot=slot, node=robot_id, seq=seq,
-                       cause="local" if slot is None else None, v1=ticks_l, v2=ticks_r,
-                       v3=-1 if distance is None else distance)
+        self.trace.add(at, "fb-sample", self.cycle, slot, robot_id, None, None, None, seq,
+                       "local" if slot is None else None, ticks_l, ticks_r,
+                       -1 if distance is None else distance)
         return FbFrame(robot_id, self.controller_node, seq, ticks_l, ticks_r, distance)
 
     def _apply_cmd(self, robot_id: int, cmd: CmdFrame, at: SimTime,
@@ -161,10 +164,9 @@ class Simulation:
         was_latched = robot.estop_latched
         disposition = robot.apply_command(cmd)
         self._commands_seen.add(robot_id)
-        self.trace.add(at, "cmd-apply", cycle=self.cycle, slot=slot, node=robot_id,
-                       frame="CMD", src=cmd.src, dst=cmd.dst, seq=cmd.seq,
-                       cause="local" if local and disposition == "applied" else disposition,
-                       v1=cmd.left_mms, v2=cmd.right_mms)
+        self.trace.add(at, "cmd-apply", self.cycle, slot, robot_id, "CMD", cmd.src, cmd.dst,
+                       cmd.seq, "local" if local and disposition == "applied" else disposition,
+                       cmd.left_mms, cmd.right_mms)
         if robot.estop_latched and not was_latched:
             self.trace.add(at, "estop", cycle=self.cycle, node=robot_id, cause="plant-latch")
 
@@ -188,18 +190,22 @@ class Simulation:
         slot_uid = medium.begin_slot()
         txs = [medium.make_transmission(s, frame, slot_uid, channel, at) for s in senders]
         name, src, dst, seq = FRAME_NAMES[type(frame)], frame.src, frame.dst, frame.seq
+        # trace cells by position: cycle, slot, node, frame, src, dst, seq, cause, v1
         for sender in senders:
-            add(at, "tx", cycle=cycle, slot=position, node=sender,
-                frame=name, src=src, dst=dst, seq=seq, v1=channel)
+            add(at, "tx", cycle, position, sender, name, src, dst, seq, None, channel)
         if len(txs) == 1:
             tx, deliver = txs[0], medium.deliver
+            listeners = self._listeners.get(senders[0])
+            if listeners is None:  # every other node, resolved on the sender's first send
+                listeners = self._listeners[senders[0]] = [
+                    (node, state) for node, state in self._sync_order if node != senders[0]]
         else:
             tx, deliver = txs, medium.deliver_flood
-        sending = set(senders)
+            sending = set(senders)
+            listeners = [(node, state) for node, state in self._sync_order
+                         if node not in sending]
         received: list[int] = []
-        for node, state in self._sync_order:
-            if node in sending:
-                continue
+        for node, state in listeners:
             if state.synced:
                 outcome = deliver(tx, node)
                 cause = outcome.cause
@@ -207,16 +213,15 @@ class Simulation:
                     received.append(node)
             else:
                 cause = Cause.DESYNCED_LISTENER
-            add(at, "rx", cycle=cycle, slot=position, node=node,
-                frame=name, src=src, dst=dst, seq=seq, cause=cause, v1=channel)
+            add(at, "rx", cycle, position, node, name, src, dst, seq, cause, channel)
         return received
 
     def _log_empty_slot(self, slot: Slot, at: SimTime) -> None:
+        cycle, position, add = self.cycle, slot.position, self.trace.add
         for node in self.all_nodes:
-            if node == slot.owner:
-                continue
-            self.trace.add(at, "rx", cycle=self.cycle, slot=slot.position, node=node,
-                           cause=Cause.NO_TRANSMITTER)
+            if node != slot.owner:
+                add(at, "rx", cycle, position, node, None, None, None, None,
+                    Cause.NO_TRANSMITTER)
 
     # -- per-slot handlers -----------------------------------------------------
 
@@ -226,20 +231,22 @@ class Simulation:
             self.engine, self.medium, channel, cycle, self.controller_node, self.all_nodes,
             self.sync_states, self.config.protocol.sync, cycle_start)
         src, seq = self.controller_node, cycle & 0xFFFF  # the beacon's fields
+        # trace cells by position: cycle, slot, node, frame, src, dst, seq, cause, v1, v2
         for wave, tx in transmissions:
-            add(tx.start, "tx", cycle=cycle, slot=0, node=tx.sender, frame="SYNC",
-                src=src, dst=0xFF, seq=seq, v1=channel, v2=wave)
+            add(tx.start, "tx", cycle, 0, tx.sender, "SYNC", src, 0xFF, seq, None,
+                channel, wave)
         for wave, at, outcome in outcomes:
-            add(at, "rx", cycle=cycle, slot=0, node=outcome.receiver, frame="SYNC",
-                src=src, dst=0xFF, seq=seq, cause=outcome.cause, v1=channel, v2=wave)
+            add(at, "rx", cycle, 0, outcome.receiver, "SYNC", src, 0xFF, seq, outcome.cause,
+                channel, wave)
         for node, wave, residual_us in receptions:
-            add(cycle_start, "sync", cycle=cycle, slot=0, node=node, v1=residual_us, v2=wave)
+            add(cycle_start, "sync", cycle, 0, node, None, None, None, None, None,
+                residual_us, wave)
         for node, state in self._sync_order:
             if state.missed_beacons > 0:
-                add(cycle_start, "sync-miss", cycle=cycle, slot=0, node=node,
-                    v1=state.missed_beacons)
+                add(cycle_start, "sync-miss", cycle, 0, node, None, None, None, None, None,
+                    state.missed_beacons)
         for node in desynced:
-            add(cycle_start, "desync", cycle=cycle, slot=0, node=node)
+            add(cycle_start, "desync", cycle, 0, node)
 
     def _run_uplink_slot(self, slot: Slot, at: SimTime, channel: int) -> None:
         robot_id = slot.owner
@@ -272,10 +279,9 @@ class Simulation:
                 dest=None, holders={self.controller_node}))
         self._cycle_cmds.clear()
         for decision in decisions.commands:
-            lane = self.controller.lanes[decision.robot]
+            lane, cmd = self.controller.lanes[decision.robot], decision.cmd
             self._last_holding[decision.robot] = decision.holding
-            self._last_cmd_zero[decision.robot] = (decision.cmd.left_mms == 0
-                                                   and decision.cmd.right_mms == 0)
+            self._last_cmd_zero[decision.robot] = cmd.left_mms == 0 and cmd.right_mms == 0
             newly_complete = decision.complete and decision.robot not in self._completed
             if newly_complete:
                 self._completed.add(decision.robot)
@@ -283,16 +289,13 @@ class Simulation:
                 self.trace.add(at, "waypoint", cycle=self.cycle, node=decision.robot,
                                cause="complete" if newly_complete else None,
                                v1=decision.advanced)
-            self.trace.add(at, "cmd-emit", cycle=self.cycle, node=self.controller_node,
-                           frame="CMD", src=decision.cmd.src, dst=decision.cmd.dst,
-                           seq=decision.cmd.seq,
-                           cause="estop" if decision.cmd.estop else None,
-                           v1=decision.cmd.left_mms, v2=decision.cmd.right_mms,
-                           v3=decision.informing_fb_seq)
+            self.trace.add(at, "cmd-emit", self.cycle, None, self.controller_node, "CMD",
+                           cmd.src, cmd.dst, cmd.seq, "estop" if cmd.estop else None,
+                           cmd.left_mms, cmd.right_mms, decision.informing_fb_seq)
             if lane.local:
-                self._apply_cmd(decision.robot, decision.cmd, at, None, local=True)
+                self._apply_cmd(decision.robot, cmd, at, None, local=True)
             else:
-                self._cycle_cmds[self._robot_loop[decision.robot]] = decision.cmd
+                self._cycle_cmds[self._robot_loop[decision.robot]] = cmd
 
     def _run_downlink_slot(self, slot: Slot, at: SimTime, channel: int) -> None:
         cmd = self._cycle_cmds[slot.loop_id]
@@ -344,8 +347,9 @@ class Simulation:
         for robot_id, robot in self._robot_order:
             robot.end_cycle(cycle_s, robot_id in self._commands_seen)
             x, y, theta = robot.pose
-            self.trace.add(cycle_end, "pose", cycle=self.cycle, node=robot_id,
-                           v1=x, v2=y, v3=theta, v4=robot.actual[0], v5=robot.actual[1])
+            left, right = robot.actual
+            self.trace.add(cycle_end, "pose", self.cycle, None, robot_id, None, None, None,
+                           None, None, x, y, theta, left, right)
 
         reason = self._completion_reason()
         if reason is not None:

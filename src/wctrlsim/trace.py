@@ -22,13 +22,16 @@ v1..v5); the meaning of v1..v5 depends on the kind:
     pose        node=robot, v1=x v2=y v3=theta v4=left actual v5=right actual
     end         cause=completed|estopped|timeout, v1=cycles run
 
-Rows hold the native values exactly as passed to `Trace.add` (ints, strs,
-floats, None) and are formatted once, in `to_csv`: None is an empty cell, a
-bool is 1/0, a float has six decimals, anything else is `str`.  `write_csv`
-streams the rows to disk one at a time, so the text of the whole file is never
-held in memory.  A rerun with the same config reproduces the file byte for
-byte.  `load_trace` parses a CSV back into the same typed form, with each
-float the six-decimal value.
+`Trace.add(time_us, kind, cycle, slot, node, frame, src, dst, seq, cause,
+v1, ..., v5)` takes the kind second and the other cells in column order, by
+position or by keyword (omitted cells are None); the per-cycle rows of the
+simulator pass them by position, which binds faster than keywords.  Rows hold
+the native values exactly as passed (ints, strs, floats, None) and are
+formatted once, in `to_csv`: None is an empty cell, a bool is 1/0, a float has
+six decimals, anything else is `str`.  `write_csv` streams the rows to disk one
+at a time, so the text of the whole file is never held in memory.  A rerun
+with the same config reproduces the file byte for byte.  `load_trace` parses a
+CSV back into the same typed form, with each float the six-decimal value.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ class Trace:
     def __init__(self) -> None:
         self.rows: list[tuple] = []
 
-    def add(self, time_us: int, kind: str, *, cycle=None, slot=None, node=None,
+    def add(self, time_us: int, kind: str, cycle=None, slot=None, node=None,
             frame=None, src=None, dst=None, seq=None, cause=None,
             v1=None, v2=None, v3=None, v4=None, v5=None) -> None:
         self.rows.append((time_us, cycle, slot, node, kind, frame, src, dst, seq,

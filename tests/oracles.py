@@ -3,17 +3,20 @@
 These deliberately avoid the library's own code paths: the RK4 integrator
 checks the exact-arc kinematics, the brute-force polyline distance checks the
 vectorized metric, the scan of every segment pins the pruned search's exact
-bits, and the wave-by-wave sync flood pins the one-pass flood draw for draw.
+bits, the wave-by-wave sync flood pins the one-pass flood draw for draw, and
+the encoder with a named range check per field pins the struct-checked one.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from itertools import islice
 
 import numpy as np
 
-from wctrlsim.frames import SyncFrame
+from wctrlsim.frames import (BROADCAST, NO_READING, CmdFrame, EstopFrame, FbFrame,
+                             FrameError, MsgType, SyncFrame)
 from wctrlsim.mac import BeaconReception, BeaconReport
 
 
@@ -118,3 +121,66 @@ def wave_scan_sync_beacon(engine, medium, channel, cycle_index, originator, node
             desynced.append(node)
     return BeaconReport(transmissions=transmissions, outcomes=outcomes,
                         receptions=receptions, desynced=desynced)
+
+
+# the wire layouts, written out again so that a wrong format code in the
+# library does not also change the oracle
+_SYNC = struct.Struct("<BBBHIB6s")
+_CMD = struct.Struct("<BBBHhhB6s")
+_FB = struct.Struct("<BBBHiiHB")
+_ESTOP = struct.Struct("<BBBH11s")
+
+
+def _check_u8(value: int, name: str) -> int:
+    if not 0 <= value <= 0xFF:
+        raise FrameError(f"{name} {value} outside u8 range")
+    return value
+
+
+def _check_u16(value: int, name: str) -> int:
+    if not 0 <= value <= 0xFFFF:
+        raise FrameError(f"{name} {value} outside u16 range")
+    return value
+
+
+def _check_i16(value: int, name: str) -> int:
+    if not -0x8000 <= value <= 0x7FFF:
+        raise FrameError(f"{name} {value} outside i16 range")
+    return value
+
+
+def checked_encode_frame(frame) -> bytes:
+    """Encode a frame with a named range check on every field before packing.
+    A value that passes the checks but is no integer (a float) still makes
+    `struct.pack` raise `struct.error`."""
+    if isinstance(frame, SyncFrame):
+        if frame.dst != BROADCAST:
+            raise FrameError("sync frames are broadcast only")
+        if not 0 <= frame.cycle_index <= 0xFFFFFFFF:
+            raise FrameError(f"cycle index {frame.cycle_index} outside u32 range")
+        return _SYNC.pack(MsgType.SYNC, _check_u8(frame.src, "src"), BROADCAST,
+                          _check_u16(frame.seq, "seq"), frame.cycle_index,
+                          _check_u8(frame.wave, "wave"), bytes(6))
+    if isinstance(frame, CmdFrame):
+        return _CMD.pack(MsgType.CMD, _check_u8(frame.src, "src"), _check_u8(frame.dst, "dst"),
+                         _check_u16(frame.seq, "seq"),
+                         _check_i16(frame.left_mms, "left wheel speed"),
+                         _check_i16(frame.right_mms, "right wheel speed"),
+                         1 if frame.estop else 0, bytes(6))
+    if isinstance(frame, FbFrame):
+        distance = NO_READING if frame.distance_mm is None else frame.distance_mm
+        if not 0 <= distance <= 0xFFFF:
+            raise FrameError(f"distance {distance} outside u16 range")
+        if not -0x80000000 <= frame.left_ticks <= 0x7FFFFFFF:
+            raise FrameError(f"left ticks {frame.left_ticks} outside i32 range")
+        if not -0x80000000 <= frame.right_ticks <= 0x7FFFFFFF:
+            raise FrameError(f"right ticks {frame.right_ticks} outside i32 range")
+        return _FB.pack(MsgType.FB, _check_u8(frame.src, "src"), _check_u8(frame.dst, "dst"),
+                        _check_u16(frame.seq, "seq"), frame.left_ticks, frame.right_ticks,
+                        distance, 0)
+    if isinstance(frame, EstopFrame):
+        if frame.dst != BROADCAST:
+            raise FrameError("estop frames are broadcast only")
+        return _ESTOP.pack(MsgType.ESTOP, _check_u8(frame.src, "src"), BROADCAST,
+                           _check_u16(frame.seq, "seq"), bytes(11))
+    raise FrameError(f"not a frame: {frame!r}")

@@ -70,7 +70,8 @@ class _CommandCount(Trace):
         super().__init__()
         self.emitted = self.applied = 0
 
-    def add(self, time_us, kind, *, cause=None, **fields):
+    def add(self, time_us, kind, cycle=None, slot=None, node=None, frame=None, src=None,
+            dst=None, seq=None, cause=None, *values, **named_values):
         if kind == "cmd-emit":
             self.emitted += 1
         elif kind == "cmd-apply" and cause == "applied":

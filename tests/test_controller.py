@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from wctrlsim.controller import (CycleDecisions, FollowerParams, FollowerQueue,
                                  LaneDecision, PathController, PathCursor,
                                  SteeringParams, curvature_to_target,
-                                 deviation_error, target_in_robot_frame, wheel_speeds)
+                                 target_in_robot_frame, wheel_speeds)
 from wctrlsim.frames import CmdFrame, FbFrame
 from wctrlsim.robot import Pose, Robot, RobotParams
 
@@ -14,21 +14,21 @@ from wctrlsim.robot import Pose, Robot, RobotParams
 PARAMS = RobotParams()
 
 
-def test_deviation_error_straight_ahead():
-    assert deviation_error(Pose(0, 0, 0), (1.0, 0.0)) == pytest.approx((1.0, 0.0))
+def test_target_in_robot_frame_straight_ahead():
+    assert target_in_robot_frame(Pose(0, 0, 0), (1.0, 0.0)) == pytest.approx((1.0, 0.0))
 
 
-def test_deviation_error_left():
-    d, b = deviation_error(Pose(0, 0, 0), (0.0, 1.0))
-    assert (d, b) == pytest.approx((1.0, math.pi / 2))
+def test_target_in_robot_frame_left():
+    x_t, y_t = target_in_robot_frame(Pose(0, 0, 0), (0.0, 1.0))
+    assert (x_t, y_t) == pytest.approx((0.0, 1.0))
+    assert (math.hypot(x_t, y_t), math.atan2(y_t, x_t)) == pytest.approx((1.0, math.pi / 2))
 
 
-def test_deviation_error_frame_transform():
-    # world delta (-1, 0) rotated by -pi/2 lands at (0, 1): bearing pi/2
-    d, b = deviation_error(Pose(1, 1, math.pi / 2), (0.0, 1.0))
-    assert (d, b) == pytest.approx((1.0, math.pi / 2))
-    assert target_in_robot_frame(Pose(1, 1, math.pi / 2), (0.0, 1.0)) == \
-        pytest.approx((0.0, 1.0))
+def test_target_in_robot_frame_transform():
+    # world delta (-1, 0) rotated by -pi/2 lands at (0, 1): distance 1, bearing pi/2
+    x_t, y_t = target_in_robot_frame(Pose(1, 1, math.pi / 2), (0.0, 1.0))
+    assert (x_t, y_t) == pytest.approx((0.0, 1.0))
+    assert (math.hypot(x_t, y_t), math.atan2(y_t, x_t)) == pytest.approx((1.0, math.pi / 2))
 
 
 def test_curvature_formula():
@@ -100,9 +100,9 @@ def test_path_cursor_advances_within_tolerance():
     assert cursor.index == 0
     assert cursor.advance(Pose(0.49, 0.0, 0)) == 1     # 0.01 m < tolerance
     assert cursor.index == 1
-    assert not cursor.complete
+    assert cursor.index < len(cursor.points)
     assert cursor.advance(Pose(0.995, 0.0, 0)) == 1
-    assert cursor.complete
+    assert cursor.index == len(cursor.points)
     assert cursor.in_frame is None
 
 
@@ -290,7 +290,7 @@ def test_advance_keeps_the_next_point_in_the_robot_frame():
     assert cursor.advance(pose) == 1
     assert cursor.in_frame == target_in_robot_frame(pose, (1.0, 0.5))
     assert cursor.advance(Pose(1.0, 0.5, 0)) == 1
-    assert cursor.in_frame is None and cursor.complete
+    assert cursor.in_frame is None and cursor.index == len(cursor.points)
 
 
 def test_pop_reached_keeps_the_next_point_in_the_robot_frame():

@@ -1,7 +1,9 @@
 import itertools
+import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from oracles import checked_encode_frame
 
 from wctrlsim.frames import (BROADCAST, FRAME_SIZE, CmdFrame, EstopFrame, FbFrame,
                              FrameError, SyncFrame, decode_frame, encode_frame,
@@ -44,7 +46,9 @@ def _boundary_frames():
 def test_roundtrip_identity_over_field_boundaries():
     count = 0
     for frame in _boundary_frames():
-        decoded = decode_frame(encode_frame(frame))
+        encoded = encode_frame(frame)
+        assert encoded == checked_encode_frame(frame)
+        decoded = decode_frame(encoded)
         assert decoded == frame and type(decoded) is type(frame)
         count += 1
     assert count > 100  # exhaustive boundary sweep actually ran
@@ -152,3 +156,37 @@ def test_equal_fields_of_another_frame_type_decode_apart():
     assert cmd == fb
     assert type(decode_frame(encode_frame(cmd))) is CmdFrame
     assert type(decode_frame(encode_frame(fb))) is FbFrame
+
+
+def _field(low: int, high: int):
+    """Values for a field of wire range low..high: inside, at and just beyond each
+    bound, and the off-type values a caller could pass (bools, floats, 2**32)."""
+    beyond = [low - 1, high + 1, 2**32, -2**32, 0.0, 1.5, -1.0, float(high), float("nan")]
+    return (st.integers(low, high) | st.sampled_from([low, high, True, False])
+            | st.sampled_from(beyond))
+
+
+_U8, _U16, _I16 = _field(0, 0xFF), _field(0, 0xFFFF), _field(-0x8000, 0x7FFF)
+_U32, _I32 = _field(0, 0xFFFFFFFF), _field(-0x80000000, 0x7FFFFFFF)
+_BROADCAST_DST = st.one_of(st.just(BROADCAST), _U8)
+
+_ANY_FRAME = st.one_of(
+    st.builds(SyncFrame, _U8, _U16, _U32, _U8, _BROADCAST_DST),
+    st.builds(CmdFrame, _U8, _U8, _U16, _I16, _I16,
+              st.one_of(st.booleans(), st.none(), _U8)),
+    st.builds(FbFrame, _U8, _U8, _U16, _I32, _I32, st.one_of(st.none(), _U16)),
+    st.builds(EstopFrame, _U8, _U16, _BROADCAST_DST),
+)
+
+
+@settings(max_examples=500)
+@given(_ANY_FRAME)
+def test_struct_checked_encode_agrees_with_the_named_checks(frame):
+    # the oracle checks each field by name; the encoder leaves the ranges to struct
+    try:
+        expected = checked_encode_frame(frame)
+    except (FrameError, struct.error):
+        with pytest.raises(FrameError):
+            encode_frame(frame)
+    else:
+        assert encode_frame(frame) == expected

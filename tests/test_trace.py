@@ -1,6 +1,7 @@
 import tracemalloc
 
 import numpy as np
+from hypothesis import given, strategies as st
 
 from wctrlsim.metrics import TraceView
 from wctrlsim.trace import COLUMNS, Trace, load_trace
@@ -24,6 +25,21 @@ def test_rows_keep_native_values():
     trace.add(5, "pose", cycle=0, node=1, v1=0.1234567, v2=0.0, v3=0.0, v4=1.0, v5=2.0)
     assert trace.rows == [(5, 0, None, 1, "pose", None, None, None, None, None,
                            0.1234567, 0.0, 0.0, 1.0, 2.0)]
+
+
+_CELL = st.one_of(st.integers(), st.text(max_size=8), st.floats(), st.booleans(), st.none())
+
+
+@given(st.lists(_CELL, min_size=15, max_size=15))
+def test_positional_and_keyword_rows_are_equal(cells):
+    time_us, kind, *rest = cells
+    by_keyword, by_position = Trace(), Trace()
+    names = [c for c in COLUMNS if c not in ("time_us", "kind")]
+    by_keyword.add(time_us, kind, **dict(zip(names, rest)))
+    by_position.add(time_us, kind, *rest)
+    assert by_position.rows == by_keyword.rows
+    assert by_position.rows == [(time_us, *rest[:3], kind, *rest[3:])]  # COLUMNS order
+    assert by_position.to_csv() == by_keyword.to_csv()
 
 
 def test_loaded_trace_gives_the_same_view_as_the_in_memory_rows(lossy_result, tmp_path):
