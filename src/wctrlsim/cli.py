@@ -91,12 +91,12 @@ def _plot_rows(rows, metric: str) -> list[str]:
             polyline = view.reference_polyline(node)
             series = view.poses[node]
             if polyline is None:
-                for t, x, y, _th, _vl, _vr in series:
+                for t, x, y, _vl, _vr in series:
                     out.append(f"{t},{node},{x:.6f},{y:.6f},")
                 continue
             xy = view.pose_xy(node)
             d = polyline_distances(xy, polyline)
-            for (t, x, y, _th, _vl, _vr), err in zip(series, d):
+            for (t, x, y, _vl, _vr), err in zip(series, d):
                 out.append(f"{t},{node},{x:.6f},{y:.6f},{err:.6f}")
         return out
     if metric == "gap":

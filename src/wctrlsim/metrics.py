@@ -76,8 +76,6 @@ def thin_polyline(points, min_spacing_m: float = 0.002) -> list[tuple[float, flo
     for x, y in points:
         if not kept or math.hypot(x - kept[-1][0], y - kept[-1][1]) >= min_spacing_m:
             kept.append((x, y))
-    if not kept and len(points):
-        kept.append(tuple(points[0]))
     return kept
 
 
@@ -101,9 +99,8 @@ class TraceView:
     """Single-pass extraction of everything the metrics need from trace rows."""
 
     def __init__(self, rows):
-        self.meta: dict[str, float] = {}
         self.latencies: list[tuple[int, int, int]] = []  # (apply time, robot, latency us)
-        self.poses: dict[int, list[tuple[int, float, float, float, float, float]]] = {}
+        self.poses: dict[int, list[tuple[int, float, float, float, float]]] = {}  # t x y l r
         self.refpoints: dict[int, list[tuple[float, float]]] = {}
         self.attempted: dict[str, set[int]] = {"CMD": set(), "FB": set()}  # _frame_id
         self.delivered: dict[str, set[int]] = {"CMD": set(), "FB": set()}
@@ -112,26 +109,24 @@ class TraceView:
         self.waypoint_complete_us: dict[int, int] = {}
         self.follower_pops: list[tuple[int, int, int]] = []  # (time, node, popped)
         self.end_reason: str | None = None
-        self.end_time_us: int | None = None
         self.cycles: int | None = None
-        self.desync_windows: list[tuple[int, int]] = []
 
         fb_time: dict[tuple[int, int], int] = {}
         emit_informing: dict[tuple[int, int], int] = {}
         for row in rows:
-            kind = row[_KIND]
-            if kind == "pose":
-                # six decimals, as written to trace.csv: round(v, 6) == float(f"{v:.6f}")
-                self.poses.setdefault(row[_NODE], []).append(
-                    (row[_TIME], round(row[_V1], 6), round(row[_V2], 6), round(row[_V3], 6),
-                     round(row[_V4], 6), round(row[_V5], 6)))
-            elif kind == "rx":
+            kind = row[_KIND]  # the commonest kinds first
+            if kind == "rx":
                 if row[_CAUSE] == "delivered" and row[_FRAME] in ("CMD", "FB"):
                     if row[_NODE] == row[_DST]:
                         self.delivered[row[_FRAME]].add(_frame_id(row))
             elif kind == "tx":
                 if row[_FRAME] in ("CMD", "FB"):
                     self.attempted[row[_FRAME]].add(_frame_id(row))
+            elif kind == "pose":  # theta (v3) is read by no metric
+                t, _, _, node, _, _, _, _, _, _, x, y, _, left, right = row
+                series = self.poses.get(node) or self.poses.setdefault(node, [])
+                # six decimals, as written to trace.csv: round(v, 6) == float(f"{v:.6f}")
+                series.append((t, round(x, 6), round(y, 6), round(left, 6), round(right, 6)))
             elif kind == "fb-sample":
                 fb_time[(row[_NODE], row[_SEQ])] = row[_TIME]
             elif kind == "cmd-emit":
@@ -151,32 +146,24 @@ class TraceView:
                     (round(row[_V1], 6), round(row[_V2], 6)))
             elif kind == "estop":
                 t = row[_TIME]
-                if row[_CAUSE] == "controller-latch":
-                    if self.controller_latch_us is None:
-                        self.controller_latch_us = t
+                if row[_CAUSE] == "controller-latch" and self.controller_latch_us is None:
+                    self.controller_latch_us = t
                 elif row[_CAUSE] == "plant-latch":
                     self.plant_latch_us.setdefault(row[_NODE], t)
             elif kind == "waypoint":
                 node = row[_NODE]
-                popped = row[_V1] or 0
-                if popped:
-                    self.follower_pops.append((row[_TIME], node, popped))
+                if row[_V1]:  # points popped
+                    self.follower_pops.append((row[_TIME], node, row[_V1]))
                 if row[_CAUSE] == "complete":
                     self.waypoint_complete_us.setdefault(node, row[_TIME])
-            elif kind == "meta":
-                self.meta = {"cycle_length_us": row[_V1],
-                             "airtime_us": row[_V2],
-                             "n_slots": row[_V3],
-                             "seed": row[_V4]}
             elif kind == "end":
                 self.end_reason = row[_CAUSE]
-                self.end_time_us = row[_TIME]
                 self.cycles = row[_V1]
 
     # -- derived series ------------------------------------------------------
 
     def pose_xy(self, node: int) -> np.ndarray:
-        return np.array([(x, y) for _, x, y, _, _, _ in self.poses.get(node, [])],
+        return np.array([(x, y) for _, x, y, _, _ in self.poses.get(node, [])],
                         dtype=float).reshape(-1, 2)
 
     def reference_polyline(self, node: int) -> list[tuple[float, float]] | None:
@@ -188,15 +175,15 @@ class TraceView:
         return head + refs
 
     def stationary_time_us(self, node: int, after_us: int) -> int | None:
-        for t, _x, _y, _th, vl, vr in self.poses.get(node, []):
+        for t, _x, _y, vl, vr in self.poses.get(node, []):
             if t >= after_us and abs(vl) < 1e-9 and abs(vr) < 1e-9:
                 return t
         return None
 
     def gap_series(self, leader: int, follower: int) -> list[tuple[int, float]]:
-        lead = {t: (x, y) for t, x, y, _, _, _ in self.poses.get(leader, [])}
+        lead = {t: (x, y) for t, x, y, _, _ in self.poses.get(leader, [])}
         out = []
-        for t, x, y, _, _, _ in self.poses.get(follower, []):
+        for t, x, y, _, _ in self.poses.get(follower, []):
             pos = lead.get(t)
             if pos is not None:
                 out.append((t, math.hypot(pos[0] - x, pos[1] - y)))
@@ -287,9 +274,9 @@ def compute_metrics(result) -> dict:
             post = [g for t, g in gaps if t >= converged]
             if post:
                 platoon["gap_min_post_convergence_m"] = float(min(post))
-            leader_path = thin_polyline([(x, y) for _, x, y, _, _, _
+            leader_path = thin_polyline([(x, y) for _, x, y, _, _
                                          in view.poses.get(leader, [])])
-            follower_xy = np.array([(x, y) for t, x, y, _, _, _
+            follower_xy = np.array([(x, y) for t, x, y, _, _
                                     in view.poses.get(follower, []) if t >= converged],
                                    dtype=float).reshape(-1, 2)
             if len(leader_path) >= 2 and follower_xy.size:

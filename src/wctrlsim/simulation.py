@@ -29,7 +29,23 @@ from .frames import FRAME_NAMES, CmdFrame, EstopFrame, FbFrame, Frame
 from .mac import CycleSchedule, Slot, SyncState, build_schedule, run_sync_beacon
 from .robot import Robot, Segment
 from .scenario import ScenarioConfig
-from .trace import Trace
+from .trace import Trace, declare_kind
+
+# per-cycle row kinds: (time_us, cycle, slot, node) (frame, src, dst, seq, cause) (v1..v5)
+_TX = declare_kind("tx", "ssss ssss- s----")
+_RX = declare_kind("rx", "ssss sssss s----")
+_RX_EMPTY = declare_kind("rx", "ssss ----s -----")
+_SYNC_TX = declare_kind("tx", "ssss ssss- ss---")
+_SYNC_RX = declare_kind("rx", "ssss sssss ss---")
+_SYNC = declare_kind("sync", "ssss ----- fs---")
+_SYNC_MISS = declare_kind("sync-miss", "ssss ----- s----")
+_FB_SAMPLE = declare_kind("fb-sample", "ssss ---s- sss--")
+_FB_SAMPLE_LOCAL = declare_kind("fb-sample", "ss-s ---ss sss--")
+_CMD_EMIT = declare_kind("cmd-emit", "ss-s ssss- sss--")
+_CMD_EMIT_ESTOP = declare_kind("cmd-emit", "ss-s sssss sss--")
+_CMD_APPLY = declare_kind("cmd-apply", "ssss sssss ss---")
+_CMD_APPLY_LOCAL = declare_kind("cmd-apply", "ss-s sssss ss---")
+_POSE = declare_kind("pose", "ss-s ----- fffff")
 
 
 @dataclass
@@ -153,20 +169,20 @@ class Simulation:
         ticks_l, ticks_r, distance = self.robots[robot_id].sample_feedback(
             self._active_obstacles(at))
         seq = self._fb_seq[robot_id] = (self._fb_seq[robot_id] + 1) & 0xFFFF
-        self.trace.add(at, "fb-sample", self.cycle, slot, robot_id, None, None, None, seq,
-                       "local" if slot is None else None, ticks_l, ticks_r,
-                       -1 if distance is None else distance)
+        kind, cause = (_FB_SAMPLE_LOCAL, "local") if slot is None else (_FB_SAMPLE, None)
+        self.trace.add(at, kind, self.cycle, slot, robot_id, None, None, None, seq, cause,
+                       ticks_l, ticks_r, -1 if distance is None else distance)
         return FbFrame(robot_id, self.controller_node, seq, ticks_l, ticks_r, distance)
 
-    def _apply_cmd(self, robot_id: int, cmd: CmdFrame, at: SimTime,
-                   slot: int | None, local: bool = False) -> None:
+    def _apply_cmd(self, robot_id: int, cmd: CmdFrame, at: SimTime, slot: int | None) -> None:
         robot = self.robots[robot_id]
         was_latched = robot.estop_latched
         disposition = robot.apply_command(cmd)
         self._commands_seen.add(robot_id)
-        self.trace.add(at, "cmd-apply", self.cycle, slot, robot_id, "CMD", cmd.src, cmd.dst,
-                       cmd.seq, "local" if local and disposition == "applied" else disposition,
-                       cmd.left_mms, cmd.right_mms)
+        cause = "local" if slot is None and disposition == "applied" else disposition
+        kind = _CMD_APPLY_LOCAL if slot is None else _CMD_APPLY  # None: the leader's own loop
+        self.trace.add(at, kind, self.cycle, slot, robot_id, "CMD", cmd.src, cmd.dst, cmd.seq,
+                       cause, cmd.left_mms, cmd.right_mms)
         if robot.estop_latched and not was_latched:
             self.trace.add(at, "estop", cycle=self.cycle, node=robot_id, cause="plant-latch")
 
@@ -190,9 +206,8 @@ class Simulation:
         slot_uid = medium.begin_slot()
         txs = [medium.make_transmission(s, frame, slot_uid, channel, at) for s in senders]
         name, src, dst, seq = FRAME_NAMES[type(frame)], frame.src, frame.dst, frame.seq
-        # trace cells by position: cycle, slot, node, frame, src, dst, seq, cause, v1
         for sender in senders:
-            add(at, "tx", cycle, position, sender, name, src, dst, seq, None, channel)
+            add(at, _TX, cycle, position, sender, name, src, dst, seq, None, channel)
         if len(txs) == 1:
             tx, deliver = txs[0], medium.deliver
             listeners = self._listeners.get(senders[0])
@@ -213,14 +228,14 @@ class Simulation:
                     received.append(node)
             else:
                 cause = Cause.DESYNCED_LISTENER
-            add(at, "rx", cycle, position, node, name, src, dst, seq, cause, channel)
+            add(at, _RX, cycle, position, node, name, src, dst, seq, cause, channel)
         return received
 
     def _log_empty_slot(self, slot: Slot, at: SimTime) -> None:
         cycle, position, add = self.cycle, slot.position, self.trace.add
         for node in self.all_nodes:
             if node != slot.owner:
-                add(at, "rx", cycle, position, node, None, None, None, None,
+                add(at, _RX_EMPTY, cycle, position, node, None, None, None, None,
                     Cause.NO_TRANSMITTER)
 
     # -- per-slot handlers -----------------------------------------------------
@@ -231,19 +246,18 @@ class Simulation:
             self.engine, self.medium, channel, cycle, self.controller_node, self.all_nodes,
             self.sync_states, self.config.protocol.sync, cycle_start)
         src, seq = self.controller_node, cycle & 0xFFFF  # the beacon's fields
-        # trace cells by position: cycle, slot, node, frame, src, dst, seq, cause, v1, v2
         for wave, tx in transmissions:
-            add(tx.start, "tx", cycle, 0, tx.sender, "SYNC", src, 0xFF, seq, None,
+            add(tx.start, _SYNC_TX, cycle, 0, tx.sender, "SYNC", src, 0xFF, seq, None,
                 channel, wave)
         for wave, at, outcome in outcomes:
-            add(at, "rx", cycle, 0, outcome.receiver, "SYNC", src, 0xFF, seq, outcome.cause,
+            add(at, _SYNC_RX, cycle, 0, outcome.receiver, "SYNC", src, 0xFF, seq, outcome.cause,
                 channel, wave)
         for node, wave, residual_us in receptions:
-            add(cycle_start, "sync", cycle, 0, node, None, None, None, None, None,
+            add(cycle_start, _SYNC, cycle, 0, node, None, None, None, None, None,
                 residual_us, wave)
         for node, state in self._sync_order:
             if state.missed_beacons > 0:
-                add(cycle_start, "sync-miss", cycle, 0, node, None, None, None, None, None,
+                add(cycle_start, _SYNC_MISS, cycle, 0, node, None, None, None, None, None,
                     state.missed_beacons)
         for node in desynced:
             add(cycle_start, "desync", cycle, 0, node)
@@ -289,11 +303,12 @@ class Simulation:
                 self.trace.add(at, "waypoint", cycle=self.cycle, node=decision.robot,
                                cause="complete" if newly_complete else None,
                                v1=decision.advanced)
-            self.trace.add(at, "cmd-emit", self.cycle, None, self.controller_node, "CMD",
-                           cmd.src, cmd.dst, cmd.seq, "estop" if cmd.estop else None,
+            kind, cause = (_CMD_EMIT_ESTOP, "estop") if cmd.estop else (_CMD_EMIT, None)
+            self.trace.add(at, kind, self.cycle, None, self.controller_node, "CMD",
+                           cmd.src, cmd.dst, cmd.seq, cause,
                            cmd.left_mms, cmd.right_mms, decision.informing_fb_seq)
             if lane.local:
-                self._apply_cmd(decision.robot, cmd, at, None, local=True)
+                self._apply_cmd(decision.robot, cmd, at, None)
             else:
                 self._cycle_cmds[self._robot_loop[decision.robot]] = cmd
 
@@ -348,7 +363,7 @@ class Simulation:
             robot.end_cycle(cycle_s, robot_id in self._commands_seen)
             x, y, theta = robot.pose
             left, right = robot.actual
-            self.trace.add(cycle_end, "pose", self.cycle, None, robot_id, None, None, None,
+            self.trace.add(cycle_end, _POSE, self.cycle, None, robot_id, None, None, None,
                            None, None, x, y, theta, left, right)
 
         reason = self._completion_reason()

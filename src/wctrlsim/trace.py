@@ -27,17 +27,23 @@ v1, ..., v5)` takes the kind second and the other cells in column order, by
 position or by keyword (omitted cells are None); the per-cycle rows of the
 simulator pass them by position, which binds faster than keywords.  Rows hold
 the native values exactly as passed (ints, strs, floats, None) and are
-formatted once, in `to_csv`: None is an empty cell, a bool is 1/0, a float has
-six decimals, anything else is `str`.  `write_csv` streams the rows to disk one
-at a time, so the text of the whole file is never held in memory.  A rerun
-with the same config reproduces the file byte for byte.  `load_trace` parses a
-CSV back into the same typed form, with each float the six-decimal value.
+formatted once, in `to_csv`.  The simulator's per-cycle rows (tx, rx, sync,
+sync-miss, fb-sample, cmd-emit, cmd-apply, pose) pass a kind made by
+`declare_kind`: `to_csv` knows it by identity and trusts its declared cell
+types without inspecting the cells.  Other rows are formatted by the types of
+their cells: None is an empty cell, a bool is 1/0, a float has six decimals,
+anything else is `str`.  `write_csv` streams the rows to disk one at a time,
+so the text of the whole file is never held in memory.  A rerun with the same
+config reproduces the file byte for byte.  `load_trace` parses a CSV back into
+the same typed form, with each float the six-decimal value.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import sys
+from operator import itemgetter
 from pathlib import Path
 from typing import TextIO
 
@@ -54,6 +60,24 @@ def _spec(value) -> str:
     if isinstance(value, float):
         return "%.6f"
     return "%s"
+
+
+_KINDS: dict[int, tuple[str, str, str, itemgetter]] = {}  # id -> kind, layout, pattern, cells
+
+
+def declare_kind(name: str, layout: str) -> str:
+    """A new str equal to `name` (two letters or more: a shorter str is shared) for a call
+    site whose rows always have `layout`: a letter per column but kind, in COLUMNS order
+    ("s" int or str, "f" float, "-" empty).  An exact str: rows holding it stay GC-untracked."""
+    layout = layout.replace(" ", "")
+    kind = sys.intern(name).encode().decode()  # new; equal literals stay the interned one
+    if len(name) < 2 or len(layout) != len(COLUMNS) - 1 or not set(layout) <= {"s", "f", "-"}:
+        raise ValueError(f"cannot declare kind {name!r} with layout {layout!r}")
+    formats = [{"s": "%s", "f": "%.6f", "-": ""}[c] for c in layout]
+    formats.insert(4, name.replace("%", "%%"))  # the kind column
+    cells = itemgetter(*(i + (i >= 4) for i, c in enumerate(layout) if c != "-"))
+    _KINDS[id(kind)] = (kind, layout, ",".join(formats) + "\n", cells)  # kind keeps its id
+    return kind
 
 
 class Trace:
@@ -75,11 +99,15 @@ class Trace:
             text = io.StringIO()
             self.to_csv(text)
             return text.getvalue()
-        # a run has only a dozen or so row type-shapes: one pattern per shape
+        # other kinds have only a dozen or so row type-shapes: one pattern per shape
         patterns: dict[tuple[type, ...], str] = {}
-        write = out.write
+        write, kinds = out.write, _KINDS
         write(",".join(COLUMNS) + "\n")
         for row in self.rows:
+            declared = kinds.get(id(row[4]))
+            if declared is not None:  # the layout is trusted, not checked
+                write(declared[2] % declared[3](row))
+                continue
             shape = tuple(map(type, row))
             pattern = patterns.get(shape)
             if pattern is None:

@@ -3,8 +3,10 @@
 These deliberately avoid the library's own code paths: the RK4 integrator
 checks the exact-arc kinematics, the brute-force polyline distance checks the
 vectorized metric, the scan of every segment pins the pruned search's exact
-bits, the wave-by-wave sync flood pins the one-pass flood draw for draw, and
-the encoder with a named range check per field pins the struct-checked one.
+bits, the wave-by-wave sync flood pins the one-pass flood draw for draw, the
+encoder with a named range check per field pins the struct-checked one, and
+the writer that keys every row on its cell types pins the one that trusts a
+declared layout.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 from wctrlsim.frames import (BROADCAST, NO_READING, CmdFrame, EstopFrame, FbFrame,
                              FrameError, MsgType, SyncFrame)
 from wctrlsim.mac import BeaconReception, BeaconReport
+from wctrlsim.trace import COLUMNS
 
 
 def rk4_unicycle(x: float, y: float, theta: float, v_left: float, v_right: float,
@@ -184,3 +187,27 @@ def checked_encode_frame(frame) -> bytes:
         return _ESTOP.pack(MsgType.ESTOP, _check_u8(frame.src, "src"), BROADCAST,
                            _check_u16(frame.seq, "seq"), bytes(11))
     raise FrameError(f"not a frame: {frame!r}")
+
+
+def _cell_spec(value) -> str:
+    if value is None:
+        return "%.0s"
+    if isinstance(value, bool):
+        return "%d"
+    if isinstance(value, float):
+        return "%.6f"
+    return "%s"
+
+
+def shape_keyed_csv(rows) -> str:
+    """The trace CSV with every row formatted by a pattern keyed on the types of
+    its cells: None empty, a bool 1/0, a float six decimals, anything else str."""
+    patterns: dict[tuple[type, ...], str] = {}
+    lines = [",".join(COLUMNS) + "\n"]
+    for row in rows:
+        shape = tuple(map(type, row))
+        pattern = patterns.get(shape)
+        if pattern is None:
+            pattern = patterns[shape] = ",".join(map(_cell_spec, row)) + "\n"
+        lines.append(pattern % row)
+    return "".join(lines)

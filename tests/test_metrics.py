@@ -79,6 +79,12 @@ def test_thin_polyline_spacing():
                for a, b in zip(kept, kept[1:]))
 
 
+def test_thin_polyline_keeps_the_first_point():
+    assert thin_polyline([]) == []
+    assert thin_polyline([(0.5, -1.0)]) == [(0.5, -1.0)]
+    assert thin_polyline(np.array([[0.5, -1.0], [0.5, -1.0]])) == [(0.5, -1.0)]
+
+
 def synthetic_trace():
     trace = Trace()
     trace.add(0, "meta", v1=2000, v2=104, v3=6, v4=1)

@@ -1,10 +1,17 @@
+import gc
+import sys
 import tracemalloc
 
 import numpy as np
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import shape_keyed_csv
+from test_scenario import remote_configs
 from wctrlsim.metrics import TraceView
-from wctrlsim.trace import COLUMNS, Trace, load_trace
+from wctrlsim.scenario import ConfigError, config_from_dict
+from wctrlsim.simulation import run_scenario
+from wctrlsim.trace import _KINDS, COLUMNS, Trace, declare_kind, load_trace
 
 
 def test_to_csv_formats_each_cell_by_type():
@@ -69,3 +76,75 @@ def test_write_csv_streams_the_file_in_bounded_memory(fleet_result, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < path.stat().st_size / 10
+
+
+def test_a_declared_kind_is_a_new_str_that_writes_its_layout():
+    pose = declare_kind("pose", "ss-s ----- fffff")
+    assert type(pose) is str and pose == "pose" and pose is not sys.intern("pose")
+    cells = (3, None, 1, None, None, None, None, None, 0.1, -2.0, 1 / 3, 0.0, -0.0)
+    trace = Trace()
+    trace.add(9, pose, *cells)
+    trace.add(9, "pose", *cells[:-1], True)  # an equal plain str keeps the type scan
+    trace.add(9, declare_kind("a%b", "s--- ----- -----"))
+    assert trace.to_csv().splitlines()[1:] == [
+        "9,3,,1,pose,,,,,,0.100000,-2.000000,0.333333,0.000000,-0.000000",
+        "9,3,,1,pose,,,,,,0.100000,-2.000000,0.333333,0.000000,1",
+        "9,,,,a%b" + "," * 10]
+    for name, layout in (("pose", "ss-s ----- ffff"), ("pose", "ss-s ----- ffffd"),
+                         ("x", "ssss ----- -----")):
+        with pytest.raises(ValueError):
+            declare_kind(name, layout)
+
+
+_DECLARED = {"s": lambda v: type(v) is int or type(v) is str,
+             "f": lambda v: type(v) is float,
+             "-": lambda v: v is None}
+
+
+def _assert_rows_keep_their_layouts(trace: Trace) -> set[str]:
+    """Every cell of a row with a declared kind has exactly its declared type (so
+    a bool in an int cell fails), and the text equals the shape-keyed writer's;
+    returns the declared kinds seen."""
+    declared = set()
+    for row in trace.rows:
+        entry = _KINDS.get(id(row[4]))
+        if entry is not None:
+            kind, layout = entry[:2]
+            declared.add(kind)
+            cells = zip(COLUMNS[:4] + COLUMNS[5:], layout, row[:4] + row[5:])
+            for column, letter, value in cells:
+                assert _DECLARED[letter](value), (kind, layout, column, row)
+    assert trace.to_csv() == shape_keyed_csv(trace.rows)
+    return declared
+
+
+@pytest.mark.parametrize("scenario", ["square", "platoon", "lossy", "fleet"])
+def test_per_cycle_rows_keep_their_declared_layouts(scenario, request):
+    trace = request.getfixturevalue(f"{scenario}_result").trace
+    declared = _assert_rows_keep_their_layouts(trace)
+    assert declared >= {"tx", "rx", "sync", "fb-sample", "cmd-emit", "cmd-apply", "pose"}
+    gc.collect()  # rows of exact strs and numbers are left to no collection
+    assert not any(gc.is_tracked(row) for row in trace.rows)
+
+
+@settings(max_examples=25, deadline=None)
+@given(remote_configs())
+def test_any_valid_config_keeps_the_declared_layouts(raw):
+    try:
+        config = config_from_dict(raw)
+    except ConfigError:
+        return
+    _assert_rows_keep_their_layouts(run_scenario(config).trace)
+
+
+_ANY_CELL = st.one_of(st.integers(), st.text(max_size=8), st.floats(),
+                      st.floats().map(np.float64), st.booleans(), st.none())
+
+
+@given(st.sampled_from(["rx", "tx", "pose", "sync", "sync-miss", "fb-sample"]) | st.text(),
+       st.lists(_ANY_CELL, min_size=14, max_size=14))
+def test_a_plain_str_kind_is_written_by_cell_types(kind, cells):
+    # a library caller's "rx" is a plain str: it never reaches a declared layout
+    trace = Trace()
+    trace.add(cells[0], kind, *cells[1:])
+    assert trace.to_csv() == shape_keyed_csv(trace.rows)
