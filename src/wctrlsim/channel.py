@@ -9,7 +9,7 @@ constructively: the flood fails only if every contributing link fails
 The model deliberately has no SINR, capture or path-loss physics; erasures
 parameterized per hop channel are what frequency hopping exploits, and the
 PHY is treated as a black box.  A `Transmission` is an immutable named tuple,
-one per sender and slot.
+one per sender and slot, built through `tuple.__new__`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from operator import attrgetter
 from typing import Iterator, NamedTuple
 
 from .engine import Engine, SimTime
-from .frames import FRAME_SIZE, Frame, encode_frame
+from .frames import FRAME_SIZE, Frame, encode_frame, new_record
 
 
 def frame_airtime_us(phy_overhead_bytes: int, phy_rate_mbps: float) -> int:
@@ -196,7 +196,7 @@ class Medium:
         if frame is not encoded_frame:
             payload = encode_frame(frame)
             self._encoded = (frame, payload)
-        return Transmission(sender, frame, payload, slot, channel, start)
+        return new_record(Transmission, (sender, frame, payload, slot, channel, start))
 
     def _burst_prob(self, link: RadioLink, slot: int) -> float:
         """Erasure probability of a burst link in `slot`: its chain first steps
@@ -231,6 +231,8 @@ class Medium:
     def _flood_order(self, txs: list[Transmission]) -> list[Transmission]:
         """Check that `txs` form one flood; return them in sender order.  Kept for
         the next call, since every listener of a send gets the same list."""
+        if len(txs) == 1:
+            return txs
         if not txs:
             raise ChannelError("flood needs at least one transmission")
         key = tuple(txs)

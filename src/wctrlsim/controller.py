@@ -12,7 +12,7 @@ config switch.
 
 Feedback losses are bridged with a zero-order hold: the controller keeps its
 last pose estimate and still emits a command every cycle.  Each compute pass
-returns immutable named tuples (`CycleDecisions`, one `LaneDecision` per
+returns named tuples built in C (`CycleDecisions`, one `LaneDecision` per
 robot), and each lane's next reference point is put into the robot frame once.
 """
 
@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .frames import CmdFrame, FbFrame, seq_is_newer, wrap_i32
+from .frames import CmdFrame, FbFrame, new_record, seq_is_newer, wrap_i32
 from .robot import Pose, RobotParams, advance_by_wheel_arcs
 
 TURN_EXIT_RAD = 0.15   # once rotating in place, keep going until the bearing is this small
@@ -202,6 +202,10 @@ class RobotLane:
     complete: bool = False
     local: bool = False                        # co-located plant, no radio loop
     turning: bool = False                      # in-place rotation in progress
+    meters_per_tick: float = field(init=False)  # odometry scale, fixed per robot
+
+    def __post_init__(self) -> None:
+        self.meters_per_tick = 1.0 / self.params.ticks_per_meter
 
 
 class LaneDecision(NamedTuple):
@@ -276,7 +280,7 @@ class PathController:
             return  # zero-order hold: keep the last estimate
         d_left = wrap_i32(fb.left_ticks - lane.last_ticks[0])
         d_right = wrap_i32(fb.right_ticks - lane.last_ticks[1])
-        meters_per_tick = 1.0 / lane.params.ticks_per_meter
+        meters_per_tick = lane.meters_per_tick
         lane.est_pose = advance_by_wheel_arcs(lane.est_pose,
                                               d_left * meters_per_tick,
                                               d_right * meters_per_tick,
@@ -359,8 +363,9 @@ class PathController:
             else:
                 speeds, advanced, holding = self._steer_lane(lane)
             lane.cmd_seq = (lane.cmd_seq + 1) & 0xFFFF
-            cmd = CmdFrame(self.node, lane.robot, lane.cmd_seq, int(round(speeds[0])),
-                           int(round(speeds[1])), self.estop_latched)
-            decisions.append(LaneDecision(lane.robot, cmd, lane.informing_fb_seq, advanced,
-                                          lane.complete, holding))
-        return CycleDecisions(decisions, estop_source is not None, estop_source)
+            cmd = new_record(CmdFrame, (self.node, lane.robot, lane.cmd_seq,
+                                        int(round(speeds[0])), int(round(speeds[1])),
+                                        self.estop_latched))
+            decisions.append(new_record(LaneDecision, (lane.robot, cmd, lane.informing_fb_seq,
+                                                       advanced, lane.complete, holding)))
+        return new_record(CycleDecisions, (decisions, estop_source is not None, estop_source))

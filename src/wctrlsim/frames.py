@@ -18,7 +18,10 @@ and nonzero reserved bytes.
 
 Frames are immutable `NamedTuple`s, built once per slot and shared by every
 sender of a flood.  Tuple equality ignores the type, so code that tells frames
-apart checks `type(frame)` or `isinstance`, never `==` alone.
+apart checks `type(frame)` or `isinstance`, never `==` alone.  The run loop
+builds its records, frames included, with `new_record(Cls, (every field))`:
+`tuple.__new__` runs in C, where a `NamedTuple`'s generated `__new__` is
+Python, and fills no default, so a call passes `SyncFrame.dst` too.
 """
 
 from __future__ import annotations
@@ -52,6 +55,9 @@ class MsgType(IntEnum):
 
 # the type bytes as plain ints: packing an IntEnum member costs more than a field
 _SYNC, _CMD, _FB, _ESTOP = map(int, MsgType)
+
+
+new_record = tuple.__new__  # new_record(Cls, values) == Cls._make(values), unchecked
 
 
 class FrameError(ValueError):

@@ -21,7 +21,7 @@ per-cycle executor in `simulation.py`.
 
 A sync flood visits each listening node once per wave, and a node leaves the
 listeners once it has received; its report (`BeaconReport`, `BeaconReception`)
-is a set of immutable named tuples built once per cycle.
+is a set of immutable named tuples built once per cycle through `tuple.__new__`.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 from .channel import Medium, ReceptionOutcome, Transmission
 from .engine import Engine, SimTime
-from .frames import SyncFrame
+from .frames import BROADCAST, SyncFrame, new_record
 
 
 class ScheduleError(ValueError):
@@ -216,9 +216,11 @@ def run_sync_beacon(engine: Engine, medium: Medium, channel: int, cycle_index: i
         if not senders:
             break
         at = cycle_start + (wave - 1) * medium.airtime_us
-        frame = SyncFrame(originator, beacon_seq, cycle_index, wave)
-        txs = [medium.make_transmission(s, frame, slot, channel, at) for s in senders]
-        transmissions.extend([(wave, tx) for tx in txs])
+        frame = new_record(SyncFrame, (originator, beacon_seq, cycle_index, wave, BROADCAST))
+        txs = []
+        for sender in senders:
+            txs.append(medium.make_transmission(sender, frame, slot, channel, at))
+            transmissions.append((wave, txs[-1]))
         senders, missed = [], []
         for node in listening:
             outcome = medium.deliver_flood(txs, node)
@@ -229,7 +231,8 @@ def run_sync_beacon(engine: Engine, medium: Medium, channel: int, cycle_index: i
                 state = states[node]
                 state.synced = True
                 state.missed_beacons = 0
-                receptions.append(BeaconReception(node, wave, float(sum(islice(draws, wave)))))
+                residual_us = float(sum(islice(draws, wave)))
+                receptions.append(new_record(BeaconReception, (node, wave, residual_us)))
             else:
                 missed.append(node)
         listening = missed
@@ -241,4 +244,4 @@ def run_sync_beacon(engine: Engine, medium: Medium, channel: int, cycle_index: i
         if state.synced and state.missed_beacons >= params.miss_limit:
             state.synced = False
             desynced.append(node)
-    return BeaconReport(transmissions, outcomes, receptions, desynced)
+    return new_record(BeaconReport, (transmissions, outcomes, receptions, desynced))

@@ -125,8 +125,11 @@ class TraceView:
             elif kind == "pose":  # theta (v3) is read by no metric
                 t, _, _, node, _, _, _, _, _, _, x, y, _, left, right = row
                 series = self.poses.get(node) or self.poses.setdefault(node, [])
-                # six decimals, as written to trace.csv: round(v, 6) == float(f"{v:.6f}")
-                series.append((t, round(x, 6), round(y, 6), round(left, 6), round(right, 6)))
+                # as in trace.csv: round(v, 6) == float(f"{v:.6f}"), which a whole v equals
+                series.append((t, x if x.is_integer() else round(x, 6),
+                               y if y.is_integer() else round(y, 6),
+                               left if left.is_integer() else round(left, 6),
+                               right if right.is_integer() else round(right, 6)))
             elif kind == "fb-sample":
                 fb_time[(row[_NODE], row[_SEQ])] = row[_TIME]
             elif kind == "cmd-emit":

@@ -7,7 +7,7 @@ commanded values under an acceleration limit, magnetic encoders accumulate
 ticks with a carried rounding remainder, and an infrared-style distance sensor
 casts a single forward ray against line-segment obstacles.
 
-`Pose` is an immutable named tuple: every integration step builds a new one.
+`Pose` is an immutable named tuple: every integration step builds a new one in C.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .frames import CmdFrame, seq_is_newer, wrap_i32
+from .frames import CmdFrame, new_record, seq_is_newer, wrap_i32
 
 
 class Pose(NamedTuple):
@@ -45,14 +45,14 @@ def step_kinematics(pose: Pose, v_left: float, v_right: float, dt: float,
     omega = (v_right - v_left) / track_width_m
     theta = pose.theta
     if abs(omega) < 1e-9:
-        return Pose(pose.x + v * dt * math.cos(theta),
-                    pose.y + v * dt * math.sin(theta),
-                    normalize_angle(theta))
+        return new_record(Pose, (pose.x + v * dt * math.cos(theta),
+                                 pose.y + v * dt * math.sin(theta),
+                                 normalize_angle(theta)))
     radius = v / omega
     theta2 = theta + omega * dt
-    return Pose(pose.x + radius * (math.sin(theta2) - math.sin(theta)),
-                pose.y - radius * (math.cos(theta2) - math.cos(theta)),
-                normalize_angle(theta2))
+    return new_record(Pose, (pose.x + radius * (math.sin(theta2) - math.sin(theta)),
+                             pose.y - radius * (math.cos(theta2) - math.cos(theta)),
+                             normalize_angle(theta2)))
 
 
 def advance_by_wheel_arcs(pose: Pose, ds_left_m: float, ds_right_m: float,
@@ -97,6 +97,8 @@ class Segment:
 
 def ray_distance_m(pose: Pose, obstacles: list[Segment]) -> float | None:
     """Distance along the heading ray to the nearest obstacle segment, or None."""
+    if not obstacles:
+        return None
     ox, oy = pose.x, pose.y
     dx, dy = math.cos(pose.theta), math.sin(pose.theta)
     best: float | None = None
@@ -132,6 +134,8 @@ class Robot:
         self._arc_m = [0.0, 0.0]     # exact cumulative wheel arc lengths
         self._ticks = [0, 0]         # emitted cumulative encoder ticks
         self._ticks_per_m = params.ticks_per_meter
+        self._limit = float(params.max_wheel_speed_mms)
+        self._track = params.track_width_m
 
     @property
     def ticks(self) -> tuple[int, int]:
@@ -159,7 +163,7 @@ class Robot:
         if not seq_is_newer(cmd.seq, self.last_cmd_seq):
             return "stale"
         self.last_cmd_seq = cmd.seq
-        limit = float(self.params.max_wheel_speed_mms)
+        limit = self._limit
         self.commanded = (max(-limit, min(limit, float(cmd.left_mms))),
                           max(-limit, min(limit, float(cmd.right_mms))))
         self.cycles_without_command = 0
@@ -182,7 +186,7 @@ class Robot:
         if dt_s <= 0:
             raise ValueError(f"dt must be positive, got {dt_s}")
         step = self.params.actuation_rate_limit_mms2 * dt_s
-        limit = float(self.params.max_wheel_speed_mms)
+        limit = self._limit
         (left, right), (target_left, target_right) = self.actual, self.commanded
         left += max(-step, min(step, target_left - left))
         right += max(-step, min(step, target_right - right))
@@ -190,8 +194,7 @@ class Robot:
 
         v_left = self.actual[0] * 1e-3
         v_right = self.actual[1] * 1e-3
-        self.pose = step_kinematics(self.pose, v_left, v_right, dt_s,
-                                    self.params.track_width_m)
+        self.pose = step_kinematics(self.pose, v_left, v_right, dt_s, self._track)
         # round the exact cumulative counts so the remainder carries over steps
         arc, ticks_per_m = self._arc_m, self._ticks_per_m
         arc[0] += v_left * dt_s

@@ -25,7 +25,7 @@ from . import metrics as metrics_mod
 from .channel import Cause, Medium
 from .controller import PathController
 from .engine import Engine, SimTime, stream_rng
-from .frames import FRAME_NAMES, CmdFrame, EstopFrame, FbFrame, Frame
+from .frames import FRAME_NAMES, CmdFrame, EstopFrame, FbFrame, Frame, new_record
 from .mac import CycleSchedule, Slot, SyncState, build_schedule, run_sync_beacon
 from .robot import Robot, Segment
 from .scenario import ScenarioConfig
@@ -46,6 +46,8 @@ _CMD_EMIT_ESTOP = declare_kind("cmd-emit", "ss-s sssss sss--")
 _CMD_APPLY = declare_kind("cmd-apply", "ssss sssss ss---")
 _CMD_APPLY_LOCAL = declare_kind("cmd-apply", "ss-s sssss ss---")
 _POSE = declare_kind("pose", "ss-s ----- fffff")
+
+_NO_OBSTACLES: list[Segment] = []  # shared, never written: a run without obstacles
 
 
 @dataclass
@@ -103,6 +105,7 @@ class Simulation:
         self.controller = PathController(self.controller_node, config.steering,
                                          config.follower)
         self._build_lanes()
+        self._local_lanes = [robot for robot, lane in self.controller.lanes.items() if lane.local]
         self._robot_loop = {loop.plant: loop.loop_id for loop in self.loops}
         # one (handler, slot, start offset, hop sequence) per slot; plain functions,
         # so that the plan holds no reference back to the run.  Keyed by each
@@ -113,6 +116,9 @@ class Simulation:
                     "downlink": Simulation._run_downlink_slot,
                     "retx": Simulation._run_retx_slot}
         sched = self.schedule
+        self._cycle_len = sched.cycle_length_us
+        self._cycle_s = self._cycle_len * 1e-6
+        self._last_start = config.max_time_us - self._cycle_len  # the last cycle that fits
         self._plan = []
         for s in sched.slots:
             handler = handlers[s.direction._value_]
@@ -162,6 +168,8 @@ class Simulation:
     # -- helpers -------------------------------------------------------------
 
     def _active_obstacles(self, at: SimTime) -> list[Segment]:
+        if not self.config.obstacles:
+            return _NO_OBSTACLES
         return [o.segment for o in self.config.obstacles if o.appears_at_us <= at]
 
     def _sample_feedback(self, robot_id: int, at: SimTime, slot: int | None = None) -> FbFrame:
@@ -172,7 +180,8 @@ class Simulation:
         kind, cause = (_FB_SAMPLE_LOCAL, "local") if slot is None else (_FB_SAMPLE, None)
         self.trace.add(at, kind, self.cycle, slot, robot_id, None, None, None, seq, cause,
                        ticks_l, ticks_r, -1 if distance is None else distance)
-        return FbFrame(robot_id, self.controller_node, seq, ticks_l, ticks_r, distance)
+        return new_record(FbFrame, (robot_id, self.controller_node, seq, ticks_l, ticks_r,
+                                    distance))
 
     def _apply_cmd(self, robot_id: int, cmd: CmdFrame, at: SimTime, slot: int | None) -> None:
         robot = self.robots[robot_id]
@@ -204,21 +213,21 @@ class Simulation:
         medium, add = self.medium, self.trace.add
         cycle, position = self.cycle, slot.position
         slot_uid = medium.begin_slot()
-        txs = [medium.make_transmission(s, frame, slot_uid, channel, at) for s in senders]
+        if len(senders) == 1:
+            sender = senders[0]
+            tx = medium.make_transmission(sender, frame, slot_uid, channel, at)
+            deliver, listeners = medium.deliver, self._listeners.get(sender)
+            if listeners is None:  # every other node, resolved on the sender's first send
+                listeners = self._listeners[sender] = [
+                    (node, state) for node, state in self._sync_order if node != sender]
+        else:
+            tx = [medium.make_transmission(s, frame, slot_uid, channel, at) for s in senders]
+            deliver, sending = medium.deliver_flood, set(senders)
+            listeners = [(node, state) for node, state in self._sync_order
+                         if node not in sending]
         name, src, dst, seq = FRAME_NAMES[type(frame)], frame.src, frame.dst, frame.seq
         for sender in senders:
             add(at, _TX, cycle, position, sender, name, src, dst, seq, None, channel)
-        if len(txs) == 1:
-            tx, deliver = txs[0], medium.deliver
-            listeners = self._listeners.get(senders[0])
-            if listeners is None:  # every other node, resolved on the sender's first send
-                listeners = self._listeners[senders[0]] = [
-                    (node, state) for node, state in self._sync_order if node != senders[0]]
-        else:
-            tx, deliver = txs, medium.deliver_flood
-            sending = set(senders)
-            listeners = [(node, state) for node, state in self._sync_order
-                         if node not in sending]
         received: list[int] = []
         for node, state in listeners:
             if state.synced:
@@ -278,9 +287,8 @@ class Simulation:
 
     def _run_compute(self, slot: Slot, at: SimTime, channel: None) -> None:
         # leader-follower: the co-located leader loop closes here, off the air
-        for robot_id, lane in self.controller.lanes.items():
-            if lane.local:
-                self.controller.ingest_feedback(self._sample_feedback(robot_id, at))
+        for robot_id in self._local_lanes:
+            self.controller.ingest_feedback(self._sample_feedback(robot_id, at))
 
         decisions = self.controller.run_cycle()
         if decisions.estop_triggered:
@@ -346,8 +354,7 @@ class Simulation:
     def _run_cycle(self) -> bool:
         """Run the cycle starting at the engine's current time; False ends the run."""
         cycle_start = self.engine.now
-        cycle_len = self.schedule.cycle_length_us
-        if cycle_start + cycle_len > self.config.max_time_us:
+        if cycle_start > self._last_start:
             self._finish("timeout", cycle_start)
             return False
         self._commands_seen = set()
@@ -357,8 +364,8 @@ class Simulation:
             handler(self, slot, cycle_start + offset,
                     None if hop is None else hop[(self.cycle + slot.position) % len(hop)])
 
-        cycle_end = cycle_start + cycle_len
-        cycle_s = cycle_len * 1e-6
+        cycle_end = cycle_start + self._cycle_len
+        cycle_s = self._cycle_s
         for robot_id, robot in self._robot_order:
             robot.end_cycle(cycle_s, robot_id in self._commands_seen)
             x, y, theta = robot.pose

@@ -6,11 +6,15 @@ the bundled configs at their own seeds, for the lossy three-robot run of
 `conftest.lossy_raw` (PER 0.3, a burst link, a blackout and an obstacle that
 ends the run in an emergency stop), and for the eight-robot run of
 `conftest.fleet_raw` (PER 0.1, burst chains, many-holder retx floods).  A
-refactor that claims to keep behaviour must leave both unchanged.
+refactor that claims to keep behaviour must leave both unchanged.  The
+benchmark pins the same values for square and platoon, and a test keeps the two
+tables equal.
 """
 
+import ast
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -39,3 +43,16 @@ def test_bundled_scenario_outputs_match_golden_digests(scenario, request, tmp_pa
     result.trace.write_csv(written)
     assert hashlib.sha256(written.read_bytes()).hexdigest() == trace_digest
     assert _sha256(json.dumps(result.metrics, sort_keys=True, indent=2) + "\n") == metrics_digest
+
+
+WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+
+
+def test_benchmark_pins_equal_the_golden_digests():
+    # the benchmark's table is read from its source, never imported or changed here
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    (pinned,) = [ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(target, "id", None) for target in node.targets] == ["PINNED"]]
+    for case in ("square", "platoon"):
+        assert pinned[case] == dict(zip(("trace.csv", "metrics.json"), GOLDEN[case])), case

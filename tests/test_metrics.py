@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -132,6 +133,24 @@ def test_stationary_time_scan():
     view = TraceView(trace.rows)
     assert view.stationary_time_us(1, after_us=0) == 6000
     assert view.stationary_time_us(1, after_us=6001) is None
+
+
+# integral floats (whole wheel speeds, most poses' y) and every other finite float
+POSE_VALUES = st.one_of(st.floats(allow_nan=False),
+                        st.integers(-2**62, 2**62).map(float),
+                        st.integers(-10**12, 10**12).map(lambda n: n / 1e6),
+                        st.sampled_from([0.0, -0.0, 2.0**52, 2.0**52 + 1, 2.0**53, 1e300, -1e300]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.tuples(POSE_VALUES, POSE_VALUES, POSE_VALUES, POSE_VALUES))
+def test_pose_values_equal_round_to_six_decimals_bit_for_bit(values):
+    x, y, left, right = values
+    trace = Trace()
+    trace.add(2000, "pose", cycle=0, node=1, v1=x, v2=y, v3=0.0, v4=left, v5=right)
+    (pose,) = TraceView(trace.rows).poses[1]
+    rounded = (2000, *(round(v, 6) for v in values))
+    assert struct.pack("<q4d", *pose) == struct.pack("<q4d", *rounded)
 
 
 def test_delivery_counts_frames_whose_sequence_numbers_wrapped():
