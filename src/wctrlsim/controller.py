@@ -1,14 +1,20 @@
 """Waypoint path controller: dead reckoning, curvature steering, platoon references, estop.
 
+Every lane holds one list of reference points (`RefPoints`) reached in order,
+each once within `tolerance_m`: a fixed path, or points traced from the
+platoon leader at least `min_spacing_m` apart.  The lanes are the only record
+of progress; `finished()` reads them.
+
 Steering fits a parabola y = a*x^2 through the target in the robot frame
 (tangent to the current heading), giving curvature kappa = 2*y_t / x_t^2,
-clamped to +/- max_curvature.  A target beside or behind the robot
-(x_t <= min_forward_m) triggers an in-place rotation toward its bearing.
-Wheel speeds follow v_right/left = v * (1 +/- kappa * track / 2); if either
-wheel would exceed the robot's limit both scale uniformly, preserving the
-curvature.  Approach speed tapers as min(cruise, approach_gain * distance).
-A circular-arc variant (kappa = 2*y_t / (x_t^2 + y_t^2)) is available as a
-config switch.
+clamped to +/- max_curvature.  The one turn rule: a target beside or behind
+the robot (x_t <= min_forward_m) starts an in-place rotation toward its
+bearing, kept until the bearing is below TURN_EXIT_RAD, so the curve law
+only sees targets ahead.  Wheel speeds follow
+v_right/left = v * (1 +/- kappa * track / 2); if either wheel would exceed the
+robot's limit both scale uniformly, preserving the curvature.  Approach speed
+tapers as min(cruise, approach_gain * distance).  A circular-arc variant
+(kappa = 2*y_t / (x_t^2 + y_t^2)) is available as a config switch.
 
 Feedback losses are bridged with a zero-order hold: the controller keeps its
 last pose estimate and still emits a command every cycle.  Each compute pass
@@ -83,36 +89,24 @@ def rotation_speeds(bearing: float, params: SteeringParams,
     """
     scale = min(1.0, abs(bearing) / TURN_TAPER_RAD)
     wheel = params.turn_rate * scale * robot.track_width_m * 0.5 * 1e3
-    wheel = min(wheel, float(robot.max_wheel_speed_mms))
+    wheel = min(wheel, robot.max_wheel_speed_mms)
     return (-wheel, wheel) if bearing >= 0 else (wheel, -wheel)
 
 
-def wheel_speeds(pose: Pose, target: tuple[float, float], params: SteeringParams,
-                 robot: RobotParams, speed_distance_m: float | None = None) -> tuple[float, float]:
-    """Wheel speed setpoints (mm/s) steering toward one reference point.
+def wheel_speeds(x_t: float, y_t: float, params: SteeringParams, robot: RobotParams,
+                 speed_distance_m: float | None = None) -> tuple[float, float]:
+    """Wheel speed setpoints (mm/s) along the fitted curve to a target ahead,
+    given in the robot frame.
 
     The approach taper uses the distance to the target unless
     `speed_distance_m` overrides it (a platoon follower tapers on its leader
     standoff rather than on the next traced point).
     """
-    x_t, y_t = target_in_robot_frame(pose, target)
-    return wheel_speeds_in_frame(x_t, y_t, params, robot, speed_distance_m)
-
-
-def wheel_speeds_in_frame(x_t: float, y_t: float, params: SteeringParams, robot: RobotParams,
-                          speed_distance_m: float | None = None) -> tuple[float, float]:
-    """`wheel_speeds` for a target already in the robot frame."""
-    distance = math.hypot(x_t, y_t)
     track = robot.track_width_m
-    limit = float(robot.max_wheel_speed_mms)
-
-    if x_t <= params.min_forward_m:
-        # target beside or behind: rotate in place toward its bearing
-        return rotation_speeds(math.atan2(y_t, x_t), params, robot)
-
+    limit = robot.max_wheel_speed_mms
     kappa = curvature_to_target(x_t, y_t, params.curve_mode)
     kappa = max(-params.max_curvature, min(params.max_curvature, kappa))
-    taper = distance if speed_distance_m is None else speed_distance_m
+    taper = math.hypot(x_t, y_t) if speed_distance_m is None else speed_distance_m
     v = min(params.cruise_speed_mms, params.approach_gain * taper * 1e3)
     right = v * (1.0 + kappa * track * 0.5)
     left = v * (1.0 - kappa * track * 0.5)
@@ -125,63 +119,39 @@ def wheel_speeds_in_frame(x_t: float, y_t: float, params: SteeringParams, robot:
 
 
 @dataclass
-class PathCursor:
-    """Progress along a fixed reference path."""
+class RefPoints:
+    """Reference points reached in order: a fixed path, or the points traced
+    from a platoon leader.  Points before `index` have been reached."""
 
-    points: list[tuple[float, float]]
-    tolerance_m: float
+    points: list[tuple[float, float]] = field(default_factory=list)
     index: int = 0
     in_frame: tuple[float, float] | None = None  # next point in the robot frame, from advance
 
-    def advance(self, pose: Pose) -> int:
-        """Skip every reference point already within tolerance; returns steps
-        taken.  Keeps the next point in the robot frame in `in_frame`."""
-        steps = 0
-        self.in_frame = None
-        while self.index < len(self.points):
-            in_frame = target_in_robot_frame(pose, self.points[self.index])
-            if math.hypot(*in_frame) >= self.tolerance_m:
-                self.in_frame = in_frame
-                break
-            self.index += 1
-            steps += 1
-        return steps
-
-
-@dataclass
-class FollowerQueue:
-    """Reference points traced from the leader's position, drained in FIFO order."""
-
-    min_spacing_m: float
-    points: list[tuple[float, float]] = field(default_factory=list)
-    consumed: int = 0
-    in_frame: tuple[float, float] | None = None  # next point in the robot frame, from pop_reached
-
-    def extend_from_leader(self, leader_pose: Pose) -> bool:
-        p = (leader_pose.x, leader_pose.y)
-        if not self.points:
-            self.points.append(p)
-            return True
-        last = self.points[-1]
-        if math.hypot(p[0] - last[0], p[1] - last[1]) >= self.min_spacing_m:
-            self.points.append(p)
-            return True
-        return False
-
-    def pop_reached(self, pose: Pose, tolerance_m: float) -> int:
-        """Drop every point already within tolerance; returns points dropped.
+    def advance(self, pose: Pose, tolerance_m: float) -> int:
+        """Pass every point already within tolerance; returns the points passed.
         Keeps the next point in the robot frame in `in_frame`."""
-        popped = 0
+        points, index = self.points, self.index
         self.in_frame = None
-        while self.points:
-            in_frame = target_in_robot_frame(pose, self.points[0])
+        while index < len(points):
+            in_frame = target_in_robot_frame(pose, points[index])
             if math.hypot(*in_frame) >= tolerance_m:
                 self.in_frame = in_frame
                 break
-            self.points.pop(0)
-            self.consumed += 1
-            popped += 1
-        return popped
+            index += 1
+        steps = index - self.index
+        self.index = index
+        return steps
+
+    def extend(self, leader_pose: Pose, min_spacing_m: float) -> bool:
+        """Append the leader's position once it is `min_spacing_m` from the last
+        point, or at once when every point has been reached; True if appended."""
+        p = (leader_pose.x, leader_pose.y)
+        if self.index < len(self.points):
+            last = self.points[-1]
+            if math.hypot(p[0] - last[0], p[1] - last[1]) < min_spacing_m:
+                return False
+        self.points.append(p)
+        return True
 
 
 @dataclass
@@ -191,17 +161,15 @@ class RobotLane:
     robot: int
     params: RobotParams
     est_pose: Pose
-    cursor: PathCursor | None = None           # fixed-path robots
+    refs: RefPoints                            # the path, or the trace of the leader
     follower_of: int | None = None             # platoon follower tracks this node
     last_ticks: tuple[int, int] = (0, 0)
     pending_fb: FbFrame | None = None
-    last_fb_seq: int | None = None
-    informing_fb_seq: int = -1                 # seq of the sample behind the next command
+    last_fb_seq: int | None = None             # seq of the sample behind the next command
     distance_mm: int | None = None
     cmd_seq: int = 0
-    complete: bool = False
-    local: bool = False                        # co-located plant, no radio loop
     turning: bool = False                      # in-place rotation in progress
+    settled: bool = False                      # last command was (0, 0): a follower held or stopped
     meters_per_tick: float = field(init=False)  # odometry scale, fixed per robot
 
     def __post_init__(self) -> None:
@@ -211,10 +179,9 @@ class RobotLane:
 class LaneDecision(NamedTuple):
     robot: int
     cmd: CmdFrame
-    informing_fb_seq: int
-    advanced: int             # reference points consumed this cycle
-    complete: bool
-    holding: bool             # follower standoff hold
+    informing_fb_seq: int     # -1 before the first feedback sample
+    advanced: int             # reference points reached this cycle
+    completed: bool           # the path's last point was reached this cycle
 
 
 class CycleDecisions(NamedTuple):
@@ -235,32 +202,31 @@ class PathController:
         self.steering = steering
         self.follower_params = follower_params or FollowerParams()
         self.lanes: dict[int, RobotLane] = {}
-        # (lanes in robot order, path lanes then followers in robot order), set
-        # by the first run_cycle after a lane is added
-        self._orders: tuple[list[RobotLane], list[RobotLane]] | None = None
-        self.queue: FollowerQueue | None = None
+        self._by_robot: list[RobotLane] = []
+        self._leaders_first: list[RobotLane] = []
         self.estop_latched = False
 
     def add_path_lane(self, robot: int, params: RobotParams, start_pose: Pose,
-                      path: list[tuple[float, float]], *, local: bool = False) -> RobotLane:
+                      path: list[tuple[float, float]]) -> RobotLane:
         lane = RobotLane(robot=robot, params=params, est_pose=start_pose,
-                         cursor=PathCursor(points=list(path),
-                                           tolerance_m=self.steering.tolerance_m),
-                         local=local)
+                         refs=RefPoints(list(path)))
         self._add_lane(lane)
         return lane
 
     def add_follower_lane(self, robot: int, params: RobotParams, start_pose: Pose,
                           leader: int) -> RobotLane:
         lane = RobotLane(robot=robot, params=params, est_pose=start_pose,
-                         follower_of=leader)
+                         refs=RefPoints(), follower_of=leader)
         self._add_lane(lane)
-        self.queue = FollowerQueue(min_spacing_m=self.follower_params.min_spacing_m)
         return lane
 
     def _add_lane(self, lane: RobotLane) -> None:
         self.lanes[lane.robot] = lane
-        self._orders = None
+        self._by_robot = [self.lanes[robot] for robot in sorted(self.lanes)]
+        # leader lanes first so follower references see this cycle's leader
+        # pose; a stable sort keeps robot order within each group
+        self._leaders_first = sorted(self._by_robot,
+                                     key=lambda lane: lane.follower_of is not None)
 
     def ingest_feedback(self, fb: FbFrame) -> bool:
         """Keep the newest feedback per robot; returns True if it superseded."""
@@ -288,7 +254,6 @@ class PathController:
         lane.last_ticks = (fb.left_ticks, fb.right_ticks)
         lane.distance_mm = fb.distance_mm
         lane.last_fb_seq = fb.seq
-        lane.informing_fb_seq = fb.seq
         lane.pending_fb = None
 
     def _check_estop(self, by_robot: list[RobotLane]) -> int | None:
@@ -303,8 +268,8 @@ class PathController:
 
     def _steer_toward(self, lane: RobotLane, in_frame: tuple[float, float],
                       speed_distance_m: float | None = None) -> tuple[float, float]:
-        """Steering toward a target in the robot frame, with rotation
-        hysteresis: a rotation triggered by the target falling beside/behind
+        """Steering toward a target in the robot frame.  A target beside or
+        behind (x_t <= min_forward_m) starts an in-place rotation, which
         continues until the bearing is small, so the robot leaves a sharp
         corner roughly aligned with the next leg."""
         x_t, y_t = in_frame
@@ -315,57 +280,59 @@ class PathController:
             lane.turning = True
         if lane.turning:
             return rotation_speeds(bearing, self.steering, lane.params)
-        return wheel_speeds_in_frame(x_t, y_t, self.steering, lane.params, speed_distance_m)
+        return wheel_speeds(x_t, y_t, self.steering, lane.params, speed_distance_m)
 
     def _steer_lane(self, lane: RobotLane) -> tuple[tuple[float, float], int, bool]:
-        """Returns ((left, right) mm/s, points consumed, holding)."""
-        if lane.cursor is not None:
-            advanced = lane.cursor.advance(lane.est_pose)
-            if lane.cursor.in_frame is None:
-                lane.complete = True
-                return (0.0, 0.0), advanced, False
-            return self._steer_toward(lane, lane.cursor.in_frame), advanced, False
+        """Returns ((left, right) mm/s, points reached, path completed this cycle)."""
+        refs = lane.refs
+        advanced = refs.advance(lane.est_pose, self.steering.tolerance_m)
+        if lane.follower_of is None:
+            if refs.in_frame is None:
+                return (0.0, 0.0), advanced, advanced > 0
+            return self._steer_toward(lane, refs.in_frame), advanced, False
 
-        # follower lane: track the on-the-fly queue while keeping the standoff
-        leader_lane = self.lanes[lane.follower_of]
-        assert self.queue is not None
-        popped = self.queue.pop_reached(lane.est_pose, self.steering.tolerance_m)
-        gap = math.hypot(leader_lane.est_pose.x - lane.est_pose.x,
-                         leader_lane.est_pose.y - lane.est_pose.y)
-        if gap < self.follower_params.standoff_m:
-            return (0.0, 0.0), popped, True
-        if self.queue.in_frame is None:
-            return (0.0, 0.0), popped, True
+        # follower lane: track the leader's trace while keeping the standoff
+        leader = self.lanes[lane.follower_of].est_pose
+        gap = math.hypot(leader.x - lane.est_pose.x, leader.y - lane.est_pose.y)
+        standoff = self.follower_params.standoff_m
+        if gap < standoff or refs.in_frame is None:
+            return (0.0, 0.0), advanced, False  # hold
         # taper on the approach to the leader standoff, not on the next point
-        approach = max(0.0, gap - self.follower_params.standoff_m)
-        return self._steer_toward(lane, self.queue.in_frame, approach), popped, False
+        return self._steer_toward(lane, refs.in_frame, gap - standoff), advanced, False
 
     def run_cycle(self) -> CycleDecisions:
         """One compute pass: fold feedback, decide estop, emit one command per robot."""
-        if self._orders is None:
-            by_robot = [self.lanes[robot] for robot in sorted(self.lanes)]
-            # leader lanes first so follower references see this cycle's leader
-            # pose; a stable sort keeps robot order within each group
-            self._orders = (by_robot,
-                            sorted(by_robot, key=lambda lane: lane.follower_of is not None))
-        by_robot, leaders_first = self._orders
-        for lane in by_robot:
+        for lane in self._by_robot:
             self._consume_feedback(lane)
 
-        estop_source = self._check_estop(by_robot)
+        estop_source = self._check_estop(self._by_robot)
 
         decisions = []
-        for lane in leaders_first:
-            if lane.follower_of is not None and self.queue is not None:
-                self.queue.extend_from_leader(self.lanes[lane.follower_of].est_pose)
+        for lane in self._leaders_first:
+            if lane.follower_of is not None:
+                lane.refs.extend(self.lanes[lane.follower_of].est_pose,
+                                 self.follower_params.min_spacing_m)
             if self.estop_latched:
-                speeds, advanced, holding = (0.0, 0.0), 0, False
+                speeds, advanced, completed = (0.0, 0.0), 0, False
             else:
-                speeds, advanced, holding = self._steer_lane(lane)
+                speeds, advanced, completed = self._steer_lane(lane)
+            left, right = int(round(speeds[0])), int(round(speeds[1]))
+            lane.settled = left == 0 and right == 0
             lane.cmd_seq = (lane.cmd_seq + 1) & 0xFFFF
-            cmd = new_record(CmdFrame, (self.node, lane.robot, lane.cmd_seq,
-                                        int(round(speeds[0])), int(round(speeds[1])),
+            cmd = new_record(CmdFrame, (self.node, lane.robot, lane.cmd_seq, left, right,
                                         self.estop_latched))
-            decisions.append(new_record(LaneDecision, (lane.robot, cmd, lane.informing_fb_seq,
-                                                       advanced, lane.complete, holding)))
+            fb_seq = -1 if lane.last_fb_seq is None else lane.last_fb_seq
+            decisions.append(new_record(LaneDecision, (lane.robot, cmd, fb_seq,
+                                                       advanced, completed)))
         return new_record(CycleDecisions, (decisions, estop_source is not None, estop_source))
+
+    def finished(self) -> bool:
+        """After a compute pass: every path lane has no point left to reach,
+        and every follower was commanded (0, 0)."""
+        for lane in self._by_robot:
+            if lane.follower_of is None:
+                if lane.refs.in_frame is not None:
+                    return False
+            elif not lane.settled:
+                return False
+        return True

@@ -49,11 +49,6 @@ class Direction(Enum):
     GAP = "gap"
 
 
-class Band(Enum):
-    FORWARD = "forward"
-    FEEDBACK = "feedback"
-
-
 @dataclass(frozen=True)
 class LoopSpec:
     """One control loop: a controller driving one plant."""
@@ -67,7 +62,6 @@ class LoopSpec:
 class Slot:
     position: int
     direction: Direction
-    band: Band
     owner: int | None  # transmitting node; None for flood and gap slots
     loop_id: int | None = None
 
@@ -107,10 +101,11 @@ class CycleSchedule:
         return offset
 
     def hop_of(self, slot: Slot) -> tuple[int, ...]:
-        """The hop sequence of the slot's band."""
+        """The hop sequence of the slot's band: feedback for uplink slots,
+        forward for every other slot."""
         if slot.direction is Direction.GAP:
             raise ScheduleError("gap entry has no channel")
-        return self.hop_feedback if slot.band is Band.FEEDBACK else self.hop_forward
+        return self.hop_feedback if slot.direction is Direction.UPLINK else self.hop_forward
 
     def channel_for(self, cycle_index: int, position: int) -> int:
         hop = self.hop_of(self.slots[position])
@@ -149,14 +144,14 @@ def build_schedule(loops: list[LoopSpec], *, slot_duration_us: int = 250,
             raise ScheduleError(f"loop {loop.loop_id}: controller and plant are the same node")
 
     ordered = sorted(loops, key=lambda l: l.loop_id)
-    slots: list[Slot] = [Slot(0, Direction.SYNC, Band.FORWARD, None)]
+    slots: list[Slot] = [Slot(0, Direction.SYNC, None)]
     for loop in ordered:
-        slots.append(Slot(len(slots), Direction.UPLINK, Band.FEEDBACK, loop.plant, loop.loop_id))
-    slots.append(Slot(len(slots), Direction.GAP, Band.FORWARD, None))
+        slots.append(Slot(len(slots), Direction.UPLINK, loop.plant, loop.loop_id))
+    slots.append(Slot(len(slots), Direction.GAP, None))
     for loop in ordered:
-        slots.append(Slot(len(slots), Direction.DOWNLINK, Band.FORWARD, loop.controller, loop.loop_id))
+        slots.append(Slot(len(slots), Direction.DOWNLINK, loop.controller, loop.loop_id))
     for _ in range(retx_slots):
-        slots.append(Slot(len(slots), Direction.RETX, Band.FORWARD, None))
+        slots.append(Slot(len(slots), Direction.RETX, None))
     return CycleSchedule(slots=tuple(slots), slot_duration_us=slot_duration_us,
                          compute_gap_us=compute_gap_us, hop_forward=tuple(hop_forward),
                          hop_feedback=tuple(hop_feedback))

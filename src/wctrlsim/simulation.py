@@ -15,6 +15,7 @@ by loop id.
 In a leader-follower scenario the controller is hosted on the leader robot:
 the leader's own loop closes locally at compute time (encoders sampled and
 commands applied in place), while the follower's loop runs over the radio.
+Lane progress and completion are read from the controller, never copied here.
 """
 
 from __future__ import annotations
@@ -105,8 +106,9 @@ class Simulation:
         self.controller = PathController(self.controller_node, config.steering,
                                          config.follower)
         self._build_lanes()
-        self._local_lanes = [robot for robot, lane in self.controller.lanes.items() if lane.local]
         self._robot_loop = {loop.plant: loop.loop_id for loop in self.loops}
+        self._local_lanes = [robot for robot, _ in self._robot_order
+                             if robot not in self._robot_loop]
         # one (handler, slot, start offset, hop sequence) per slot; plain functions,
         # so that the plan holds no reference back to the run.  Keyed by each
         # `Direction`'s value, because an Enum member hashes in Python on 3.11
@@ -135,10 +137,7 @@ class Simulation:
         self._estop_seq = 0
         self._cycle_cmds: dict[int, CmdFrame] = {}
         self._pending: list[_Pending] = []
-        self._last_holding: dict[int, bool] = {}
-        self._last_cmd_zero: dict[int, bool] = {}
         self._commands_seen: set[int] = set()
-        self._completed: set[int] = set()
 
     # -- setup ---------------------------------------------------------------
 
@@ -161,7 +160,7 @@ class Simulation:
             leader = cfg.by_role("leader")[0]
             follower = cfg.by_role("follower")[0]
             self.controller.add_path_lane(leader.node_id, leader.params, leader.start_pose,
-                                          list(leader.path), local=True)
+                                          list(leader.path))
             self.controller.add_follower_lane(follower.node_id, follower.params,
                                               follower.start_pose, leader.node_id)
 
@@ -301,24 +300,19 @@ class Simulation:
                 dest=None, holders={self.controller_node}))
         self._cycle_cmds.clear()
         for decision in decisions.commands:
-            lane, cmd = self.controller.lanes[decision.robot], decision.cmd
-            self._last_holding[decision.robot] = decision.holding
-            self._last_cmd_zero[decision.robot] = cmd.left_mms == 0 and cmd.right_mms == 0
-            newly_complete = decision.complete and decision.robot not in self._completed
-            if newly_complete:
-                self._completed.add(decision.robot)
-            if decision.advanced or newly_complete:
-                self.trace.add(at, "waypoint", cycle=self.cycle, node=decision.robot,
-                               cause="complete" if newly_complete else None,
+            robot, cmd = decision.robot, decision.cmd
+            if decision.advanced:  # a path is completed by reaching its last point
+                self.trace.add(at, "waypoint", cycle=self.cycle, node=robot,
+                               cause="complete" if decision.completed else None,
                                v1=decision.advanced)
             kind, cause = (_CMD_EMIT_ESTOP, "estop") if cmd.estop else (_CMD_EMIT, None)
             self.trace.add(at, kind, self.cycle, None, self.controller_node, "CMD",
                            cmd.src, cmd.dst, cmd.seq, cause,
                            cmd.left_mms, cmd.right_mms, decision.informing_fb_seq)
-            if lane.local:
-                self._apply_cmd(decision.robot, cmd, at, None)
+            if robot in self._robot_loop:
+                self._cycle_cmds[self._robot_loop[robot]] = cmd
             else:
-                self._cycle_cmds[self._robot_loop[decision.robot]] = cmd
+                self._apply_cmd(robot, cmd, at, None)
 
     def _run_downlink_slot(self, slot: Slot, at: SimTime, channel: int) -> None:
         cmd = self._cycle_cmds[slot.loop_id]
@@ -385,17 +379,9 @@ class Simulation:
             if all(robot.stationary for robot in self.robots.values()):
                 return "estopped"
             return None
-        if not self.config.run_to_completion:
-            return None
-        for lane in self.controller.lanes.values():
-            if lane.cursor is not None and not lane.complete:
-                return None
-            if lane.follower_of is not None:
-                settled = (self._last_holding.get(lane.robot, False)
-                           or self._last_cmd_zero.get(lane.robot, False))
-                if not settled:
-                    return None
-        return "completed"
+        if self.config.run_to_completion and self.controller.finished():
+            return "completed"
+        return None
 
     def _finish(self, reason: str, at: SimTime) -> None:
         self.end_reason = reason

@@ -16,8 +16,8 @@ v1..v5); the meaning of v1..v5 depends on the kind:
                 v3=informing feedback seq (-1 = none yet), cause="estop" if flagged
     cmd-apply   node=robot, seq, cause=applied|estop|stale|latched|local,
                 v1=left v2=right
-    waypoint    node=robot, v1=points consumed, cause="complete" when done,
-                "holding" while a follower holds its standoff
+    waypoint    node=robot, v1=reference points reached, cause="complete" in
+                the cycle a path's last point is reached
     estop       node, cause=controller-latch|plant-latch
     pose        node=robot, v1=x v2=y v3=theta v4=left actual v5=right actual
     end         cause=completed|estopped|timeout, v1=cycles run

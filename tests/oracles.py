@@ -4,22 +4,26 @@ These deliberately avoid the library's own code paths: the RK4 integrator
 checks the exact-arc kinematics, the brute-force polyline distance checks the
 vectorized metric, the scan of every segment pins the pruned search's exact
 bits, the wave-by-wave sync flood pins the one-pass flood draw for draw, the
-encoder with a named range check per field pins the struct-checked one, and
-the writer that keys every row on its cell types pins the one that trusts a
-declared layout.
+encoder with a named range check per field pins the struct-checked one, the
+writer that keys every row on its cell types pins the one that trusts a
+declared layout, and the fixed-path cursor and the popping follower queue pin
+the one reference-point list that serves both.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
 
+from wctrlsim.controller import target_in_robot_frame
 from wctrlsim.frames import (BROADCAST, NO_READING, CmdFrame, EstopFrame, FbFrame,
                              FrameError, MsgType, SyncFrame)
 from wctrlsim.mac import BeaconReception, BeaconReport
+from wctrlsim.robot import Pose
 from wctrlsim.trace import COLUMNS
 
 
@@ -211,3 +215,57 @@ def shape_keyed_csv(rows) -> str:
             pattern = patterns[shape] = ",".join(map(_cell_spec, row)) + "\n"
         lines.append(pattern % row)
     return "".join(lines)
+
+
+@dataclass
+class PathCursor:
+    """Progress along a fixed reference path, by index."""
+
+    points: list[tuple[float, float]]
+    tolerance_m: float
+    index: int = 0
+    in_frame: tuple[float, float] | None = None
+
+    def advance(self, pose: Pose) -> int:
+        steps = 0
+        self.in_frame = None
+        while self.index < len(self.points):
+            in_frame = target_in_robot_frame(pose, self.points[self.index])
+            if math.hypot(*in_frame) >= self.tolerance_m:
+                self.in_frame = in_frame
+                break
+            self.index += 1
+            steps += 1
+        return steps
+
+
+@dataclass
+class FollowerQueue:
+    """Reference points traced from a leader, popped from the front once reached."""
+
+    min_spacing_m: float
+    points: list[tuple[float, float]] = field(default_factory=list)
+    in_frame: tuple[float, float] | None = None
+
+    def extend_from_leader(self, leader_pose: Pose) -> bool:
+        p = (leader_pose.x, leader_pose.y)
+        if not self.points:
+            self.points.append(p)
+            return True
+        last = self.points[-1]
+        if math.hypot(p[0] - last[0], p[1] - last[1]) >= self.min_spacing_m:
+            self.points.append(p)
+            return True
+        return False
+
+    def pop_reached(self, pose: Pose, tolerance_m: float) -> int:
+        popped = 0
+        self.in_frame = None
+        while self.points:
+            in_frame = target_in_robot_frame(pose, self.points[0])
+            if math.hypot(*in_frame) >= tolerance_m:
+                self.in_frame = in_frame
+                break
+            self.points.pop(0)
+            popped += 1
+        return popped

@@ -1,12 +1,12 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from wctrlsim.controller import (CycleDecisions, FollowerParams, FollowerQueue,
-                                 LaneDecision, PathController, PathCursor,
-                                 SteeringParams, curvature_to_target,
-                                 target_in_robot_frame, wheel_speeds)
+from oracles import FollowerQueue, PathCursor
+from wctrlsim.controller import (CycleDecisions, FollowerParams, LaneDecision,
+                                 PathController, RefPoints, SteeringParams,
+                                 curvature_to_target, target_in_robot_frame, wheel_speeds)
 from wctrlsim.frames import CmdFrame, FbFrame
 from wctrlsim.robot import Pose, Robot, RobotParams
 
@@ -40,7 +40,7 @@ def test_curvature_formula():
 
 def test_wheel_speeds_target_dead_ahead():
     steering = SteeringParams(cruise_speed_mms=100.0)
-    left, right = wheel_speeds(Pose(0, 0, 0), (1.0, 0.0), steering, PARAMS)
+    left, right = wheel_speeds(1.0, 0.0, steering, PARAMS)
     assert (left, right) == pytest.approx((100.0, 100.0))
 
 
@@ -48,30 +48,30 @@ def test_wheel_speeds_quadratic_curve_example():
     # target (1, 1): kappa = 2; with track 0.117 and v = 100:
     # right = 100 * (1 + 0.117) = 111.7, left = 88.3
     steering = SteeringParams(cruise_speed_mms=100.0)
-    left, right = wheel_speeds(Pose(0, 0, 0), (1.0, 1.0), steering, PARAMS)
+    left, right = wheel_speeds(1.0, 1.0, steering, PARAMS)
     assert right == pytest.approx(111.7)
     assert left == pytest.approx(88.3)
 
 
 def test_wheel_speeds_taper_near_target():
     steering = SteeringParams(cruise_speed_mms=150.0, approach_gain=1.0)
-    left, right = wheel_speeds(Pose(0, 0, 0), (0.05, 0.0), steering, PARAMS)
+    left, right = wheel_speeds(0.05, 0.0, steering, PARAMS)
     assert (left, right) == pytest.approx((50.0, 50.0))
 
 
 def test_wheel_speeds_rotate_in_place_when_target_behind():
-    steering = SteeringParams(turn_rate=2.0)
-    left, right = wheel_speeds(Pose(0, 0, 0), (-1.0, 0.5), steering, PARAMS)
     # full-rate rotation: wheel speed = 2.0 rad/s * track/2 = 117 mm/s
-    assert (left, right) == pytest.approx((-117.0, 117.0))
-    left, right = wheel_speeds(Pose(0, 0, 0), (-1.0, -0.5), steering, PARAMS)
-    assert (left, right) == pytest.approx((117.0, -117.0))
+    for target, speeds in (((-1.0, 0.5), (-117, 117)), ((-1.0, -0.5), (117, -117))):
+        controller = make_controller(path=[target], turn_rate=2.0)
+        cmd = controller.run_cycle().commands[0].cmd
+        assert (cmd.left_mms, cmd.right_mms) == speeds
+        assert controller.lanes[1].turning
 
 
 @given(st.floats(0.03, 2.0), st.floats(-2.0, 2.0))
 def test_curvature_sign_matches_lateral_offset(x_t, y_t):
     steering = SteeringParams(cruise_speed_mms=100.0)
-    left, right = wheel_speeds(Pose(0, 0, 0), (x_t, y_t), steering, PARAMS)
+    left, right = wheel_speeds(x_t, y_t, steering, PARAMS)
     if abs(y_t) > 1e-9:
         assert math.copysign(1, right - left) == math.copysign(1, y_t)
     else:
@@ -81,13 +81,13 @@ def test_curvature_sign_matches_lateral_offset(x_t, y_t):
 @given(st.floats(0.03, 1.0), st.floats(-1.0, 1.0))
 def test_wheel_clamp_preserves_curvature(x_t, y_t):
     fast = SteeringParams(cruise_speed_mms=290.0, max_curvature=40.0)
-    left, right = wheel_speeds(Pose(0, 0, 0), (x_t, y_t), fast, PARAMS)
+    left, right = wheel_speeds(x_t, y_t, fast, PARAMS)
     limit = PARAMS.max_wheel_speed_mms
     assert max(abs(left), abs(right)) <= limit + 1e-9
     if max(abs(left), abs(right)) >= limit - 1e-9 and abs(left + right) > 1e-6:
         # compare the implied curvature with the unclamped construction
         slow = SteeringParams(cruise_speed_mms=1.0, max_curvature=40.0)
-        sl, sr = wheel_speeds(Pose(0, 0, 0), (x_t, y_t), slow, PARAMS)
+        sl, sr = wheel_speeds(x_t, y_t, slow, PARAMS)
         if abs(sl + sr) > 1e-9:
             kappa_clamped = 2 * (right - left) / ((right + left) * PARAMS.track_width_m)
             kappa_free = 2 * (sr - sl) / ((sr + sl) * PARAMS.track_width_m)
@@ -95,43 +95,78 @@ def test_wheel_clamp_preserves_curvature(x_t, y_t):
 
 
 def test_path_cursor_advances_within_tolerance():
-    cursor = PathCursor(points=[(0.5, 0.0), (1.0, 0.0)], tolerance_m=0.02)
-    assert cursor.advance(Pose(0.0, 0.0, 0)) == 0      # 0.5 m away
-    assert cursor.index == 0
-    assert cursor.advance(Pose(0.49, 0.0, 0)) == 1     # 0.01 m < tolerance
-    assert cursor.index == 1
-    assert cursor.index < len(cursor.points)
-    assert cursor.advance(Pose(0.995, 0.0, 0)) == 1
-    assert cursor.index == len(cursor.points)
-    assert cursor.in_frame is None
+    refs = RefPoints([(0.5, 0.0), (1.0, 0.0)])
+    assert refs.advance(Pose(0.0, 0.0, 0), 0.02) == 0      # 0.5 m away
+    assert refs.index == 0
+    assert refs.advance(Pose(0.49, 0.0, 0), 0.02) == 1     # 0.01 m < tolerance
+    assert refs.index == 1
+    assert refs.index < len(refs.points)
+    assert refs.advance(Pose(0.995, 0.0, 0), 0.02) == 1
+    assert refs.index == len(refs.points)
+    assert refs.in_frame is None
 
 
 def test_path_cursor_index_monotone():
-    cursor = PathCursor(points=[(0.1, 0), (0.2, 0), (0.3, 0)], tolerance_m=0.02)
-    last = cursor.index
+    refs = RefPoints([(0.1, 0), (0.2, 0), (0.3, 0)])
+    last = refs.index
     for x in (0.0, 0.1, 0.05, 0.2, 0.12, 0.3):
-        cursor.advance(Pose(x, 0, 0))
-        assert cursor.index >= last
-        last = cursor.index
+        refs.advance(Pose(x, 0, 0), 0.02)
+        assert refs.index >= last
+        last = refs.index
 
 
 def test_follower_queue_spacing():
-    queue = FollowerQueue(min_spacing_m=0.05)
-    assert queue.extend_from_leader(Pose(0, 0, 0))        # seeds the first point
-    assert not queue.extend_from_leader(Pose(0.01, 0, 0))  # moved 0.01 < 0.05
-    assert queue.extend_from_leader(Pose(0.06, 0, 0))      # moved 0.06
-    assert queue.points == [(0.0, 0.0), (0.06, 0.0)]
+    refs = RefPoints()
+    assert refs.extend(Pose(0, 0, 0), 0.05)        # seeds the first point
+    assert not refs.extend(Pose(0.01, 0, 0), 0.05)  # moved 0.01 < 0.05
+    assert refs.extend(Pose(0.06, 0, 0), 0.05)      # moved 0.06
+    assert refs.points == [(0.0, 0.0), (0.06, 0.0)]
 
 
 def test_follower_queue_fifo_pop():
-    queue = FollowerQueue(min_spacing_m=0.05)
+    refs = RefPoints()
     for x in (0.0, 0.05, 0.10, 0.15):
-        queue.extend_from_leader(Pose(x, 0, 0))
-    assert queue.pop_reached(Pose(0.005, 0.0, 0), tolerance_m=0.02) == 1
-    assert queue.points[0] == (0.05, 0.0)
-    assert queue.pop_reached(Pose(0.06, 0.0, 0), tolerance_m=0.02) == 1
-    assert queue.consumed == 2
-    assert queue.points[0] == (0.10, 0.0)
+        refs.extend(Pose(x, 0, 0), 0.05)
+    assert refs.advance(Pose(0.005, 0.0, 0), 0.02) == 1
+    assert refs.points[refs.index] == (0.05, 0.0)
+    assert refs.advance(Pose(0.06, 0.0, 0), 0.02) == 1
+    assert refs.index == 2
+    assert refs.points[refs.index] == (0.10, 0.0)
+
+
+def test_refs_extend_at_once_when_every_point_is_reached():
+    refs = RefPoints()
+    refs.extend(Pose(0, 0, 0), 0.05)
+    assert refs.advance(Pose(0, 0, 0), 0.02) == 1
+    # the leader moved less than the spacing from the reached point: a new
+    # reference appears at once, as a queue that popped its last point does
+    assert refs.extend(Pose(0.01, 0, 0), 0.05)
+    assert refs.points[refs.index:] == [(0.01, 0.0)]
+
+
+coordinate = st.floats(-0.2, 0.2)
+pose = st.builds(Pose, coordinate, coordinate, st.floats(-math.pi, math.pi))
+steps = st.lists(st.tuples(pose, pose), min_size=1, max_size=30)  # (leader, follower) poses
+
+
+@given(steps, st.floats(0.005, 0.1), st.floats(0.005, 0.1))
+@example([(Pose(0, 0, 0), Pose(0, 0, 0)), (Pose(0.01, 0, 0), Pose(-0.5, 0, 0))], 0.05, 0.02)
+def test_refs_trace_like_the_popping_follower_queue(poses, spacing, tolerance):
+    queue, refs = FollowerQueue(min_spacing_m=spacing), RefPoints()
+    for leader, follower in poses:
+        assert refs.extend(leader, spacing) == queue.extend_from_leader(leader)
+        assert refs.advance(follower, tolerance) == queue.pop_reached(follower, tolerance)
+        assert refs.in_frame == queue.in_frame
+        assert queue.points == refs.points[refs.index:]
+
+
+@given(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=8),
+       st.lists(pose, min_size=1, max_size=30), st.floats(0.005, 0.1))
+def test_refs_follow_a_path_like_the_path_cursor(path, poses, tolerance):
+    cursor, refs = PathCursor(points=list(path), tolerance_m=tolerance), RefPoints(list(path))
+    for p in poses:
+        assert refs.advance(p, tolerance) == cursor.advance(p)
+        assert (refs.index, refs.in_frame) == (cursor.index, cursor.in_frame)
 
 
 def make_controller(path=((1.0, 0.0),), **steering_kwargs):
@@ -233,10 +268,51 @@ def test_commands_stop_after_path_complete():
     controller = make_controller(path=[(0.01, 0.0)])
     controller.ingest_feedback(fb(1, 0, 0))
     decisions = controller.run_cycle()
-    assert decisions.commands[0].complete
+    assert decisions.commands[0].completed
     assert (decisions.commands[0].cmd.left_mms, decisions.commands[0].cmd.right_mms) == (0, 0)
     again = controller.run_cycle()
     assert again.commands[0].cmd.left_mms == 0
+    assert not again.commands[0].completed  # completed in one cycle only
+
+
+def test_completed_is_true_in_exactly_one_cycle_per_path_lane():
+    controller = PathController(0, SteeringParams(), FollowerParams())
+    controller.add_path_lane(1, PARAMS, Pose(0, 0, 0), [(0.01, 0.0)])  # reached at once
+    controller.add_path_lane(2, PARAMS, Pose(0, 1, 0), [(0.01, 1.0), (0.5, 1.0)])
+    completed = {1: 0, 2: 0}
+    for cycle in range(6):
+        if cycle == 1:
+            controller.lanes[2].est_pose = Pose(0.5, 1.0, 0)  # at its last point
+        if cycle == 3:  # an estop latches after both paths are complete
+            controller.ingest_feedback(fb(1, 0, 0, distance=120))
+        decisions = controller.run_cycle()
+        for decision in decisions.commands:
+            completed[decision.robot] += decision.completed
+    assert controller.estop_latched
+    assert completed == {1: 1, 2: 1}
+
+
+def test_finished_waits_for_the_follower_to_hold_or_stop():
+    controller = PathController(0, SteeringParams(), FollowerParams(standoff_m=0.25))
+    controller.add_path_lane(1, PARAMS, Pose(0, 0, 0), [(0.01, 0.0)])  # complete at once
+    follower = controller.add_follower_lane(2, PARAMS, Pose(-1.0, 0, 0), leader=1)
+    controller.run_cycle()
+    assert not follower.settled and not controller.finished()  # 1 m behind: moving
+    follower.est_pose = Pose(-0.1, 0, 0)  # inside the standoff: holds
+    controller.run_cycle()
+    assert follower.settled and controller.finished()
+
+    controller = PathController(0, SteeringParams(),
+                                FollowerParams(min_spacing_m=0.5, standoff_m=0.05))
+    leader = controller.add_path_lane(1, PARAMS, Pose(0, 0, 0), [(0.01, 0.0)])
+    follower = controller.add_follower_lane(2, PARAMS, Pose(-1.0, 0, 0), leader=1)
+    controller.run_cycle()  # traces (0, 0)
+    assert not controller.finished()
+    leader.est_pose = Pose(0.3, 0, 0)      # less than the spacing: nothing traced
+    follower.est_pose = Pose(0.005, 0, 0)  # outside the standoff, every point reached
+    controller.run_cycle()
+    assert follower.refs.in_frame is None
+    assert follower.settled and controller.finished()
 
 
 def test_estop_triggers_below_threshold_and_latches():
@@ -285,21 +361,23 @@ def test_plant_and_dead_reckoning_agree_without_loss():
 
 
 def test_advance_keeps_the_next_point_in_the_robot_frame():
-    cursor = PathCursor(points=[(0.5, 0.0), (1.0, 0.5)], tolerance_m=0.02)
+    refs = RefPoints([(0.5, 0.0), (1.0, 0.5)])
     pose = Pose(0.49, 0.01, 0.3)
-    assert cursor.advance(pose) == 1
-    assert cursor.in_frame == target_in_robot_frame(pose, (1.0, 0.5))
-    assert cursor.advance(Pose(1.0, 0.5, 0)) == 1
-    assert cursor.in_frame is None and cursor.index == len(cursor.points)
+    assert refs.advance(pose, 0.02) == 1
+    assert refs.in_frame == target_in_robot_frame(pose, (1.0, 0.5))
+    assert refs.advance(Pose(1.0, 0.5, 0), 0.02) == 1
+    assert refs.in_frame is None and refs.index == len(refs.points)
 
 
 def test_pop_reached_keeps_the_next_point_in_the_robot_frame():
-    queue = FollowerQueue(min_spacing_m=0.05, points=[(0.0, 0.0), (0.3, 0.1)])
+    refs = RefPoints()
+    for leader in (Pose(0.0, 0.0, 0), Pose(0.3, 0.1, 0)):
+        refs.extend(leader, 0.05)
     pose = Pose(0.001, 0.0, -0.2)
-    assert queue.pop_reached(pose, tolerance_m=0.02) == 1
-    assert queue.in_frame == target_in_robot_frame(pose, (0.3, 0.1))
-    assert queue.pop_reached(Pose(0.3, 0.1, 0), tolerance_m=0.02) == 1
-    assert queue.in_frame is None
+    assert refs.advance(pose, 0.02) == 1
+    assert refs.in_frame == target_in_robot_frame(pose, (0.3, 0.1))
+    assert refs.advance(Pose(0.3, 0.1, 0), 0.02) == 1
+    assert refs.in_frame is None
 
 
 def test_decisions_come_in_robot_order_with_followers_last():

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import wave_scan_sync_beacon
 from wctrlsim.channel import Medium
 from wctrlsim.engine import Engine
-from wctrlsim.mac import (Band, BeaconReception, BeaconReport, Direction, LoopSpec,
+from wctrlsim.mac import (BeaconReception, BeaconReport, Direction, LoopSpec,
                           ScheduleError, SyncParams, SyncState, build_schedule,
                           cycle_length_us, run_sync_beacon)
 
@@ -26,8 +26,8 @@ def test_single_loop_layout():
         Direction.SYNC, Direction.UPLINK, Direction.GAP, Direction.DOWNLINK,
         Direction.RETX, Direction.RETX]
     assert len(sched.slots) == 6
-    assert sched.slots[1].owner == 1 and sched.slots[1].band is Band.FEEDBACK
-    assert sched.slots[3].owner == 0 and sched.slots[3].band is Band.FORWARD
+    assert sched.slots[1].owner == 1 and sched.hop_of(sched.slots[1]) is sched.hop_feedback
+    assert sched.slots[3].owner == 0 and sched.hop_of(sched.slots[3]) is sched.hop_forward
 
 
 def test_two_loop_layout():

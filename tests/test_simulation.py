@@ -207,6 +207,36 @@ def test_timeout_when_path_cannot_complete():
     assert result.end_time_us <= 50_000
 
 
+def test_bundled_runs_write_one_complete_row_per_path(square_result, platoon_result):
+    for result in (square_result, platoon_result):
+        complete = [r[NODE] for r in rows_of(result, "waypoint") if r[CAUSE] == "complete"]
+        with_path = [spec.node_id for spec in result.config.robots() if spec.path]
+        assert sorted(complete) == sorted(with_path)
+        assert result.end_reason == "completed"
+
+
+def test_a_path_completes_once_when_an_estop_latches_afterwards():
+    config = make_remote_config(
+        duration_s=4.0,
+        nodes=[{"id": 0, "role": "controller"},
+               {"id": 1, "role": "robot", "start_pose": [0.0, 0.0, 0.0],
+                "path": [[0.1, 0.0]]}],
+        obstacles=[{"segment": [0.2, -0.5, 0.2, 0.5], "appears_at_us": 3_000_000}])
+    sim = Simulation(config)
+    run_cycle, completed = sim.controller.run_cycle, []
+
+    def recording_run_cycle():
+        decisions = run_cycle()
+        completed.extend(d.robot for d in decisions.commands if d.completed)
+        return decisions
+
+    sim.controller.run_cycle = recording_run_cycle
+    result = sim.run()
+    assert result.end_reason == "estopped"
+    assert completed == [1]
+    assert [r[CAUSE] for r in rows_of(result, "waypoint")] == ["complete"]
+
+
 def test_simulation_exposes_estimate_for_agreement_checks(square_config):
     sim = Simulation(square_config)
     result = sim.run()
