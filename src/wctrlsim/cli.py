@@ -13,6 +13,8 @@ rejected input: a configuration, an --out path or a trace file.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -70,10 +72,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for key in row:
             if key not in columns:
                 columns.append(key)
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join("" if row.get(c) is None else str(row.get(c)) for c in columns))
-    (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    text = io.StringIO()  # quoted where a cell holds a comma: an array or object value
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([row.get(c) for c in columns] for row in rows)
+    (out_dir / "sweep.csv").write_text(text.getvalue(), encoding="utf-8")
     print(f"{len(rows)} runs; results in {out_dir / 'sweep.csv'}")
     return 0
 

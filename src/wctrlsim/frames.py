@@ -27,7 +27,6 @@ Python, and fills no default, so a call passes `SyncFrame.dst` too.
 from __future__ import annotations
 
 import struct
-from enum import IntEnum
 from typing import NamedTuple, Union
 
 FRAME_SIZE = 16
@@ -46,15 +45,13 @@ _ZERO6 = bytes(6)
 _ZERO11 = bytes(11)
 
 
-class MsgType(IntEnum):
+class MsgType:
+    """The type byte that opens each frame: plain int constants."""
+
     SYNC = 0
     CMD = 1
     FB = 2
     ESTOP = 3
-
-
-# the type bytes as plain ints: packing an IntEnum member costs more than a field
-_SYNC, _CMD, _FB, _ESTOP = map(int, MsgType)
 
 
 new_record = tuple.__new__  # new_record(Cls, values) == Cls._make(values), unchecked
@@ -122,21 +119,21 @@ def encode_frame(frame: Frame) -> bytes:
             src, seq, cycle_index, wave, dst = frame
             if dst != BROADCAST:
                 raise FrameError("sync frames are broadcast only")
-            return _SYNC_STRUCT.pack(_SYNC, src, BROADCAST, seq, cycle_index, wave,
+            return _SYNC_STRUCT.pack(MsgType.SYNC, src, BROADCAST, seq, cycle_index, wave,
                                      _ZERO6)
         if kind is CmdFrame:
             src, dst, seq, left, right, estop = frame
-            return _CMD_STRUCT.pack(_CMD, src, dst, seq, left, right,
+            return _CMD_STRUCT.pack(MsgType.CMD, src, dst, seq, left, right,
                                     _ESTOP_FLAG if estop else 0, _ZERO6)
         if kind is FbFrame:
             src, dst, seq, left, right, distance = frame
-            return _FB_STRUCT.pack(_FB, src, dst, seq, left, right,
+            return _FB_STRUCT.pack(MsgType.FB, src, dst, seq, left, right,
                                    NO_READING if distance is None else distance, 0)
         if kind is EstopFrame:
             src, seq, dst = frame
             if dst != BROADCAST:
                 raise FrameError("estop frames are broadcast only")
-            return _ESTOP_STRUCT.pack(_ESTOP, src, BROADCAST, seq, _ZERO11)
+            return _ESTOP_STRUCT.pack(MsgType.ESTOP, src, BROADCAST, seq, _ZERO11)
     except struct.error as exc:
         raise FrameError(f"cannot encode {frame!r}: {exc}") from None
     raise FrameError(f"not a frame: {frame!r}")

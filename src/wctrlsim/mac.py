@@ -11,8 +11,9 @@ slot but is extended by the configured gap time; it carries no transmission.
 
 Duplexing is modeled as two disjoint channel sets (forward band for sync,
 commands and retransmissions; feedback band for uplink slots), both indexed by
-per-band hop sequences: the concrete channel of slot `i` in cycle `c` is
-`hop[(c + i) % len(hop)]`.
+per-band hop sequences.  Each slot carries its start offset and its band's
+sequence `hop`; the executor in `simulation.py` puts slot `i` of cycle `c` on
+channel `hop[(c + i) mod len(hop)]`.
 
 The slot layout and the flooding sync wave rules here are documented
 reconstructions of a proprietary industrial MAC; scenario configs expose every
@@ -27,8 +28,6 @@ is a set of immutable named tuples built once per cycle through `tuple.__new__`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from functools import cached_property
 from itertools import islice
 from typing import NamedTuple
 
@@ -41,7 +40,9 @@ class ScheduleError(ValueError):
     """Invalid loop set or protocol constants."""
 
 
-class Direction(Enum):
+class Direction:
+    """The direction of a slot: plain str constants, compared by identity."""
+
     SYNC = "sync"
     UPLINK = "uplink"
     DOWNLINK = "downlink"
@@ -61,14 +62,11 @@ class LoopSpec:
 @dataclass(frozen=True)
 class Slot:
     position: int
-    direction: Direction
-    owner: int | None  # transmitting node; None for flood and gap slots
-    loop_id: int | None = None
-
-
-def cycle_length_us(n_slots: int, slot_duration_us: int, compute_gap_us: int) -> int:
-    """Cycle duration: every scheduled entry takes one slot, plus the compute gap."""
-    return n_slots * slot_duration_us + compute_gap_us
+    direction: str       # a `Direction` constant
+    owner: int | None    # transmitting node; None for flood and gap slots
+    loop_id: int | None  # None for sync, gap and retx slots
+    offset_us: int       # start from cycle start; the gap lasts one slot + compute gap
+    hop: tuple[int, ...]  # the band's hop sequence; () for the gap
 
 
 @dataclass(frozen=True)
@@ -83,33 +81,8 @@ class CycleSchedule:
 
     @property
     def cycle_length_us(self) -> int:
-        return cycle_length_us(len(self.slots), self.slot_duration_us, self.compute_gap_us)
-
-    @cached_property
-    def gap_position(self) -> int:
-        for slot in self.slots:
-            if slot.direction is Direction.GAP:
-                return slot.position
-        raise ScheduleError("schedule has no compute gap")
-
-    def slot_offset_us(self, position: int) -> int:
-        """Start of slot `position` relative to cycle start; the gap entry is
-        one slot stretched by the compute gap."""
-        offset = position * self.slot_duration_us
-        if position > self.gap_position:
-            offset += self.compute_gap_us
-        return offset
-
-    def hop_of(self, slot: Slot) -> tuple[int, ...]:
-        """The hop sequence of the slot's band: feedback for uplink slots,
-        forward for every other slot."""
-        if slot.direction is Direction.GAP:
-            raise ScheduleError("gap entry has no channel")
-        return self.hop_feedback if slot.direction is Direction.UPLINK else self.hop_forward
-
-    def channel_for(self, cycle_index: int, position: int) -> int:
-        hop = self.hop_of(self.slots[position])
-        return hop[(cycle_index + position) % len(hop)]
+        """Every scheduled entry takes one slot, plus the compute gap."""
+        return len(self.slots) * self.slot_duration_us + self.compute_gap_us
 
 
 def _check_permutation(hop: tuple[int, ...], name: str) -> None:
@@ -144,17 +117,21 @@ def build_schedule(loops: list[LoopSpec], *, slot_duration_us: int = 250,
             raise ScheduleError(f"loop {loop.loop_id}: controller and plant are the same node")
 
     ordered = sorted(loops, key=lambda l: l.loop_id)
-    slots: list[Slot] = [Slot(0, Direction.SYNC, None)]
-    for loop in ordered:
-        slots.append(Slot(len(slots), Direction.UPLINK, loop.plant, loop.loop_id))
-    slots.append(Slot(len(slots), Direction.GAP, None))
-    for loop in ordered:
-        slots.append(Slot(len(slots), Direction.DOWNLINK, loop.controller, loop.loop_id))
-    for _ in range(retx_slots):
-        slots.append(Slot(len(slots), Direction.RETX, None))
+    entries = [(Direction.SYNC, None, None)]
+    entries += [(Direction.UPLINK, loop.plant, loop.loop_id) for loop in ordered]
+    entries.append((Direction.GAP, None, None))
+    entries += [(Direction.DOWNLINK, loop.controller, loop.loop_id) for loop in ordered]
+    entries += [(Direction.RETX, None, None)] * retx_slots
+    hop_forward, hop_feedback = tuple(hop_forward), tuple(hop_feedback)
+    slots, offset_us = [], 0
+    for position, (direction, owner, loop_id) in enumerate(entries):
+        hop = (hop_feedback if direction is Direction.UPLINK
+               else () if direction is Direction.GAP else hop_forward)
+        slots.append(Slot(position, direction, owner, loop_id, offset_us, hop))
+        offset_us += slot_duration_us + (compute_gap_us if direction is Direction.GAP else 0)
     return CycleSchedule(slots=tuple(slots), slot_duration_us=slot_duration_us,
-                         compute_gap_us=compute_gap_us, hop_forward=tuple(hop_forward),
-                         hop_feedback=tuple(hop_feedback))
+                         compute_gap_us=compute_gap_us, hop_forward=hop_forward,
+                         hop_feedback=hop_feedback)
 
 
 @dataclass

@@ -107,7 +107,7 @@ class TraceView:
         self.controller_latch_us: int | None = None
         self.plant_latch_us: dict[int, int] = {}
         self.waypoint_complete_us: dict[int, int] = {}
-        self.follower_pops: list[tuple[int, int, int]] = []  # (time, node, popped)
+        self.points_reached: list[tuple[int, int, int]] = []  # (time, node, count)
         self.end_reason: str | None = None
         self.cycles: int | None = None
 
@@ -155,8 +155,8 @@ class TraceView:
                     self.plant_latch_us.setdefault(row[_NODE], t)
             elif kind == "waypoint":
                 node = row[_NODE]
-                if row[_V1]:  # points popped
-                    self.follower_pops.append((row[_TIME], node, row[_V1]))
+                if row[_V1]:  # reference points reached this cycle
+                    self.points_reached.append((row[_TIME], node, row[_V1]))
                 if row[_CAUSE] == "complete":
                     self.waypoint_complete_us.setdefault(node, row[_TIME])
             elif kind == "end":
@@ -192,12 +192,12 @@ class TraceView:
                 out.append((t, math.hypot(pos[0] - x, pos[1] - y)))
         return out
 
-    def convergence_time_us(self, follower: int, min_pops: int = 3) -> int | None:
+    def convergence_time_us(self, follower: int, min_reached: int = 3) -> int | None:
         total = 0
-        for t, node, popped in self.follower_pops:
+        for t, node, count in self.points_reached:
             if node == follower:
-                total += popped
-                if total >= min_pops:
+                total += count
+                if total >= min_reached:
                     return t
         return None
 

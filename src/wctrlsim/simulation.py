@@ -27,7 +27,7 @@ from .channel import Cause, Medium
 from .controller import PathController
 from .engine import Engine, SimTime, stream_rng
 from .frames import FRAME_NAMES, CmdFrame, EstopFrame, FbFrame, Frame, new_record
-from .mac import CycleSchedule, Slot, SyncState, build_schedule, run_sync_beacon
+from .mac import CycleSchedule, Direction, Slot, SyncState, build_schedule, run_sync_beacon
 from .robot import Robot, Segment
 from .scenario import ScenarioConfig
 from .trace import Trace, declare_kind
@@ -110,22 +110,17 @@ class Simulation:
         self._local_lanes = [robot for robot, _ in self._robot_order
                              if robot not in self._robot_loop]
         # one (handler, slot, start offset, hop sequence) per slot; plain functions,
-        # so that the plan holds no reference back to the run.  Keyed by each
-        # `Direction`'s value, because an Enum member hashes in Python on 3.11
-        handlers = {"sync": Simulation._run_sync_slot,
-                    "uplink": Simulation._run_uplink_slot,
-                    "gap": Simulation._run_compute,
-                    "downlink": Simulation._run_downlink_slot,
-                    "retx": Simulation._run_retx_slot}
-        sched = self.schedule
-        self._cycle_len = sched.cycle_length_us
+        # so that the plan holds no reference back to the run
+        handlers = {Direction.SYNC: Simulation._run_sync_slot,
+                    Direction.UPLINK: Simulation._run_uplink_slot,
+                    Direction.GAP: Simulation._run_compute,
+                    Direction.DOWNLINK: Simulation._run_downlink_slot,
+                    Direction.RETX: Simulation._run_retx_slot}
+        self._cycle_len = self.schedule.cycle_length_us
         self._cycle_s = self._cycle_len * 1e-6
         self._last_start = config.max_time_us - self._cycle_len  # the last cycle that fits
-        self._plan = []
-        for s in sched.slots:
-            handler = handlers[s.direction._value_]
-            self._plan.append((handler, s, sched.slot_offset_us(s.position),
-                               None if handler is Simulation._run_compute else sched.hop_of(s)))
+        self._plan = [(handlers[s.direction], s, s.offset_us, s.hop or None)
+                      for s in self.schedule.slots]
         self.sync_states = {node: SyncState(node=node) for node in self.all_nodes}
         self._sync_order = [(node, self.sync_states[node]) for node in self.all_nodes]
         self._listeners: dict[int, list[tuple[int, SyncState]]] = {}  # filled by _send
@@ -253,12 +248,13 @@ class Simulation:
         transmissions, outcomes, receptions, desynced = run_sync_beacon(
             self.engine, self.medium, channel, cycle, self.controller_node, self.all_nodes,
             self.sync_states, self.config.protocol.sync, cycle_start)
-        src, seq = self.controller_node, cycle & 0xFFFF  # the beacon's fields
+        frame = transmissions[0][1].frame  # the originator's wave-1 beacon
+        name, src, dst, seq = FRAME_NAMES[type(frame)], frame.src, frame.dst, frame.seq
         for wave, tx in transmissions:
-            add(tx.start, _SYNC_TX, cycle, 0, tx.sender, "SYNC", src, 0xFF, seq, None,
+            add(tx.start, _SYNC_TX, cycle, 0, tx.sender, name, src, dst, seq, None,
                 channel, wave)
         for wave, at, outcome in outcomes:
-            add(at, _SYNC_RX, cycle, 0, outcome.receiver, "SYNC", src, 0xFF, seq, outcome.cause,
+            add(at, _SYNC_RX, cycle, 0, outcome.receiver, name, src, dst, seq, outcome.cause,
                 channel, wave)
         for node, wave, residual_us in receptions:
             add(cycle_start, _SYNC, cycle, 0, node, None, None, None, None, None,

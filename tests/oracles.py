@@ -6,8 +6,9 @@ vectorized metric, the scan of every segment pins the pruned search's exact
 bits, the wave-by-wave sync flood pins the one-pass flood draw for draw, the
 encoder with a named range check per field pins the struct-checked one, the
 writer that keys every row on its cell types pins the one that trusts a
-declared layout, and the fixed-path cursor and the popping follower queue pin
-the one reference-point list that serves both.
+declared layout, the fixed-path cursor and the popping follower queue pin
+the one reference-point list that serves both, and the slot layout recomputed
+from each slot's position pins the offset and hop sequence the slot carries.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from wctrlsim.controller import target_in_robot_frame
 from wctrlsim.frames import (BROADCAST, NO_READING, CmdFrame, EstopFrame, FbFrame,
                              FrameError, MsgType, SyncFrame)
-from wctrlsim.mac import BeaconReception, BeaconReport
+from wctrlsim.mac import BeaconReception, BeaconReport, Direction, ScheduleError
 from wctrlsim.robot import Pose
 from wctrlsim.trace import COLUMNS
 
@@ -269,3 +270,27 @@ class FollowerQueue:
             self.points.pop(0)
             popped += 1
         return popped
+
+
+def gap_position(schedule) -> int:
+    for slot in schedule.slots:
+        if slot.direction is Direction.GAP:
+            return slot.position
+    raise ScheduleError("schedule has no compute gap")
+
+
+def slot_offset_us(schedule, position: int) -> int:
+    """Start of slot `position` relative to cycle start; the gap entry is one
+    slot stretched by the compute gap."""
+    offset = position * schedule.slot_duration_us
+    if position > gap_position(schedule):
+        offset += schedule.compute_gap_us
+    return offset
+
+
+def hop_of(schedule, slot) -> tuple[int, ...]:
+    """The hop sequence of the slot's band: feedback for uplink slots, forward
+    for every other slot."""
+    if slot.direction is Direction.GAP:
+        raise ScheduleError("gap entry has no channel")
+    return schedule.hop_feedback if slot.direction is Direction.UPLINK else schedule.hop_forward

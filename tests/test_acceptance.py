@@ -19,7 +19,7 @@ from test_retx_rules import delivery_probabilities, one_cycle_config, one_loop_p
 from wctrlsim.channel import Medium
 from wctrlsim.engine import Engine
 from wctrlsim.frames import CmdFrame, FrameError, decode_frame, encode_frame
-from wctrlsim.mac import Direction, LoopSpec, build_schedule
+from wctrlsim.mac import Direction
 from wctrlsim.metrics import TraceView
 from wctrlsim.robot import Pose, step_kinematics
 from wctrlsim.scenario import config_from_dict
@@ -171,12 +171,31 @@ def test_criterion_05_frame_codec():
 # -- 6: schedule properties --------------------------------------------------------
 
 
+def _hop_period_config(n_robots):
+    """n robots over exactly one hop period (8 cycles of 8 channels).  Every
+    controller->robot link is dead and sync never lapses, so every non-gap slot
+    carries a frame in every cycle: the beacon, each feedback frame, each
+    command and the retx floods of the undelivered commands."""
+    cycle_us = (2 * n_robots + 4) * 250 + 500  # sync, FB and CMD per loop, gap, two retx
+    return config_from_dict({
+        "kind": "remote-control", "seed": 6, "duration_s": 8 * cycle_us / 1e6,
+        "nodes": [{"id": 0, "role": "controller"}]
+                 + [{"id": r, "role": "robot", "start_pose": [0.0, float(r), 0.0],
+                     "path": [[5.0, float(r)]]} for r in range(1, n_robots + 1)],
+        "protocol": {"n_channels": 8, "sync": {"miss_limit": 100}},
+        "channel": {"default_per": 0.0,
+                    "links": [{"from": 0, "to": r, "per": 1.0}
+                              for r in range(1, n_robots + 1)]},
+        "run_to_completion": False,
+    })
+
+
 def test_criterion_06_schedule_properties():
-    hop = (3, 6, 0, 5, 2, 7, 1, 4)
     ok = True
     for n in range(1, 9):
-        loops = [LoopSpec(loop_id=i, controller=0, plant=i + 1) for i in range(n)]
-        sched = build_schedule(loops, hop_forward=hop, hop_feedback=hop[::-1])
+        result = run_scenario(_hop_period_config(n))
+        sched = result.schedule
+        ok &= result.cycles == 8
         # conflict freedom: every owned slot has exactly one owner; plants unique
         uplinks = [s for s in sched.slots if s.direction is Direction.UPLINK]
         ok &= len({s.owner for s in uplinks}) == n
@@ -187,14 +206,21 @@ def test_criterion_06_schedule_properties():
             cmd = [s.position for s in sched.slots
                    if s.direction is Direction.DOWNLINK and s.loop_id == loop]
             ok &= bool(fb and cmd and max(fb) < min(cmd))
-        # hop coverage: over one period every position uses every channel once
+        # hop coverage, read from the run's tx rows: over one period every slot
+        # puts a frame on its hop channel in every cycle and so uses every channel
+        used = {slot.position: set() for slot in sched.slots}
+        for row in result.trace.rows:
+            if row[KIND] == "tx":
+                used[row[SLOT]].add((row[CYCLE], row[V1]))
         for slot in sched.slots:
-            if slot.direction is Direction.GAP:
-                continue
-            channels = [sched.channel_for(c, slot.position) for c in range(len(hop))]
-            ok &= sorted(channels) == list(range(len(hop)))
+            expected = (set() if slot.direction is Direction.GAP else
+                        {(c, slot.hop[(c + slot.position) % 8]) for c in range(8)})
+            ok &= used[slot.position] == expected
+            ok &= slot.direction is Direction.GAP or (
+                sorted(channel for _, channel in used[slot.position]) == list(range(8)))
     report(6, "schedule properties", ok,
-           "conflict-freedom, FB-before-CMD, hop coverage for 1..8 loops")
+           "conflict-freedom, FB-before-CMD, hop coverage on the tx rows of one "
+           "hop period for 1..8 loops")
 
 
 # -- 7: closed-loop tracking -------------------------------------------------------
@@ -247,8 +273,8 @@ def test_criterion_09_cycle_time_distribution(square_result):
     counts = dict(result.metrics["cycle_time"]["counts"])
     sched = result.schedule
     airtime = 104
-    fb = sched.slot_offset_us(1)
-    offsets = [sched.slot_offset_us(p) + airtime - fb for p in (3, 4, 5)]
+    fb = sched.slots[1].offset_us
+    offsets = [sched.slots[p].offset_us + airtime - fb for p in (3, 4, 5)]
     ok = n >= 10_000
     details = [f"cycles={n}"]
     for offset, expect in zip(offsets, (0.7, 0.21, 0.063)):

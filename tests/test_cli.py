@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -262,6 +263,18 @@ def test_sweep_grid(tiny_config, tmp_path):
     assert len(lines) == 5  # header + 2 pers x 2 seeds
     header = lines[0].split(",")
     assert "cmd_delivery_ratio" in header
+
+
+def test_sweep_csv_quotes_array_and_object_cells(tiny_config, tmp_path):
+    links = [[], [{"from": 0, "to": 1, "per": 0.5}]]
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"parameters": {"channel.links": links}}), encoding="utf-8")
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(tiny_config), "--grid", str(grid), "--out", str(out)]) == 0
+    with open(out / "sweep.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(rows) == 2 and all(len(row) == len(header) for row in rows)
+    assert [row[header.index("channel.links")] for row in rows] == [str(v) for v in links]
 
 
 # name -> (grid, text the single error line must contain)

@@ -1,12 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import wave_scan_sync_beacon
+from oracles import gap_position, hop_of, slot_offset_us, wave_scan_sync_beacon
 from wctrlsim.channel import Medium
 from wctrlsim.engine import Engine
 from wctrlsim.mac import (BeaconReception, BeaconReport, Direction, LoopSpec,
                           ScheduleError, SyncParams, SyncState, build_schedule,
-                          cycle_length_us, run_sync_beacon)
+                          run_sync_beacon)
 
 HOP4 = (2, 0, 3, 1)
 HOP8 = (3, 6, 0, 5, 2, 7, 1, 4)
@@ -26,8 +26,9 @@ def test_single_loop_layout():
         Direction.SYNC, Direction.UPLINK, Direction.GAP, Direction.DOWNLINK,
         Direction.RETX, Direction.RETX]
     assert len(sched.slots) == 6
-    assert sched.slots[1].owner == 1 and sched.hop_of(sched.slots[1]) is sched.hop_feedback
-    assert sched.slots[3].owner == 0 and sched.hop_of(sched.slots[3]) is sched.hop_forward
+    assert sched.slots[1].owner == 1 and sched.slots[1].hop is sched.hop_feedback
+    assert sched.slots[3].owner == 0 and sched.slots[3].hop is sched.hop_forward
+    assert sched.slots[2].hop == ()
 
 
 def test_two_loop_layout():
@@ -64,16 +65,13 @@ def test_non_permutation_hop_sequence_rejected():
 
 
 def test_cycle_length_values():
-    assert cycle_length_us(6, 250, 500) == 2000
-    assert cycle_length_us(8, 250, 500) == 2500
-    assert cycle_length_us(1, 250, 0) == 250
     assert schedule_for(1).cycle_length_us == 2000
     assert schedule_for(2).cycle_length_us == 2500
 
 
 def test_slot_offsets_account_for_the_stretched_gap():
     sched = schedule_for(1)
-    assert [sched.slot_offset_us(p) for p in range(6)] == [0, 250, 500, 1250, 1500, 1750]
+    assert [s.offset_us for s in sched.slots] == [0, 250, 500, 1250, 1500, 1750]
 
 
 def test_feedback_slot_strictly_precedes_command_slot_per_loop():
@@ -104,19 +102,42 @@ def test_hop_coverage_exhaustive_over_one_period():
     n = len(HOP8)
     for slot in sched.slots:
         if slot.direction is Direction.GAP:
-            with pytest.raises(ScheduleError):
-                sched.channel_for(0, slot.position)
             continue
-        channels = [sched.channel_for(c, slot.position) for c in range(n)]
+        channels = [slot.hop[(c + slot.position) % n] for c in range(n)]
         assert sorted(channels) == list(range(n))
 
 
 def test_bands_use_their_own_hop_sequence():
     sched = schedule_for(1)
-    up = sched.slots[1]      # feedback band
-    down = sched.slots[3]    # forward band
-    assert sched.channel_for(0, up.position) == HOP8[::-1][(0 + up.position) % 8]
-    assert sched.channel_for(0, down.position) == HOP8[(0 + down.position) % 8]
+    assert sched.slots[1].hop == HOP8[::-1]  # feedback band
+    assert sched.slots[3].hop == HOP8        # forward band
+
+
+@st.composite
+def schedules(draw):
+    """1-16 loops with any distinct ids and plants, handed over in any order,
+    with random slot and gap durations, retx counts and hop permutations."""
+    n = draw(st.integers(1, 16))
+    ids = draw(st.lists(st.integers(0, 10_000), min_size=n, max_size=n, unique=True))
+    plants = draw(st.lists(st.integers(1, 254), min_size=n, max_size=n, unique=True))
+    loops = [LoopSpec(loop_id, controller=0, plant=plant) for loop_id, plant in zip(ids, plants)]
+    channels = draw(st.integers(1, 16))
+    return build_schedule(loops, slot_duration_us=draw(st.integers(1, 10_000)),
+                          compute_gap_us=draw(st.integers(0, 10_000)),
+                          retx_slots=draw(st.integers(0, 5)),
+                          hop_forward=tuple(draw(st.permutations(range(channels)))),
+                          hop_feedback=tuple(draw(st.permutations(range(channels)))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(schedules())
+def test_slot_offsets_and_hops_match_the_recomputed_layout(sched):
+    assert sched.slots[gap_position(sched)].hop == ()
+    for slot in sched.slots:
+        assert slot.offset_us == slot_offset_us(sched, slot.position)
+        if slot.direction is not Direction.GAP:
+            assert slot.hop is hop_of(sched, slot)  # the schedule's own sequence object
+    assert sched.cycle_length_us == sched.slots[-1].offset_us + sched.slot_duration_us
 
 
 # -- sync flooding -----------------------------------------------------------

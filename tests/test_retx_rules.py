@@ -29,7 +29,7 @@ from math import prod
 
 from wctrlsim.channel import Cause, Medium, ReceptionOutcome
 from wctrlsim.frames import SyncFrame
-from wctrlsim.mac import Direction, cycle_length_us
+from wctrlsim.mac import Direction
 from wctrlsim.scenario import config_from_dict
 from wctrlsim.simulation import Simulation
 
@@ -84,7 +84,7 @@ def one_cycle_config(robots, pers, relays=(), obstacles=()):
     n_slots = 2 * len(robots) + 4  # sync, FB and CMD per loop, the gap, two retx
     return config_from_dict({
         "kind": "remote-control", "seed": 1,
-        "duration_s": cycle_length_us(n_slots, 250, 500) / 1e6,
+        "duration_s": (n_slots * 250 + 500) / 1e6,
         "nodes": [{"id": 0, "role": "controller"}]
                  + [{"id": r, "role": "robot", "start_pose": [0.0, float(r), 0.0],
                      "path": [[5.0, float(r)]]} for r in robots]
@@ -161,7 +161,7 @@ def check_retx_rules(sim):
             assert priority(frame)[1] == slot.loop_id
             holders = set(senders)
         elif slot.direction is Direction.RETX and latched_at is not None:
-            assert latched_at < sim.schedule.slot_offset_us(slot.position)
+            assert latched_at < slot.offset_us
             assert frame is not None and frame[0] == "ESTOP", \
                 "once latched, the stop takes every retx slot"
             assert senders == stop_holders

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_remote_config
 from wctrlsim.channel import Cause
+from wctrlsim.mac import Direction
 from wctrlsim.metrics import TraceView
 from wctrlsim.scenario import config_from_dict
 from wctrlsim.simulation import Simulation, run_scenario, run_sweep
@@ -53,8 +54,8 @@ def test_lossless_latency_is_one_constant_schedule_value():
     config = make_remote_config(duration_s=1.0)
     result = run_scenario(config)
     sched = result.schedule
-    fb_offset = sched.slot_offset_us(1)
-    cmd_offset = sched.slot_offset_us(3)
+    fb_offset = sched.slots[1].offset_us
+    cmd_offset = sched.slots[3].offset_us
     expected = cmd_offset + 104 - fb_offset  # FB->CMD separation plus airtime
     values = [lat for _, _, lat in TraceView(result.trace.rows).latencies]
     assert values and set(values) == {expected}
@@ -137,7 +138,7 @@ def test_relay_rescues_broken_direct_link():
     assert applies, "commands must reach the robot through the relay"
     # every delivery needed a retransmission flood (direct link is dead)
     sched = result.schedule
-    retx_positions = {s.position for s in sched.slots if s.direction.value == "retx"}
+    retx_positions = {s.position for s in sched.slots if s.direction is Direction.RETX}
     assert all(r[SLOT] in retx_positions for r in applies)
     assert result.metrics["delivery"]["cmd"]["ratio"] == 1.0
 
@@ -323,10 +324,12 @@ def test_a_new_node_never_shifts_another_nodes_draws(case):
 
 
 def test_every_transmission_uses_the_hop_channel_of_its_slot(lossy_result, fleet_result):
-    # pins the executor's inline hop lookup to CycleSchedule.channel_for
+    # slot i of cycle c is on its band's channel hop[(c + i) % len(hop)]
     for result in (lossy_result, fleet_result):
         sched = result.schedule
         rows = [r for r in result.trace.rows
                 if r[KIND] in ("tx", "rx") and r[CAUSE] != Cause.NO_TRANSMITTER]
-        wrong = [r for r in rows if r[V1] != sched.channel_for(r[CYCLE], r[SLOT])]
+        hops = [slot.hop for slot in sched.slots]
+        wrong = [r for r in rows
+                 if r[V1] != hops[r[SLOT]][(r[CYCLE] + r[SLOT]) % len(hops[r[SLOT]])]]
         assert {r[V1] for r in rows} == set(sched.hop_forward) and not wrong
