@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterator, NamedTuple
 
+from .bounds import PROBABILITY, check_bounds
 from .engine import Engine, SimTime
 from .frames import FRAME_SIZE, Frame, encode_frame, new_record
 
@@ -48,21 +49,10 @@ class Cause:
 class BurstModel:
     """Two-state (good/bad) erasure chain advanced once per slot."""
 
-    p_good_to_bad: float
-    p_bad_to_good: float
-    per_good: float
-    per_bad: float
-
-    def validate(self) -> None:
-        for name in ("p_good_to_bad", "p_bad_to_good", "per_good", "per_bad"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ChannelError(f"burst parameter {name}={value} outside [0, 1]")
-
-
-def _check_probability(p: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise ChannelError(f"erasure probability {p} outside [0, 1]")
+    p_good_to_bad: float = field(metadata=PROBABILITY)
+    p_bad_to_good: float = field(metadata=PROBABILITY)
+    per_good: float = field(metadata=PROBABILITY)
+    per_bad: float = field(metadata=PROBABILITY)
 
 
 @dataclass
@@ -76,17 +66,6 @@ class RadioLink:
     bad: bool = False
     _slot_cursor: int = field(default=0, repr=False)  # burst links only
     _draws: Iterator[float] | None = field(default=None, repr=False, compare=False)
-
-    def validate(self, n_channels: int) -> None:
-        if len(self.per_by_channel) != n_channels:
-            raise ChannelError(
-                f"link {self.sender}->{self.receiver} has {len(self.per_by_channel)} "
-                f"per-channel probabilities, expected {n_channels}"
-            )
-        for p in self.per_by_channel:
-            _check_probability(p)
-        if self.burst is not None:
-            self.burst.validate()
 
 
 class Transmission(NamedTuple):
@@ -129,8 +108,6 @@ class Medium:
 
     def __init__(self, engine: Engine, n_channels: int, phy_overhead_bytes: int = 10,
                  phy_rate_mbps: float = 2.0):
-        if n_channels < 1:
-            raise ChannelError("need at least one hop channel")
         self.engine = engine
         self.n_channels = n_channels
         self.airtime_us = frame_airtime_us(phy_overhead_bytes, phy_rate_mbps)
@@ -155,11 +132,14 @@ class Medium:
             raise ChannelError(f"self-link {sender}->{receiver}")
         if per_by_channel is None:
             per_by_channel = (0.0 if per is None else float(per),) * self.n_channels
+        if len(per_by_channel) != self.n_channels:  # a shorter table fails at a later send
+            raise ChannelError(f"link {sender}->{receiver} has {len(per_by_channel)} "
+                               f"per-channel probabilities, expected {self.n_channels}")
         link = RadioLink(sender=sender, receiver=receiver,
                          per_by_channel=tuple(map(float, per_by_channel)),
                          burst=burst)
-        link.validate(self.n_channels)
         if burst is not None:
+            check_bounds(burst, "burst")
             link._draws = self.engine.draws(receiver, f"burst:{sender}")
         self._receiver(receiver).links[sender] = link
         return link
@@ -167,9 +147,8 @@ class Medium:
     def add_links(self, nodes: list[int], per: float) -> None:
         """Link every ordered pair of distinct `nodes` that has no link yet, with
         erasure probability `per` on every channel: the links of one
-        `add_link(sender, receiver, per=per)` per pair, from one checked tuple."""
+        `add_link(sender, receiver, per=per)` per pair, from one tuple."""
         per_by_channel = (float(per),) * self.n_channels
-        _check_probability(per_by_channel[0])
         for receiver in nodes:
             links = self._receiver(receiver).links
             for sender in nodes:

@@ -28,7 +28,8 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .frames import CmdFrame, FbFrame, new_record, seq_is_newer, wrap_i32
+from .bounds import ConfigError, check_bounds
+from .frames import CmdFrame, FbFrame, new_record, wrap_i32
 from .robot import Pose, RobotParams, advance_by_wheel_arcs
 
 TURN_EXIT_RAD = 0.15   # once rotating in place, keep going until the bearing is this small
@@ -37,32 +38,25 @@ TURN_TAPER_RAD = 0.5   # rotation slows below this bearing (slew headroom)
 
 @dataclass(frozen=True)
 class SteeringParams:
-    cruise_speed_mms: float = 150.0
-    tolerance_m: float = 0.02        # waypoint advance radius
-    min_forward_m: float = 0.02      # below this forward offset, rotate in place
-    max_curvature: float = 8.0       # 1/m; clamp on the fitted curve
-    approach_gain: float = 1.0       # 1/s; speed taper toward the target
-    turn_rate: float = 2.0           # rad/s for in-place rotation
-    curve_mode: str = "parabola"     # or "arc"
-    estop_threshold_mm: int = 150
+    cruise_speed_mms: float = field(default=150.0, metadata={"gt": 0})
+    tolerance_m: float = field(default=0.02, metadata={"gt": 0})    # waypoint advance radius
+    # below this forward offset, rotate in place: the curve law sees only x_t > 0
+    min_forward_m: float = field(default=0.02, metadata={"ge": 0})
+    max_curvature: float = field(default=8.0, metadata={"gt": 0})   # 1/m; clamps the curve
+    approach_gain: float = field(default=1.0, metadata={"gt": 0})   # 1/s; speed taper
+    turn_rate: float = field(default=2.0, metadata={"gt": 0})       # rad/s, rotating in place
+    curve_mode: str = "parabola"                                    # or "arc"
+    estop_threshold_mm: int = field(default=150, metadata={"gt": 0})
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:  # the curve law reads any other mode as "parabola"
         if self.curve_mode not in ("parabola", "arc"):
-            raise ValueError(f"unknown curve mode {self.curve_mode!r}")
-        if (self.cruise_speed_mms <= 0 or self.tolerance_m <= 0
-                or self.max_curvature <= 0 or self.approach_gain <= 0
-                or self.turn_rate <= 0 or self.estop_threshold_mm <= 0):
-            raise ValueError("steering parameters must be strictly positive")
+            raise ConfigError(f"controller.curve_mode: unknown curve mode {self.curve_mode!r}")
 
 
 @dataclass(frozen=True)
 class FollowerParams:
-    min_spacing_m: float = 0.05  # leader movement between queued reference points
-    standoff_m: float = 0.25     # follower holds while closer than this to the leader
-
-    def validate(self) -> None:
-        if self.min_spacing_m <= 0 or self.standoff_m <= 0:
-            raise ValueError("follower parameters must be strictly positive")
+    min_spacing_m: float = field(default=0.05, metadata={"gt": 0})  # leader travel per point
+    standoff_m: float = field(default=0.25, metadata={"gt": 0})     # hold while this close
 
 
 def target_in_robot_frame(pose: Pose, target: tuple[float, float]) -> tuple[float, float]:
@@ -195,12 +189,11 @@ class PathController:
 
     def __init__(self, node: int, steering: SteeringParams,
                  follower_params: FollowerParams | None = None):
-        steering.validate()
-        if follower_params is not None:
-            follower_params.validate()
         self.node = node
         self.steering = steering
         self.follower_params = follower_params or FollowerParams()
+        check_bounds(steering, "controller")
+        check_bounds(self.follower_params, "controller.follower")
         self.lanes: dict[int, RobotLane] = {}
         self._by_robot: list[RobotLane] = []
         self._leaders_first: list[RobotLane] = []
@@ -229,13 +222,11 @@ class PathController:
                                      key=lambda lane: lane.follower_of is not None)
 
     def ingest_feedback(self, fb: FbFrame) -> bool:
-        """Keep the newest feedback per robot; returns True if it superseded."""
+        """Keep the latest feedback per robot for the next compute pass; returns
+        False for a robot without a lane.  A frame reaches the controller at most
+        once, in the cycle that sampled it, so the latest frame is the newest."""
         lane = self.lanes.get(fb.src)
         if lane is None:
-            return False
-        if lane.pending_fb is not None and not seq_is_newer(fb.seq, lane.pending_fb.seq):
-            return False
-        if not seq_is_newer(fb.seq, lane.last_fb_seq):
             return False
         lane.pending_fb = fb
         return True

@@ -104,12 +104,6 @@ def wrap_i32(value: int) -> int:
     return ((value + 0x80000000) & 0xFFFFFFFF) - 0x80000000
 
 
-def seq_is_newer(seq: int, last: int | None) -> bool:
-    """Wrap-aware u16 sequence order: `seq` is newer iff it is 1..0x7FFF ahead
-    of `last`; anything is newer than no sequence at all."""
-    return last is None or 0 < ((seq - last) & 0xFFFF) < 0x8000
-
-
 def encode_frame(frame: Frame) -> bytes:
     """Serialize a frame to its 16-byte wire form.  A field that its struct
     format cannot pack (out of range, or not an integer) raises FrameError."""

@@ -27,7 +27,7 @@ is a set of immutable named tuples built once per cycle through `tuple.__new__`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import NamedTuple
 
@@ -71,13 +71,12 @@ class Slot:
 
 @dataclass(frozen=True)
 class CycleSchedule:
-    """The per-cycle slot layout plus hop sequences; identical for every cycle."""
+    """The per-cycle slot layout, each slot with its hop sequence; identical for
+    every cycle."""
 
     slots: tuple[Slot, ...]
     slot_duration_us: int
     compute_gap_us: int
-    hop_forward: tuple[int, ...]
-    hop_feedback: tuple[int, ...]
 
     @property
     def cycle_length_us(self) -> int:
@@ -101,8 +100,6 @@ def build_schedule(loops: list[LoopSpec], *, slot_duration_us: int = 250,
     """
     if not loops:
         raise ScheduleError("need at least one control loop")
-    if slot_duration_us <= 0 or compute_gap_us < 0 or retx_slots < 0:
-        raise ScheduleError("slot duration must be positive and gap/retx non-negative")
     _check_permutation(hop_forward, "forward")
     _check_permutation(hop_feedback, "feedback")
 
@@ -130,8 +127,7 @@ def build_schedule(loops: list[LoopSpec], *, slot_duration_us: int = 250,
         slots.append(Slot(position, direction, owner, loop_id, offset_us, hop))
         offset_us += slot_duration_us + (compute_gap_us if direction is Direction.GAP else 0)
     return CycleSchedule(slots=tuple(slots), slot_duration_us=slot_duration_us,
-                         compute_gap_us=compute_gap_us, hop_forward=hop_forward,
-                         hop_feedback=hop_feedback)
+                         compute_gap_us=compute_gap_us)
 
 
 @dataclass
@@ -145,9 +141,9 @@ class SyncState:
 
 @dataclass(frozen=True)
 class SyncParams:
-    jitter_us: float = 10.0   # residual alignment error per flood wave
-    max_waves: int = 2        # beacon transmission waves within the sync slot
-    miss_limit: int = 3       # consecutive missed beacons before losing sync
+    jitter_us: float = field(default=10.0, metadata={"ge": 0})  # residual error per flood wave
+    max_waves: int = field(default=2, metadata={"ge": 1})       # beacon waves in the sync slot
+    miss_limit: int = field(default=3, metadata={"ge": 1})      # missed beacons before desync
 
 
 class BeaconReception(NamedTuple):

@@ -13,10 +13,11 @@ casts a single forward ray against line-segment obstacles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .frames import CmdFrame, new_record, seq_is_newer, wrap_i32
+from .bounds import check_bounds
+from .frames import CmdFrame, new_record, wrap_i32
 
 
 class Pose(NamedTuple):
@@ -68,19 +69,12 @@ def advance_by_wheel_arcs(pose: Pose, ds_left_m: float, ds_right_m: float,
 class RobotParams:
     """Physical constants; plausible small-robot defaults, all configurable."""
 
-    wheel_radius_m: float = 0.0325
-    track_width_m: float = 0.117
-    ticks_per_rev: int = 360
-    max_wheel_speed_mms: int = 300
-    actuation_rate_limit_mms2: float = 500.0
-
-    def validate(self) -> None:
-        if (self.wheel_radius_m <= 0 or self.track_width_m <= 0
-                or self.ticks_per_rev <= 0 or self.max_wheel_speed_mms <= 0
-                or self.actuation_rate_limit_mms2 <= 0):
-            raise ValueError("robot parameters must all be strictly positive")
-        if self.max_wheel_speed_mms > 0x7FFF:
-            raise ValueError("max wheel speed must fit the command frame's i16 speed field")
+    wheel_radius_m: float = field(default=0.0325, metadata={"gt": 0})
+    track_width_m: float = field(default=0.117, metadata={"gt": 0})
+    ticks_per_rev: int = field(default=360, metadata={"gt": 0})
+    # commands carry wheel speeds in the CMD frame's i16 fields
+    max_wheel_speed_mms: int = field(default=300, metadata={"gt": 0, "le": 0x7FFF})
+    actuation_rate_limit_mms2: float = field(default=500.0, metadata={"gt": 0})
 
     @property
     def ticks_per_meter(self) -> float:
@@ -120,7 +114,7 @@ class Robot:
 
     def __init__(self, node: int, params: RobotParams, pose: Pose,
                  sensor_range_mm: int = 1000, watchdog_cycles: int = 10):
-        params.validate()
+        check_bounds(params, "params")
         self.node = node
         self.params = params
         self.pose = pose
@@ -129,7 +123,6 @@ class Robot:
         self.commanded = (0.0, 0.0)  # mm/s
         self.actual = (0.0, 0.0)     # mm/s
         self.estop_latched = False
-        self.last_cmd_seq: int | None = None
         self.cycles_without_command = 0
         self._arc_m = [0.0, 0.0]     # exact cumulative wheel arc lengths
         self._ticks = [0, 0]         # emitted cumulative encoder ticks
@@ -148,21 +141,16 @@ class Robot:
     def apply_command(self, cmd: CmdFrame) -> str:
         """Apply a decoded command addressed to this robot.
 
-        Returns the disposition: "applied", "estop", "stale" or "latched".
-        An emergency-stop command always latches, even if its sequence number
-        is stale; once latched, only the latch state is maintained.
+        Returns the disposition: "applied", "estop" or "latched".  An
+        emergency-stop command always latches; once latched, a plain command
+        is not applied.
         """
         if cmd.estop:
             self.latch_estop()
-            if seq_is_newer(cmd.seq, self.last_cmd_seq):
-                self.last_cmd_seq = cmd.seq
             self.cycles_without_command = 0
             return "estop"
         if self.estop_latched:
             return "latched"
-        if not seq_is_newer(cmd.seq, self.last_cmd_seq):
-            return "stale"
-        self.last_cmd_seq = cmd.seq
         limit = self._limit
         self.commanded = (max(-limit, min(limit, float(cmd.left_mms))),
                           max(-limit, min(limit, float(cmd.right_mms))))

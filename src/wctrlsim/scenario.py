@@ -13,8 +13,11 @@ its own position).
 
 The dataclasses are the schema.  Every JSON key is a dataclass field, every
 default is the field's default, and every value must have the JSON type of
-the field's annotation.  An unknown key or a value of the wrong type is
-rejected with its path, before any run starts.
+the field's annotation.  Ranges live in field metadata, here and in the
+parameter classes of `channel`, `mac`, `robot` and `controller` (see
+`bounds`).  A ScenarioConfig validates itself as it is built, from JSON or in
+Python: an unknown key, a value of the wrong type or out of range is rejected
+with its path, before any run starts.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from pathlib import Path
 from types import UnionType
 from typing import Any, Callable, Union, get_args, get_origin, get_type_hints
 
+from .bounds import JSON_KEYS, PROBABILITY, ConfigError, check_bounds
 from .channel import BurstModel, frame_airtime_us
 from .controller import FollowerParams, SteeringParams
 from .mac import LoopSpec, SyncParams
@@ -37,19 +41,15 @@ ROLES = ("controller", "robot", "leader", "follower", "relay")
 MAX_CHANNELS = 256  # hop sequences and per-link tables are n_channels long
 
 
-class ConfigError(ValueError):
-    """Invalid scenario configuration; raised before any simulation starts."""
-
-
 @dataclass(frozen=True)
 class ProtocolParams:
-    slot_duration_us: int = 250
-    compute_gap_us: int = 500
-    retx_slots: int = 2
-    n_channels: int = 8
-    watchdog_cycles: int = 10
-    phy_overhead_bytes: int = 10
-    phy_rate_mbps: float = 2.0
+    slot_duration_us: int = field(default=250, metadata={"gt": 0})
+    compute_gap_us: int = field(default=500, metadata={"ge": 0})
+    retx_slots: int = field(default=2, metadata={"ge": 0})
+    n_channels: int = field(default=8, metadata={"ge": 1, "le": MAX_CHANNELS})
+    watchdog_cycles: int = field(default=10, metadata={"ge": 1})
+    phy_overhead_bytes: int = field(default=10, metadata={"ge": 0})
+    phy_rate_mbps: float = field(default=2.0, metadata={"gt": 0})
     sync: SyncParams = field(default_factory=SyncParams)
 
 
@@ -57,21 +57,21 @@ class ProtocolParams:
 class LinkSpec:
     sender: int
     receiver: int
-    per: float | None = None
-    per_by_channel: tuple[float, ...] | None = None
+    per: float | None = field(default=None, metadata=PROBABILITY)
+    per_by_channel: tuple[float, ...] | None = field(default=None, metadata=PROBABILITY)
     burst: BurstModel | None = None
 
 
 @dataclass(frozen=True)
 class BlackoutSpec:
     node: int
-    from_us: int
+    from_us: int = field(metadata={"ge": 0})
     until_us: int
 
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    default_per: float = 0.0
+    default_per: float = field(default=0.0, metadata=PROBABILITY)
     links: tuple[LinkSpec, ...] = ()
     blackouts: tuple[BlackoutSpec, ...] = ()
 
@@ -84,7 +84,7 @@ class ObstacleSpec:
 
 @dataclass(frozen=True)
 class NodeSpec:
-    node_id: int
+    node_id: int = field(metadata={"ge": 0, "le": 0xFE})  # 0xFF is the broadcast address
     role: str
     start_pose: Pose | None = None
     path: tuple[tuple[float, float], ...] | None = None
@@ -98,16 +98,17 @@ class NodeSpec:
 @dataclass(frozen=True)
 class ScenarioConfig:
     kind: str
-    seed: int
+    seed: int = field(metadata={"ge": 0})
     nodes: tuple[NodeSpec, ...]
     protocol: ProtocolParams = field(default_factory=ProtocolParams)
     steering: SteeringParams = field(default_factory=SteeringParams)
     follower: FollowerParams = field(default_factory=FollowerParams)
     channel: ChannelConfig = field(default_factory=ChannelConfig)
     obstacles: tuple[ObstacleSpec, ...] = ()
-    duration_s: float = 120.0
+    duration_s: float = field(default=120.0, metadata={"gt": 0})
     run_to_completion: bool = True
-    sensor_range_mm: int = 1000
+    # the feedback frame's u16 distance field, 0xFFFF meaning no reading
+    sensor_range_mm: int = field(default=1000, metadata={"ge": 1, "le": 0xFFFE})
     raw: dict | None = field(default=None, compare=False, repr=False)
 
     # -- derived views -----------------------------------------------------
@@ -144,26 +145,23 @@ class ScenarioConfig:
 
     # -- validation ----------------------------------------------------------
 
+    def __post_init__(self) -> None:
+        self.validate()  # frozen all the way down, so a config is checked once
+
     def validate(self) -> None:
+        """Check every declared range, then the rules that span fields."""
+        check_bounds(self)
         if self.kind not in ("remote-control", "leader-follower"):
             raise ConfigError(f"kind: unknown scenario kind {self.kind!r}")
-        if self.duration_s <= 0:
-            raise ConfigError("duration_s must be positive")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
 
         ids = self.node_ids()
         if len(set(ids)) != len(ids):
             raise ConfigError("duplicate node ids")
         for node in self.nodes:
-            if not 0 <= node.node_id <= 0xFE:
-                raise ConfigError(f"node id {node.node_id} outside 0..254")
             if node.role not in ROLES:
                 raise ConfigError(f"node {node.node_id}: unknown role {node.role!r}")
-            if node.is_robot:
-                if node.start_pose is None:
-                    raise ConfigError(f"robot node {node.node_id} needs a start pose")
-                node.params.validate()
+            if node.is_robot and node.start_pose is None:
+                raise ConfigError(f"robot node {node.node_id} needs a start pose")
 
         if self.kind == "remote-control":
             if len(self.by_role("controller")) != 1:
@@ -185,48 +183,23 @@ class ScenarioConfig:
                 raise ConfigError("the leader needs a reference path")
 
         known = set(ids)
-        if not 0.0 <= self.channel.default_per <= 1.0:
-            raise ConfigError("channel.default_per outside [0, 1]")
         for link in self.channel.links:
             if link.sender not in known or link.receiver not in known:
                 raise ConfigError(f"link {link.sender}->{link.receiver} references unknown node")
             if link.sender == link.receiver:
                 raise ConfigError(f"link {link.sender}->{link.receiver} is a self-link")
-            if link.per is not None and not 0.0 <= link.per <= 1.0:
-                raise ConfigError(f"link {link.sender}->{link.receiver}: per outside [0, 1]")
-            if link.per_by_channel is not None:
-                if len(link.per_by_channel) != self.protocol.n_channels:
-                    raise ConfigError(
-                        f"link {link.sender}->{link.receiver}: expected "
-                        f"{self.protocol.n_channels} per-channel probabilities")
-                for p in link.per_by_channel:
-                    if not 0.0 <= p <= 1.0:
-                        raise ConfigError("per-channel probability outside [0, 1]")
-            if link.burst is not None:
-                link.burst.validate()
+            if (link.per_by_channel is not None
+                    and len(link.per_by_channel) != self.protocol.n_channels):
+                raise ConfigError(
+                    f"link {link.sender}->{link.receiver}: expected "
+                    f"{self.protocol.n_channels} per-channel probabilities")
         for blackout in self.channel.blackouts:
             if blackout.node not in known:
                 raise ConfigError(f"blackout references unknown node {blackout.node}")
-            if blackout.from_us < 0 or blackout.until_us <= blackout.from_us:
+            if blackout.until_us <= blackout.from_us:
                 raise ConfigError("blackout window must be a non-empty time range")
 
         proto = self.protocol
-        if proto.slot_duration_us <= 0 or proto.compute_gap_us < 0:
-            raise ConfigError("slot duration must be positive, compute gap non-negative")
-        if proto.retx_slots < 0:
-            raise ConfigError("protocol.retx_slots must be non-negative")
-        if not 1 <= proto.n_channels <= MAX_CHANNELS:
-            raise ConfigError(f"protocol.n_channels must be in 1..{MAX_CHANNELS}, "
-                              f"got {proto.n_channels}")
-        if proto.watchdog_cycles < 1:
-            raise ConfigError("watchdog must be at least one cycle")
-        if proto.sync.max_waves < 1 or proto.sync.miss_limit < 1:
-            raise ConfigError("sync waves and miss limit must be at least 1")
-        if proto.sync.jitter_us < 0:
-            raise ConfigError("sync jitter must be non-negative")
-        if proto.phy_rate_mbps <= 0 or proto.phy_overhead_bytes < 0:
-            raise ConfigError("protocol.phy_rate_mbps must be positive, "
-                              "protocol.phy_overhead_bytes non-negative")
         try:
             airtime = frame_airtime_us(proto.phy_overhead_bytes, proto.phy_rate_mbps)
         except OverflowError:
@@ -236,19 +209,13 @@ class ScenarioConfig:
                 f"protocol.slot_duration_us: {proto.slot_duration_us} us cannot hold "
                 f"protocol.sync.max_waves={proto.sync.max_waves} frames of {airtime} us")
 
-        self.steering.validate()
-        self.follower.validate()
-        if self.sensor_range_mm < 1 or self.sensor_range_mm > 0xFFFE:
-            raise ConfigError("sensor_range_mm must fit the feedback distance field (1..65534)")
-
 
 # -- JSON conversion -----------------------------------------------------------
 #
-# A field's JSON key is its name unless _KEYS renames it.  Pose, Segment and
+# A field's JSON key is its name unless JSON_KEYS renames it.  Pose, Segment and
 # fixed-length tuples are arrays of numbers.  Converters are built once per
 # annotation; a bad value raises _Invalid, whose path fills in as it unwinds.
 
-_KEYS = {"node_id": "id", "sender": "from", "receiver": "to"}
 _EXPECTED = {bool: "a boolean", int: "an integer", str: "a string"}
 
 
@@ -346,7 +313,7 @@ def _converter(tp: Any) -> Callable[[Any], Any]:
 def _schema(cls: type, skip: tuple[str, ...] = ()) -> tuple[dict, list[str]]:
     """JSON key -> (field name, converter) for a dataclass, and its required keys."""
     hints = get_type_hints(cls)
-    keyed = [(_KEYS.get(f.name, f.name), f) for f in fields(cls) if f.name not in skip]
+    keyed = [(JSON_KEYS.get(f.name, f.name), f) for f in fields(cls) if f.name not in skip]
     convs = {key: (f.name, _converter(hints[f.name])) for key, f in keyed}
     required = [key for key, f in keyed
                 if f.default is MISSING and f.default_factory is MISSING]
@@ -372,7 +339,6 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
         steering = kwargs.pop("controller", {})
         kwargs["follower"] = steering.pop("follower", FollowerParams())
         config = ScenarioConfig(**kwargs, steering=SteeringParams(**steering), raw=raw)
-        config.validate()
     except _Invalid as exc:
         where = "".join(f"[{p}]" if type(p) is int else f".{p}" for p in reversed(exc.where))
         raise ConfigError(f"{where.lstrip('.')}: {exc}" if where else str(exc)) from None

@@ -74,7 +74,6 @@ class SimulationResult:
 
 class Simulation:
     def __init__(self, config: ScenarioConfig):
-        config.validate()
         self.config = config
         proto = config.protocol
         self.engine = Engine(config.seed)

@@ -14,7 +14,7 @@ v1..v5); the meaning of v1..v5 depends on the kind:
                 v3=distance mm (-1 = no reading)
     cmd-emit    src=controller dst=robot seq, v1=left v2=right
                 v3=informing feedback seq (-1 = none yet), cause="estop" if flagged
-    cmd-apply   node=robot, seq, cause=applied|estop|stale|latched|local,
+    cmd-apply   node=robot, seq, cause=applied|estop|latched|local,
                 v1=left v2=right
     waypoint    node=robot, v1=reference points reached, cause="complete" in
                 the cycle a path's last point is reached

@@ -288,9 +288,9 @@ def slot_offset_us(schedule, position: int) -> int:
     return offset
 
 
-def hop_of(schedule, slot) -> tuple[int, ...]:
-    """The hop sequence of the slot's band: feedback for uplink slots, forward
-    for every other slot."""
+def hop_of(slot, hop_forward, hop_feedback) -> tuple[int, ...]:
+    """The hop sequence of the slot's band, from the sequences handed to
+    `build_schedule`: feedback for uplink slots, forward for every other slot."""
     if slot.direction is Direction.GAP:
         raise ScheduleError("gap entry has no channel")
-    return schedule.hop_feedback if slot.direction is Direction.UPLINK else schedule.hop_forward
+    return hop_feedback if slot.direction is Direction.UPLINK else hop_forward

@@ -3,9 +3,11 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from wctrlsim.bounds import ConfigError, check_bounds
 from wctrlsim.channel import BurstModel, ChannelError, Medium, ProtocolViolation
 from wctrlsim.engine import DRAW_BLOCK, Engine, stream_rng
 from wctrlsim.frames import CmdFrame
+from wctrlsim.scenario import ChannelConfig, LinkSpec
 
 
 def make_medium(seed=0, n_channels=1, nodes=(0, 1), per=0.0, **link_kwargs):
@@ -68,14 +70,14 @@ def test_missing_link_model_is_an_error():
 
 
 def test_invalid_probability_rejected():
-    engine = Engine(seed=0)
-    medium = Medium(engine, n_channels=1)
+    # a config declares its erasure probabilities in [0, 1]; the medium checks
+    # only that a table holds one probability per channel
+    with pytest.raises(ConfigError, match=r"^channel\.default_per: must be <= 1\.0, got 1\.5$"):
+        check_bounds(ChannelConfig(default_per=1.5), "channel")
+    with pytest.raises(ConfigError, match=r"^per_by_channel\[1\]: must be >= 0\.0, got -0\.3$"):
+        check_bounds(LinkSpec(0, 1, per_by_channel=(0.2, -0.3)))
     with pytest.raises(ChannelError):
-        medium.add_link(0, 1, per=1.5)
-    with pytest.raises(ChannelError):
-        medium.add_link(0, 1, per_by_channel=[0.2, 0.3])  # wrong length
-    with pytest.raises(ChannelError):
-        medium.add_links([0, 1], 1.5)
+        Medium(Engine(seed=0), n_channels=1).add_link(0, 1, per_by_channel=[0.2, 0.3])
 
 
 def test_add_links_fills_only_the_missing_pairs():
@@ -181,9 +183,9 @@ def test_burst_model_occupancy():
 
 
 def test_burst_parameters_validated():
-    with pytest.raises(ChannelError):
-        BurstModel(p_good_to_bad=1.2, p_bad_to_good=0.1,
-                   per_good=0.0, per_bad=1.0).validate()
+    burst = BurstModel(p_good_to_bad=1.2, p_bad_to_good=0.1, per_good=0.0, per_bad=1.0)
+    with pytest.raises(ConfigError, match=r"^burst\.p_good_to_bad: must be <= 1\.0, got 1\.2$"):
+        Medium(Engine(seed=0), n_channels=1).add_link(0, 1, burst=burst)
 
 
 def test_blackout_forces_erasure():

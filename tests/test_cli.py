@@ -75,13 +75,16 @@ BAD_CONFIGS = {
                       "remote-control needs at least one robot"),
     "negative-cruise-speed": (_square_with(
         lambda raw: raw["controller"].update(cruise_speed_mms=-1)),
-        "steering parameters must be strictly positive"),
+        "controller.cruise_speed_mms: must be > 0, got -1.0"),
+    "unknown-curve-mode": (_square_with(lambda raw: raw["controller"].update(curve_mode="arcs")),
+                           "controller.curve_mode: unknown curve mode 'arcs'"),
     "non-numeric-retx-slots": (_square_with(
         lambda raw: raw["protocol"].update(retx_slots="two")),
         'protocol.retx_slots: expected an integer, got "two"'),
     "null-duration": (_square_with(lambda raw: raw.update(duration_s=None)),
                       "duration_s: expected a finite number, got null"),
-    "wheel-speed-beyond-i16": (_square_with(_fast_wheels), "i16"),
+    "wheel-speed-beyond-i16": (_square_with(_fast_wheels),
+                               "nodes[1].params.max_wheel_speed_mms: must be <= 32767, got 40000"),
     "unknown-key": (_square_with(
         lambda raw: raw["nodes"][1].update(params={"max_wheel_speed": 200})),
         "nodes[1].params: unknown key 'max_wheel_speed' (did you mean 'max_wheel_speed_mms'?)"),
@@ -98,16 +101,16 @@ BAD_CONFIGS = {
     "protocol-not-an-object": (_square_with(lambda raw: raw.update(protocol=[1])),
                                "protocol: expected an object, got an array"),
     "zero-phy-rate": (_square_with(lambda raw: raw["protocol"].update(phy_rate_mbps=0)),
-                      "protocol.phy_rate_mbps must be positive"),
+                      "protocol.phy_rate_mbps: must be > 0, got 0.0"),
     "negative-phy-overhead": (_square_with(
         lambda raw: raw["protocol"].update(phy_overhead_bytes=-100)),
-        "protocol.phy_overhead_bytes non-negative"),
+        "protocol.phy_overhead_bytes: must be >= 0, got -100"),
     "slot-shorter-than-sync-waves": (_square_with(
         lambda raw: raw["protocol"].update(slot_duration_us=50)),
         "protocol.slot_duration_us: 50 us cannot hold protocol.sync.max_waves=2 frames of 104 us"),
     "too-many-channels": (_square_with(
         lambda raw: raw["protocol"].update(n_channels=2_000_000)),
-        "protocol.n_channels must be in 1..256, got 2000000"),
+        "protocol.n_channels: must be <= 256, got 2000000"),
 }
 
 
@@ -283,7 +286,7 @@ BAD_GRIDS = {
                         "channel: unknown key 'defualt_per' (did you mean 'default_per'?)"),
     "value-out-of-range": ({"parameters": {"channel.default_per": [0.1, 1.5]}},
                            "sweep point channel.default_per=1.5, seed=11: "
-                           "channel.default_per outside [0, 1]"),
+                           "channel.default_per: must be <= 1.0, got 1.5"),
     "unknown-grid-key": ({"seed": [1, 2, 3]},
                          "grid: unknown key 'seed'; a grid takes \"parameters\" and \"seeds\""),
     "seed-as-parameter": ({"parameters": {"seed": [1, 2]}}, '"seeds"'),

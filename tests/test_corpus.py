@@ -1,0 +1,88 @@
+"""Branch corpus: short runs that reach branches no golden case reaches.
+
+Each case is one robot driven for 0.5 s of virtual time at PER 0, changed in
+one place to a boundary value that the declared config ranges must keep
+accepting.  A case is pinned by the sha256 of `trace.csv` and `metrics.json`
+as `wctrlsim run` writes them, and checked by the trace rows that show its
+branch ran.
+"""
+
+import copy
+import hashlib
+import io
+import json
+from contextlib import redirect_stdout
+
+from wctrlsim.cli import main
+from wctrlsim.trace import COLUMNS, load_trace
+
+KIND, NODE, SLOT, DST, CAUSE, V1, V3 = (COLUMNS.index(c) for c in
+                                        ("kind", "node", "slot", "dst", "cause", "v1", "v3"))
+DEAD_CHANNEL = 3
+
+BASE = {
+    "kind": "remote-control",
+    "seed": 3,
+    "duration_s": 0.5,
+    "nodes": [
+        {"id": 0, "role": "controller"},
+        {"id": 1, "role": "robot", "start_pose": [0.0, 0.0, 0.0], "path": [[2.0, 0.5]]},
+    ],
+    "channel": {"default_per": 0.0},
+    "run_to_completion": False,
+}
+
+# name -> (change to BASE, sha256 of trace.csv, sha256 of metrics.json)
+CASES = {
+    "one-hop-channel": (
+        {"protocol": {"n_channels": 1}},
+        "2a8cfac5f28e7057e31fc8a9316f5c217ee3312c4eca4ee35ae22e5e8a26f2c9",
+        "9a94d6f723237fed703465ab284a12655e7c5a88c47a193c137601dc673f738e"),
+    "no-retx-slots": (
+        {"protocol": {"retx_slots": 0}},
+        "0857bc9d19b117b4704a2f6ad6b26035c3b6e4e79de0d7334c1accb90438b3ea",
+        "3935d0894a52c7e066f42393086ea0f1ee1f0cf60ad37d3657c6179068df785b"),
+    "a-dead-channel": (
+        {"channel": {"default_per": 0.0, "links": [
+            {"from": 0, "to": 1,
+             "per_by_channel": [1.0 if c == DEAD_CHANNEL else 0.0 for c in range(8)]}]}},
+        "3a369862b2f1d4315037a7d3f664236e6a3394552df883658bf03b1c6d0574b2",
+        "1a37ec68d1c72866a4c2a6b2236f5ecded5d1e24acd879488090b31ab3474a02"),
+}
+
+
+def _run(name, tmp_path):
+    change, trace_digest, metrics_digest = CASES[name]
+    raw = {**copy.deepcopy(BASE), **change}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    with redirect_stdout(io.StringIO()):
+        assert main(["run", str(config), "--out", str(out)]) == 0
+    digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                    for f in ("trace.csv", "metrics.json"))
+    assert digests == (trace_digest, metrics_digest)
+    return load_trace(out / "trace.csv")
+
+
+def test_one_hop_channel_puts_every_frame_on_channel_0(tmp_path):
+    rows = _run("one-hop-channel", tmp_path)
+    tx = [r for r in rows if r[KIND] == "tx"]
+    assert tx and all(r[V1] == 0 for r in tx)
+
+
+def test_no_retx_slots_end_the_cycle_at_the_last_downlink_slot(tmp_path):
+    rows = _run("no-retx-slots", tmp_path)
+    n_loops = 1
+    (meta,) = [r for r in rows if r[KIND] == "meta"]
+    assert meta[V3] == 2 + 2 * n_loops  # sync, uplinks, gap, downlinks
+    last_downlink = 1 + 2 * n_loops
+    tx = [r for r in rows if r[KIND] == "tx"]
+    assert tx and max(r[SLOT] for r in tx) == last_downlink
+
+
+def test_a_dead_channel_erases_every_frame_of_its_link(tmp_path):
+    rows = _run("a-dead-channel", tmp_path)
+    on_dead = [r for r in rows
+               if r[KIND] == "rx" and r[NODE] == 1 and r[DST] == 1 and r[V1] == DEAD_CHANNEL]
+    assert on_dead and all(r[CAUSE] == "erased" for r in on_dead)

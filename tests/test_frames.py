@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import checked_encode_frame
 
 from wctrlsim.frames import (BROADCAST, FRAME_SIZE, CmdFrame, EstopFrame, FbFrame,
-                             FrameError, SyncFrame, decode_frame, encode_frame,
-                             seq_is_newer, wrap_i32)
+                             FrameError, SyncFrame, decode_frame, encode_frame, wrap_i32)
 
 
 def test_command_frame_byte_layout():
@@ -110,18 +109,6 @@ def test_wrap_i32():
     assert wrap_i32(2**31) == -2**31
     assert wrap_i32(-2**31 - 1) == 2**31 - 1
     assert wrap_i32(123) == 123
-
-
-@pytest.mark.parametrize("seq, last, newer", [
-    (0, 0xFFFF, True),     # one ahead across the wrap
-    (5, 5, False),         # equal
-    (0x8000, 0, False),    # half the ring ahead counts as behind
-    (0x7FFF, 0, True),
-    (0xFFFF, 0, False),    # one behind across the wrap
-    (0, None, True),       # anything is newer than nothing
-])
-def test_seq_is_newer_is_wrap_aware(seq, last, newer):
-    assert seq_is_newer(seq, last) is newer
 
 
 @given(st.integers(0, 254), st.integers(0, 255), st.integers(0, 65535),

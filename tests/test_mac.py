@@ -26,8 +26,8 @@ def test_single_loop_layout():
         Direction.SYNC, Direction.UPLINK, Direction.GAP, Direction.DOWNLINK,
         Direction.RETX, Direction.RETX]
     assert len(sched.slots) == 6
-    assert sched.slots[1].owner == 1 and sched.slots[1].hop is sched.hop_feedback
-    assert sched.slots[3].owner == 0 and sched.slots[3].hop is sched.hop_forward
+    assert sched.slots[1].owner == 1 and sched.slots[1].hop == HOP8[::-1]
+    assert sched.slots[3].owner == 0 and sched.slots[3].hop == HOP8
     assert sched.slots[2].hop == ()
 
 
@@ -122,21 +122,23 @@ def schedules(draw):
     plants = draw(st.lists(st.integers(1, 254), min_size=n, max_size=n, unique=True))
     loops = [LoopSpec(loop_id, controller=0, plant=plant) for loop_id, plant in zip(ids, plants)]
     channels = draw(st.integers(1, 16))
+    hops = (tuple(draw(st.permutations(range(channels)))),
+            tuple(draw(st.permutations(range(channels)))))
     return build_schedule(loops, slot_duration_us=draw(st.integers(1, 10_000)),
                           compute_gap_us=draw(st.integers(0, 10_000)),
                           retx_slots=draw(st.integers(0, 5)),
-                          hop_forward=tuple(draw(st.permutations(range(channels)))),
-                          hop_feedback=tuple(draw(st.permutations(range(channels)))))
+                          hop_forward=hops[0], hop_feedback=hops[1]), hops
 
 
 @settings(max_examples=200, deadline=None)
 @given(schedules())
-def test_slot_offsets_and_hops_match_the_recomputed_layout(sched):
+def test_slot_offsets_and_hops_match_the_recomputed_layout(drawn):
+    sched, (hop_forward, hop_feedback) = drawn
     assert sched.slots[gap_position(sched)].hop == ()
     for slot in sched.slots:
         assert slot.offset_us == slot_offset_us(sched, slot.position)
         if slot.direction is not Direction.GAP:
-            assert slot.hop is hop_of(sched, slot)  # the schedule's own sequence object
+            assert slot.hop is hop_of(slot, hop_forward, hop_feedback)  # the very tuple handed in
     assert sched.cycle_length_us == sched.slots[-1].offset_us + sched.slot_duration_us
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import rk4_unicycle
+from wctrlsim.bounds import ConfigError
 from wctrlsim.frames import CmdFrame
 from wctrlsim.robot import (Pose, Robot, RobotParams, Segment, normalize_angle,
                             ray_distance_m, step_kinematics)
@@ -180,9 +181,9 @@ def test_apply_command_sets_commanded_speeds():
 
 
 def test_wheel_speed_limit_must_fit_the_command_frame():
-    RobotParams(max_wheel_speed_mms=0x7FFF).validate()
-    with pytest.raises(ValueError, match="i16"):
-        RobotParams(max_wheel_speed_mms=0x8000).validate()
+    Robot(1, RobotParams(max_wheel_speed_mms=0x7FFF), Pose(0, 0, 0))
+    with pytest.raises(ConfigError, match=r"^params\.max_wheel_speed_mms: must be <= 32767, got 32768$"):
+        Robot(1, RobotParams(max_wheel_speed_mms=0x8000), Pose(0, 0, 0))
 
 
 def test_apply_command_clamps_to_wheel_limit():
@@ -191,12 +192,14 @@ def test_apply_command_clamps_to_wheel_limit():
     assert robot.commanded == (300.0, -300.0)
 
 
-def test_stale_sequence_ignored():
+def test_command_after_a_seq_jump_of_40000_is_applied():
+    # a robot that hears nothing for 40,000 cycles (80 s at a 2 ms cycle) sees
+    # the controller's count 40,000 ahead, more than half the u16 ring
     robot = make_robot()
-    robot.apply_command(CmdFrame(src=0, dst=1, seq=7, left_mms=50, right_mms=50))
+    robot.apply_command(CmdFrame(src=0, dst=1, seq=50, left_mms=50, right_mms=50))
     assert robot.apply_command(
-        CmdFrame(src=0, dst=1, seq=5, left_mms=90, right_mms=90)) == "stale"
-    assert robot.commanded == (50.0, 50.0)
+        CmdFrame(src=0, dst=1, seq=50 + 40_000, left_mms=90, right_mms=90)) == "applied"
+    assert robot.commanded == (90.0, 90.0)
 
 
 def test_sequence_wraparound_is_not_stale():

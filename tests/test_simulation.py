@@ -332,4 +332,4 @@ def test_every_transmission_uses_the_hop_channel_of_its_slot(lossy_result, fleet
         hops = [slot.hop for slot in sched.slots]
         wrong = [r for r in rows
                  if r[V1] != hops[r[SLOT]][(r[CYCLE] + r[SLOT]) % len(hops[r[SLOT]])]]
-        assert {r[V1] for r in rows} == set(sched.hop_forward) and not wrong
+        assert {r[V1] for r in rows} == set(sched.slots[0].hop) and not wrong
