@@ -1,8 +1,8 @@
 """Branch corpus: short runs that reach branches no golden case reaches.
 
 Each case is one robot driven for 0.5 s of virtual time at PER 0, changed in
-one place to a boundary value that the declared config ranges must keep
-accepting.  A case is pinned by the sha256 of `trace.csv` and `metrics.json`
+one or two places: a boundary value that the declared config ranges must keep
+accepting, a steering setting, or a path.  A case is pinned by the sha256 of `trace.csv` and `metrics.json`
 as `wctrlsim run` writes them, and checked by the trace rows that show its
 branch ran.
 """
@@ -14,11 +14,14 @@ import json
 from contextlib import redirect_stdout
 
 from wctrlsim.cli import main
+from wctrlsim.controller import SteeringParams, wheel_speeds
+from wctrlsim.robot import RobotParams
 from wctrlsim.trace import COLUMNS, load_trace
 
-KIND, NODE, SLOT, DST, CAUSE, V1, V3 = (COLUMNS.index(c) for c in
-                                        ("kind", "node", "slot", "dst", "cause", "v1", "v3"))
+KIND, NODE, SLOT, DST, CAUSE, V1, V2, V3 = (
+    COLUMNS.index(c) for c in ("kind", "node", "slot", "dst", "cause", "v1", "v2", "v3"))
 DEAD_CHANNEL = 3
+TWIN = [0.01, 0.0]  # within the waypoint tolerance of the start, and on the robot's way out
 
 BASE = {
     "kind": "remote-control",
@@ -31,6 +34,11 @@ BASE = {
     "channel": {"default_per": 0.0},
     "run_to_completion": False,
 }
+
+
+def _robot_path(path):
+    return {"nodes": [{"id": 0, "role": "controller"},
+                      {"id": 1, "role": "robot", "start_pose": [0.0, 0.0, 0.0], "path": path}]}
 
 # name -> (change to BASE, sha256 of trace.csv, sha256 of metrics.json)
 CASES = {
@@ -48,6 +56,20 @@ CASES = {
              "per_by_channel": [1.0 if c == DEAD_CHANNEL else 0.0 for c in range(8)]}]}},
         "3a369862b2f1d4315037a7d3f664236e6a3394552df883658bf03b1c6d0574b2",
         "1a37ec68d1c72866a4c2a6b2236f5ecded5d1e24acd879488090b31ab3474a02"),
+    # a target 45 degrees off the heading, where the arc and parabola curves part
+    "arc-curve": (
+        {"controller": {"curve_mode": "arc"}, **_robot_path([[0.5, 0.5]])},
+        "ad4951f8705135b6048a72ad856869394dbcacce95c897e5d9ce5844b0d3c1fc",
+        "e5dfae4ed76bd338c7cf6371a93ef50afa5ff5ae5c7b7fc1e34399f535ad383a"),
+    # a zero-length reference segment in the cross-track search
+    "repeated-point": (
+        _robot_path([TWIN, TWIN, [2.0, 0.5]]),
+        "769c6b7b652852c61f119ec939040a4512af7b6f0e42ba2b090752008168e51b",
+        "f23fc11f06a875b52d854030cfd426e53b88a3d73debb1ece13f9f14a90e44d0"),
+    "clamped-cruise": (
+        {"controller": {"cruise_speed_mms": 1000.0}},
+        "965e770d0df6a7007d252676511b8fc3a9c8195870e212acd4d4584a46e30585",
+        "ef05a7b0eb6fe9291b3e6941573805e1fbe2ccfd930b482a2eced6408097faee"),
 }
 
 
@@ -86,3 +108,27 @@ def test_a_dead_channel_erases_every_frame_of_its_link(tmp_path):
     on_dead = [r for r in rows
                if r[KIND] == "rx" and r[NODE] == 1 and r[DST] == 1 and r[V1] == DEAD_CHANNEL]
     assert on_dead and all(r[CAUSE] == "erased" for r in on_dead)
+
+
+def test_the_arc_curve_steers_through_its_own_law(tmp_path):
+    rows = _run("arc-curve", tmp_path)
+    first = next(r for r in rows if r[KIND] == "cmd-emit")
+    speeds = {mode: tuple(round(v) for v in wheel_speeds(0.5, 0.5, SteeringParams(curve_mode=mode),
+                                                        RobotParams()))
+              for mode in ("arc", "parabola")}
+    assert (first[V1], first[V2]) == speeds["arc"] != speeds["parabola"]
+
+
+def test_a_repeated_point_is_passed_with_its_twin(tmp_path):
+    rows = _run("repeated-point", tmp_path)
+    refs = [[r[V1], r[V2]] for r in rows if r[KIND] == "ref-point"]
+    assert refs[:2] == [TWIN, TWIN]
+    first = next(r for r in rows if r[KIND] == "waypoint")
+    assert first[V1] == 2  # both copies in one cycle
+
+
+def test_a_cruise_speed_beyond_the_wheel_limit_is_scaled_to_it(tmp_path):
+    rows = _run("clamped-cruise", tmp_path)
+    limit = RobotParams().max_wheel_speed_mms
+    emitted = [(r[V1], r[V2]) for r in rows if r[KIND] == "cmd-emit"]
+    assert emitted and all(max(abs(left), abs(right)) == limit for left, right in emitted)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import shape_keyed_csv
 from test_scenario import remote_configs
+from wctrlsim.cli import _plot_rows
 from wctrlsim.metrics import TraceView
 from wctrlsim.scenario import ConfigError, config_from_dict
 from wctrlsim.simulation import run_scenario
@@ -64,6 +65,22 @@ def test_loaded_trace_gives_the_same_view_as_the_in_memory_rows(lossy_result, tm
     assert a.delivered["FB"] and a.delivered == b.delivered
     assert (a.controller_latch_us, a.plant_latch_us) == (b.controller_latch_us, b.plant_latch_us)
     assert (a.end_reason, a.cycles) == (b.end_reason, b.cycles) == ("estopped", 484)
+
+
+@pytest.mark.parametrize("scenario, metrics", [
+    ("lossy", ("cycle-cdf", "path")),
+    ("fleet", ("cycle-cdf", "path")),
+    ("platoon", ("cycle-cdf", "path", "gap")),
+])
+def test_plot_data_reads_the_loaded_file_as_the_in_memory_trace(scenario, metrics, request,
+                                                              tmp_path):
+    trace = request.getfixturevalue(f"{scenario}_result").trace
+    path = tmp_path / "trace.csv"
+    trace.write_csv(path)
+    loaded = load_trace(path)
+    for metric in metrics:
+        lines = _plot_rows(trace.rows, metric)
+        assert len(lines) > 1 and lines == _plot_rows(loaded, metric), metric
 
 
 def test_write_csv_streams_the_file_in_bounded_memory(fleet_result, tmp_path):
