@@ -19,11 +19,6 @@ import math
 
 import numpy as np
 
-# trace column indices (see trace.COLUMNS)
-_TIME, _CYCLE, _SLOT, _NODE, _KIND, _FRAME, _SRC, _DST, _SEQ, _CAUSE = range(10)
-_V1, _V2, _V3, _V4, _V5 = range(10, 15)
-
-
 _BLOCK = 128  # points per block at least; never more blocks than segments
 _MARGIN_M = 1e-9  # slack on the box bound for the rounding of both distances
 
@@ -89,14 +84,15 @@ def cdf_pairs(values) -> list[tuple[float, float]]:
     return [(float(v), float(f)) for v, f in zip(uniq, fractions)]
 
 
-def _frame_id(row) -> int:
+def _frame_id(cycle: int, src: int, dst: int, seq: int) -> int:
     """(cycle, src, dst, seq) packed into an int, half a tuple's memory: the cycle
     parts frames whose 16-bit seq wrapped; retx copies share their frame's cycle."""
-    return row[_CYCLE] << 32 | row[_SRC] << 24 | row[_DST] << 16 | row[_SEQ]
+    return cycle << 32 | src << 24 | dst << 16 | seq
 
 
 class TraceView:
-    """Single-pass extraction of everything the metrics need from trace rows."""
+    """Single-pass extraction of everything the metrics need from trace rows: a
+    `Trace`, or the tuples `load_trace` returns, each in `trace.COLUMNS` order."""
 
     def __init__(self, rows):
         self.latencies: list[tuple[int, int, int]] = []  # (apply time, robot, latency us)
@@ -113,55 +109,47 @@ class TraceView:
 
         fb_time: dict[tuple[int, int], int] = {}
         emit_informing: dict[tuple[int, int], int] = {}
-        for row in rows:
-            kind = row[_KIND]  # the commonest kinds first
-            if kind == "rx":
-                if row[_CAUSE] == "delivered" and row[_FRAME] in ("CMD", "FB"):
-                    if row[_NODE] == row[_DST]:
-                        self.delivered[row[_FRAME]].add(_frame_id(row))
+        for t, cycle, slot, node, kind, frame, src, dst, seq, cause, v1, v2, v3, v4, v5 in rows:
+            if kind == "rx":  # the commonest kinds first
+                if cause == "delivered" and frame in ("CMD", "FB") and node == dst:
+                    self.delivered[frame].add(_frame_id(cycle, src, dst, seq))
             elif kind == "tx":
-                if row[_FRAME] in ("CMD", "FB"):
-                    self.attempted[row[_FRAME]].add(_frame_id(row))
-            elif kind == "pose":  # theta (v3) is read by no metric
-                t, _, _, node, _, _, _, _, _, _, x, y, _, left, right = row
+                if frame in ("CMD", "FB"):
+                    self.attempted[frame].add(_frame_id(cycle, src, dst, seq))
+            elif kind == "pose":  # v1..v5 = x y theta left right; no metric reads theta
                 series = self.poses.get(node) or self.poses.setdefault(node, [])
                 # as in trace.csv: round(v, 6) == float(f"{v:.6f}"), which a whole v equals
-                series.append((t, x if x.is_integer() else round(x, 6),
-                               y if y.is_integer() else round(y, 6),
-                               left if left.is_integer() else round(left, 6),
-                               right if right.is_integer() else round(right, 6)))
+                series.append((t, v1 if v1.is_integer() else round(v1, 6),
+                               v2 if v2.is_integer() else round(v2, 6),
+                               v4 if v4.is_integer() else round(v4, 6),
+                               v5 if v5.is_integer() else round(v5, 6)))
             elif kind == "fb-sample":
-                fb_time[(row[_NODE], row[_SEQ])] = row[_TIME]
+                fb_time[(node, seq)] = t
             elif kind == "cmd-emit":
-                emit_informing[(row[_DST], row[_SEQ])] = row[_V3]
+                emit_informing[(dst, seq)] = v3
             elif kind == "cmd-apply":
                 # radio applications only: local (co-located) loops have no slot
-                if row[_CAUSE] in ("applied", "estop") and row[_SLOT] is not None:
-                    robot = row[_NODE]
-                    informing = emit_informing.get((robot, row[_SEQ]))
+                if cause in ("applied", "estop") and slot is not None:
+                    informing = emit_informing.get((node, seq))
                     if informing is not None and informing >= 0:
-                        t_fb = fb_time.get((robot, informing))
+                        t_fb = fb_time.get((node, informing))
                         if t_fb is not None:
-                            t_apply = row[_TIME]
-                            self.latencies.append((t_apply, robot, t_apply - t_fb))
+                            self.latencies.append((t, node, t - t_fb))
             elif kind == "ref-point":
-                self.refpoints.setdefault(row[_NODE], []).append(
-                    (round(row[_V1], 6), round(row[_V2], 6)))
+                self.refpoints.setdefault(node, []).append((round(v1, 6), round(v2, 6)))
             elif kind == "estop":
-                t = row[_TIME]
-                if row[_CAUSE] == "controller-latch" and self.controller_latch_us is None:
+                if cause == "controller-latch" and self.controller_latch_us is None:
                     self.controller_latch_us = t
-                elif row[_CAUSE] == "plant-latch":
-                    self.plant_latch_us.setdefault(row[_NODE], t)
+                elif cause == "plant-latch":
+                    self.plant_latch_us.setdefault(node, t)
             elif kind == "waypoint":
-                node = row[_NODE]
-                if row[_V1]:  # reference points reached this cycle
-                    self.points_reached.append((row[_TIME], node, row[_V1]))
-                if row[_CAUSE] == "complete":
-                    self.waypoint_complete_us.setdefault(node, row[_TIME])
+                if v1:  # reference points reached this cycle
+                    self.points_reached.append((t, node, v1))
+                if cause == "complete":
+                    self.waypoint_complete_us.setdefault(node, t)
             elif kind == "end":
-                self.end_reason = row[_CAUSE]
-                self.cycles = row[_V1]
+                self.end_reason = cause
+                self.cycles = v1
 
     # -- derived series ------------------------------------------------------
 
@@ -228,7 +216,7 @@ def _ratio(view: TraceView, frame: str) -> dict:
 
 def compute_metrics(result) -> dict:
     """Build the metrics report for a finished run (a SimulationResult)."""
-    view = TraceView(result.trace.rows)
+    view = TraceView(result.trace)
     config = result.config
     report: dict = {
         "config_digest": config.digest(),

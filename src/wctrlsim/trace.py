@@ -25,8 +25,11 @@ v1..v5); the meaning of v1..v5 depends on the kind:
 `Trace.add(time_us, kind, cycle, slot, node, frame, src, dst, seq, cause,
 v1, ..., v5)` takes the kind second and the other cells in column order, by
 position or by keyword (omitted cells are None); the per-cycle rows of the
-simulator pass them by position, which binds faster than keywords.  Rows hold
-the native values exactly as passed (ints, strs, floats, None) and are
+simulator pass them by position, which binds faster than keywords.  A trace
+keeps the cells of every row in one flat list, in column order, exactly as
+passed (ints, strs, floats, None): a stored row leaves no object of its own,
+so the rows that grow as N^2 give the cyclic collector nothing to scan.
+Iterating a trace rebuilds each row as a tuple in COLUMNS order, and cells are
 formatted once, in `to_csv`.  The simulator's per-cycle rows (tx, rx, sync,
 sync-miss, fb-sample, cmd-emit, cmd-apply, pose) pass a kind made by
 `declare_kind`: `to_csv` knows it by identity and trusts its declared cell
@@ -49,6 +52,7 @@ from typing import TextIO
 
 COLUMNS = ("time_us", "cycle", "slot", "node", "kind", "frame", "src", "dst",
            "seq", "cause", "v1", "v2", "v3", "v4", "v5")
+_WIDTH = len(COLUMNS)
 
 
 def _spec(value) -> str:
@@ -68,7 +72,8 @@ _KINDS: dict[int, tuple[str, str, str, itemgetter]] = {}  # id -> kind, layout, 
 def declare_kind(name: str, layout: str) -> str:
     """A new str equal to `name` (two letters or more: a shorter str is shared) for a call
     site whose rows always have `layout`: a letter per column but kind, in COLUMNS order
-    ("s" int or str, "f" float, "-" empty).  An exact str: rows holding it stay GC-untracked."""
+    ("s" int or str, "f" float, "-" empty).  An exact str, which compares, hashes and
+    formats as `name` does."""
     layout = layout.replace(" ", "")
     kind = sys.intern(name).encode().decode()  # new; equal literals stay the interned one
     if len(name) < 2 or len(layout) != len(COLUMNS) - 1 or not set(layout) <= {"s", "f", "-"}:
@@ -81,16 +86,23 @@ def declare_kind(name: str, layout: str) -> str:
 
 
 class Trace:
-    """In-memory rows of native values plus CSV serialization."""
+    """Rows of native values, kept as one flat list of cells, plus CSV serialization."""
 
     def __init__(self) -> None:
-        self.rows: list[tuple] = []
+        self._cells: list = []  # _WIDTH cells per row, in COLUMNS order
 
     def add(self, time_us: int, kind: str, cycle=None, slot=None, node=None,
             frame=None, src=None, dst=None, seq=None, cause=None,
             v1=None, v2=None, v3=None, v4=None, v5=None) -> None:
-        self.rows.append((time_us, cycle, slot, node, kind, frame, src, dst, seq,
-                          cause, v1, v2, v3, v4, v5))
+        self._cells.extend((time_us, cycle, slot, node, kind, frame, src, dst, seq,
+                            cause, v1, v2, v3, v4, v5))
+
+    def __len__(self) -> int:
+        return len(self._cells) // _WIDTH
+
+    def __iter__(self):
+        """Each row as a tuple in COLUMNS order, rebuilt from the cells."""
+        return zip(*[iter(self._cells)] * _WIDTH)
 
     def to_csv(self, out: TextIO | None = None) -> str | None:
         """Write the header and every row to the text stream `out`, one row at
@@ -103,7 +115,7 @@ class Trace:
         patterns: dict[tuple[type, ...], str] = {}
         write, kinds = out.write, _KINDS
         write(",".join(COLUMNS) + "\n")
-        for row in self.rows:
+        for row in self:
             declared = kinds.get(id(row[4]))
             if declared is not None:  # the layout is trusted, not checked
                 write(declared[2] % declared[3](row))

@@ -56,8 +56,8 @@ def test_criterion_01_determinism(square_config, square_result,
                     and json.dumps(platoon_again.metrics, sort_keys=True)
                     == json.dumps(platoon_result.metrics, sort_keys=True))
     report(1, "determinism", same_square and same_platoon,
-           f"square rows={len(square_result.trace.rows)}, "
-           f"platoon rows={len(platoon_result.trace.rows)}, byte-identical reruns")
+           f"square rows={len(square_result.trace)}, "
+           f"platoon rows={len(platoon_result.trace)}, byte-identical reruns")
 
 
 # -- 2: reliability closed form -------------------------------------------------
@@ -209,7 +209,7 @@ def test_criterion_06_schedule_properties():
         # hop coverage, read from the run's tx rows: over one period every slot
         # puts a frame on its hop channel in every cycle and so uses every channel
         used = {slot.position: set() for slot in sched.slots}
-        for row in result.trace.rows:
+        for row in result.trace:
             if row[KIND] == "tx":
                 used[row[SLOT]].add((row[CYCLE], row[V1]))
         for slot in sched.slots:
@@ -283,7 +283,7 @@ def test_criterion_09_cycle_time_distribution(square_result):
         ok &= abs(mass - expect) <= 3 * sigma
         details.append(f"{offset}us: {mass:.4f} vs {expect} +/- {3 * sigma:.4f}")
     # per = 0: the latency is one constant value
-    lossless = {lat for _, _, lat in TraceView(square_result.trace.rows).latencies}
+    lossless = {lat for _, _, lat in TraceView(square_result.trace).latencies}
     ok &= len(lossless) == 1
     details.append(f"lossless latency constant {sorted(lossless)}")
     report(9, "cycle-time mixture", ok, "; ".join(details))
@@ -363,16 +363,16 @@ def test_criterion_11_desync_safety():
         "run_to_completion": False,
     })
     result = run_scenario(config)
-    desync_at = [int(r[TIME]) for r in result.trace.rows
+    desync_at = [int(r[TIME]) for r in result.trace
                  if r[KIND] == "desync" and r[NODE] == 1]
-    resync_at = [int(r[TIME]) for r in result.trace.rows
+    resync_at = [int(r[TIME]) for r in result.trace
                  if r[KIND] == "sync" and r[NODE] == 1 and int(r[TIME]) > 20 * cycle_len]
     ok = bool(desync_at and resync_at)
     if ok:
         # desync after exactly miss_limit missed beacons
         ok &= desync_at[0] == (20 + config.protocol.sync.miss_limit - 1) * cycle_len
         ok &= resync_at[0] == 40 * cycle_len
-        tx_times = [int(r[TIME]) for r in result.trace.rows
+        tx_times = [int(r[TIME]) for r in result.trace
                     if r[KIND] == "tx" and r[NODE] == 1]
         silent = [t for t in tx_times if desync_at[0] <= t < resync_at[0]]
         resumed = [t for t in tx_times if t >= resync_at[0]]

@@ -2,9 +2,9 @@
 
 Each case is one robot driven for 0.5 s of virtual time at PER 0, changed in
 one or two places: a boundary value that the declared config ranges must keep
-accepting, a steering setting, or a path.  A case is pinned by the sha256 of `trace.csv` and `metrics.json`
-as `wctrlsim run` writes them, and checked by the trace rows that show its
-branch ran.
+accepting, a steering setting, or a path.  A case is pinned by the sha256 of
+`trace.csv` and `metrics.json` as `wctrlsim run` writes them, and checked by
+the trace rows that show its branch ran.
 """
 
 import copy
@@ -39,6 +39,7 @@ BASE = {
 def _robot_path(path):
     return {"nodes": [{"id": 0, "role": "controller"},
                       {"id": 1, "role": "robot", "start_pose": [0.0, 0.0, 0.0], "path": path}]}
+
 
 # name -> (change to BASE, sha256 of trace.csv, sha256 of metrics.json)
 CASES = {

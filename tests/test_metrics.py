@@ -101,7 +101,7 @@ def synthetic_trace():
 
 
 def test_latency_join_through_informing_sequence():
-    view = TraceView(synthetic_trace().rows)
+    view = TraceView(synthetic_trace())
     assert view.latencies == [(1354, 1, 1104)]
 
 
@@ -111,7 +111,7 @@ def test_latency_ignores_uninformed_commands():
               v1=0, v2=0, v3=-1)
     trace.add(3354, "cmd-apply", cycle=1, slot=3, node=1, frame="CMD", src=0, dst=1,
               seq=2, cause="applied", v1=0, v2=0)
-    view = TraceView(trace.rows)
+    view = TraceView(trace)
     assert len(view.latencies) == 1
 
 
@@ -122,7 +122,7 @@ def test_empty_trace_is_not_an_error():
 
 
 def test_reference_polyline_prepends_first_pose():
-    view = TraceView(synthetic_trace().rows)
+    view = TraceView(synthetic_trace())
     assert view.reference_polyline(1) == [(0.0, 0.05), (0.5, 0.0)]
 
 
@@ -130,7 +130,7 @@ def test_stationary_time_scan():
     trace = synthetic_trace()
     trace.add(4000, "pose", cycle=1, node=1, v1=0.0, v2=0.0, v3=0.0, v4=50.0, v5=50.0)
     trace.add(6000, "pose", cycle=2, node=1, v1=0.0, v2=0.0, v3=0.0, v4=0.0, v5=0.0)
-    view = TraceView(trace.rows)
+    view = TraceView(trace)
     assert view.stationary_time_us(1, after_us=0) == 6000
     assert view.stationary_time_us(1, after_us=6001) is None
 
@@ -148,7 +148,7 @@ def test_pose_values_equal_round_to_six_decimals_bit_for_bit(values):
     x, y, left, right = values
     trace = Trace()
     trace.add(2000, "pose", cycle=0, node=1, v1=x, v2=y, v3=0.0, v4=left, v5=right)
-    (pose,) = TraceView(trace.rows).poses[1]
+    (pose,) = TraceView(trace).poses[1]
     rounded = (2000, *(round(v, 6) for v in values))
     assert struct.pack("<q4d", *pose) == struct.pack("<q4d", *rounded)
 
@@ -164,6 +164,6 @@ def test_delivery_counts_frames_whose_sequence_numbers_wrapped():
               cause="delivered", v1=0)
     trace.add(1250, "rx", cycle=65_539, slot=3, node=1, frame="CMD", src=0, dst=1, seq=3,
               cause="erased", v1=0)
-    view = TraceView(trace.rows)
+    view = TraceView(trace)
     assert len(view.attempted["CMD"]) == 2
     assert len(view.delivered["CMD"] & view.attempted["CMD"]) == 1

@@ -128,11 +128,11 @@ def check_retx_rules(sim):
     loop_of = {loop.plant: loop.loop_id for loop in sim.loops}
     synced = {node for node, state in sim.sync_states.items() if state.synced}
     rows_in = defaultdict(list)
-    for row in sim.trace.rows:
+    for row in sim.trace:
         rows_in[row[SLOT]].append(row)
-    flagged = {(r[DST], r[SEQ]) for r in sim.trace.rows
+    flagged = {(r[DST], r[SEQ]) for r in sim.trace
                if r[KIND] == "cmd-emit" and r[CAUSE] == "estop"}
-    latched_at = min((r[TIME] for r in sim.trace.rows
+    latched_at = min((r[TIME] for r in sim.trace
                       if r[KIND] == "estop" and r[CAUSE] == "controller-latch"), default=None)
 
     def priority(frame):
@@ -191,7 +191,7 @@ def check_retx_rules(sim):
         else:
             assert not applies
     # anything applied outside a slot that carried it would have been missed above
-    radio_applies = [r for r in sim.trace.rows if r[KIND] == "cmd-apply"]
+    radio_applies = [r for r in sim.trace if r[KIND] == "cmd-apply"]
     assert len(radio_applies) == len(applied)
     return set(applied)
 
@@ -199,7 +199,7 @@ def check_retx_rules(sim):
 def plant_latches(sim):
     """Check the retx rules; return the robots that latched their stop."""
     check_retx_rules(sim)
-    latched = [r[NODE] for r in sim.trace.rows if r[KIND] == "estop" and r[CAUSE] == "plant-latch"]
+    latched = [r[NODE] for r in sim.trace if r[KIND] == "estop" and r[CAUSE] == "plant-latch"]
     assert len(latched) == len(set(latched)), "a robot latches its stop once"
     return set(latched)
 

@@ -15,14 +15,14 @@ V1, V2, V3, V4, V5 = 10, 11, 12, 13, 14
 
 
 def rows_of(result, kind):
-    return [r for r in result.trace.rows if r[KIND] == kind]
+    return [r for r in result.trace if r[KIND] == kind]
 
 
 def desync_windows(result, node):
     """[(desync_time, resync_time or inf)] intervals reconstructed from the trace."""
     windows = []
     open_at = None
-    for row in result.trace.rows:
+    for row in result.trace:
         if row[NODE] != node:
             continue
         if row[KIND] == "desync" and open_at is None:
@@ -57,7 +57,7 @@ def test_lossless_latency_is_one_constant_schedule_value():
     fb_offset = sched.slots[1].offset_us
     cmd_offset = sched.slots[3].offset_us
     expected = cmd_offset + 104 - fb_offset  # FB->CMD separation plus airtime
-    values = [lat for _, _, lat in TraceView(result.trace.rows).latencies]
+    values = [lat for _, _, lat in TraceView(result.trace).latencies]
     assert values and set(values) == {expected}
 
 
@@ -197,7 +197,7 @@ def test_estop_in_platoon_stops_leader_locally_and_follower_over_radio():
     latches = {r[NODE] for r in rows_of(result, "estop") if r[CAUSE] == "plant-latch"}
     assert latches == {1, 2}
     # the leader's local stop is immediate; latency samples stay radio-only
-    values = [lat for _, robot, lat in TraceView(result.trace.rows).latencies]
+    values = [lat for _, robot, lat in TraceView(result.trace).latencies]
     assert values and min(values) >= 104  # at least one airtime
 
 
@@ -317,8 +317,8 @@ def test_a_new_node_never_shifts_another_nodes_draws(case):
     # every stream is keyed by its own (node, purpose), so a node that never
     # receives leaves every row that does not name it unchanged
     raw, with_relay, relay = case
-    alone = run_scenario(config_from_dict(raw)).trace.rows
-    joined = run_scenario(config_from_dict(with_relay)).trace.rows
+    alone = list(run_scenario(config_from_dict(raw)).trace)
+    joined = list(run_scenario(config_from_dict(with_relay)).trace)
     assert len(joined) > len(alone)
     assert [r for r in joined if relay not in (r[NODE], r[SRC], r[DST])] == alone
 
@@ -327,7 +327,7 @@ def test_every_transmission_uses_the_hop_channel_of_its_slot(lossy_result, fleet
     # slot i of cycle c is on its band's channel hop[(c + i) % len(hop)]
     for result in (lossy_result, fleet_result):
         sched = result.schedule
-        rows = [r for r in result.trace.rows
+        rows = [r for r in result.trace
                 if r[KIND] in ("tx", "rx") and r[CAUSE] != Cause.NO_TRANSMITTER]
         hops = [slot.hop for slot in sched.slots]
         wrong = [r for r in rows

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import sys
 import tracemalloc
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import fleet_raw
 from oracles import shape_keyed_csv
 from test_scenario import remote_configs
 from wctrlsim.cli import _plot_rows
@@ -31,7 +33,7 @@ def test_to_csv_formats_each_cell_by_type():
 def test_rows_keep_native_values():
     trace = Trace()
     trace.add(5, "pose", cycle=0, node=1, v1=0.1234567, v2=0.0, v3=0.0, v4=1.0, v5=2.0)
-    assert trace.rows == [(5, 0, None, 1, "pose", None, None, None, None, None,
+    assert list(trace) == [(5, 0, None, 1, "pose", None, None, None, None, None,
                            0.1234567, 0.0, 0.0, 1.0, 2.0)]
 
 
@@ -45,8 +47,8 @@ def test_positional_and_keyword_rows_are_equal(cells):
     names = [c for c in COLUMNS if c not in ("time_us", "kind")]
     by_keyword.add(time_us, kind, **dict(zip(names, rest)))
     by_position.add(time_us, kind, *rest)
-    assert by_position.rows == by_keyword.rows
-    assert by_position.rows == [(time_us, *rest[:3], kind, *rest[3:])]  # COLUMNS order
+    assert list(by_position) == list(by_keyword)
+    assert list(by_position) == [(time_us, *rest[:3], kind, *rest[3:])]  # COLUMNS order
     assert by_position.to_csv() == by_keyword.to_csv()
 
 
@@ -55,9 +57,9 @@ def test_loaded_trace_gives_the_same_view_as_the_in_memory_rows(lossy_result, tm
     path = tmp_path / "trace.csv"
     lossy_result.trace.write_csv(path)
     loaded = load_trace(path)
-    assert len(loaded) == len(lossy_result.trace.rows)
+    assert len(loaded) == len(lossy_result.trace)
     assert loaded[0][:5] == (0, None, None, None, "meta")
-    a, b = TraceView(lossy_result.trace.rows), TraceView(loaded)
+    a, b = TraceView(lossy_result.trace), TraceView(loaded)
     assert a.latencies and a.latencies == b.latencies
     assert a.poses and a.poses == b.poses
     assert a.refpoints == b.refpoints
@@ -79,7 +81,7 @@ def test_plot_data_reads_the_loaded_file_as_the_in_memory_trace(scenario, metric
     trace.write_csv(path)
     loaded = load_trace(path)
     for metric in metrics:
-        lines = _plot_rows(trace.rows, metric)
+        lines = _plot_rows(trace, metric)
         assert len(lines) > 1 and lines == _plot_rows(loaded, metric), metric
 
 
@@ -123,7 +125,7 @@ def _assert_rows_keep_their_layouts(trace: Trace) -> set[str]:
     a bool in an int cell fails), and the text equals the shape-keyed writer's;
     returns the declared kinds seen."""
     declared = set()
-    for row in trace.rows:
+    for row in trace:
         entry = _KINDS.get(id(row[4]))
         if entry is not None:
             kind, layout = entry[:2]
@@ -131,7 +133,7 @@ def _assert_rows_keep_their_layouts(trace: Trace) -> set[str]:
             cells = zip(COLUMNS[:4] + COLUMNS[5:], layout, row[:4] + row[5:])
             for column, letter, value in cells:
                 assert _DECLARED[letter](value), (kind, layout, column, row)
-    assert trace.to_csv() == shape_keyed_csv(trace.rows)
+    assert trace.to_csv() == shape_keyed_csv(trace)
     return declared
 
 
@@ -140,8 +142,27 @@ def test_per_cycle_rows_keep_their_declared_layouts(scenario, request):
     trace = request.getfixturevalue(f"{scenario}_result").trace
     declared = _assert_rows_keep_their_layouts(trace)
     assert declared >= {"tx", "rx", "sync", "fb-sample", "cmd-emit", "cmd-apply", "pose"}
-    gc.collect()  # rows of exact strs and numbers are left to no collection
-    assert not any(gc.is_tracked(row) for row in trace.rows)
+    gc.collect()  # cells of exact strs and numbers are left to no collection
+    assert not any(map(gc.is_tracked, itertools.chain.from_iterable(trace)))
+
+
+def test_a_run_starts_few_collections():
+    # a row adds no object for the collector to track, so the rx rows that grow
+    # as N^2 do not start collections as they are stored
+    config = config_from_dict(fleet_raw())
+    started = []
+
+    def count(phase, info):
+        started.append(phase == "start")
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        trace = run_scenario(config).trace
+    finally:
+        gc.callbacks.remove(count)
+    assert len(trace) == 39_661
+    assert sum(started) < len(trace) / 2_000
 
 
 @settings(max_examples=25, deadline=None)
@@ -164,4 +185,4 @@ def test_a_plain_str_kind_is_written_by_cell_types(kind, cells):
     # a library caller's "rx" is a plain str: it never reaches a declared layout
     trace = Trace()
     trace.add(cells[0], kind, *cells[1:])
-    assert trace.to_csv() == shape_keyed_csv(trace.rows)
+    assert trace.to_csv() == shape_keyed_csv(trace)
