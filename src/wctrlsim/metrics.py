@@ -39,15 +39,18 @@ def polyline_distances(points, polyline) -> np.ndarray:
         raise ValueError("empty polyline")
     best = np.hypot(pts[:, 0] - poly[0, 0], pts[:, 1] - poly[0, 1])
     starts, ends = poly[:-1], poly[1:]
-    if len(starts) == 0:
+    if len(starts) == 0 or len(pts) == 0:
         return best
     steps = ends - starts
     denoms = [float(ab @ ab) for ab in steps]
     lo, hi = np.minimum(starts, ends), np.maximum(starts, ends)
     size = max(_BLOCK, -(-len(pts) // len(starts)))
-    for first in range(0, len(pts), size):
-        block = pts[first:first + size]
-        block_best = best[first:first + size]  # a view: updated in place
+    # a lone last point joins the block before it: numpy takes a one-row
+    # matrix-vector product through dot, not gemv, and the two can round apart
+    firsts = list(range(0, max(len(pts) - 1, 1), size))
+    for first, stop in zip(firsts, firsts[1:] + [len(pts)]):
+        block = pts[first:stop]
+        block_best = best[first:stop]  # a view: updated in place
         gap = np.maximum(np.maximum(lo - block.max(axis=0), block.min(axis=0) - hi), 0.0)
         bound = np.hypot(gap[:, 0], gap[:, 1])
         order = np.argsort(bound)
