@@ -1,8 +1,9 @@
 """Branch corpus: short runs that reach branches no golden case reaches.
 
-Each case is one robot driven for 0.5 s of virtual time at PER 0, changed in
-one or two places: a boundary value that the declared config ranges must keep
-accepting, a steering setting, or a path.  A case is pinned by the sha256 of
+Each case is one robot, or a leader and its follower, driven for 0.5 s of
+virtual time at PER 0, changed in one or two places: a boundary value that the
+declared config ranges must keep accepting, a steering setting, a path, an
+obstacle with a blackout, or where the follower starts.  A case is pinned by the sha256 of
 `trace.csv` and `metrics.json` as `wctrlsim run` writes them, and checked by
 the trace rows that show its branch ran.
 """
@@ -11,6 +12,7 @@ import copy
 import hashlib
 import io
 import json
+import math
 from contextlib import redirect_stdout
 
 from wctrlsim.cli import main
@@ -18,9 +20,11 @@ from wctrlsim.controller import SteeringParams, wheel_speeds
 from wctrlsim.robot import RobotParams
 from wctrlsim.trace import COLUMNS, load_trace
 
-KIND, NODE, SLOT, DST, CAUSE, V1, V2, V3 = (
-    COLUMNS.index(c) for c in ("kind", "node", "slot", "dst", "cause", "v1", "v2", "v3"))
+TIME, CYCLE, KIND, NODE, SLOT, FRAME, DST, SEQ, CAUSE, V1, V2, V3 = (
+    COLUMNS.index(c) for c in ("time_us", "cycle", "kind", "node", "slot", "frame", "dst", "seq",
+                               "cause", "v1", "v2", "v3"))
 DEAD_CHANNEL = 3
+LATCH_CYCLE_US = 200_000  # the obstacle appears as this cycle starts; cycles are 2,000 us
 TWIN = [0.01, 0.0]  # within the waypoint tolerance of the start, and on the robot's way out
 
 BASE = {
@@ -71,6 +75,21 @@ CASES = {
         {"controller": {"cruise_speed_mms": 1000.0}},
         "965e770d0df6a7007d252676511b8fc3a9c8195870e212acd4d4584a46e30585",
         "ef05a7b0eb6fe9291b3e6941573805e1fbe2ccfd930b482a2eced6408097faee"),
+    # the robot is deaf for the latch cycle's command slot, so the stop
+    # broadcast in the first retx slot is what latches it
+    "stop-broadcast-latch": (
+        {"obstacles": [{"segment": [0.15, -1.0, 0.15, 1.0], "appears_at_us": LATCH_CYCLE_US}],
+         "channel": {"default_per": 0.0, "blackouts": [
+             {"node": 1, "from_us": LATCH_CYCLE_US + 1250, "until_us": LATCH_CYCLE_US + 1500}]}},
+        "c10d40d9c94ce6d4b7ceda506845587c86ff0b96fa33aa7b260dec6f1e292dc7",
+        "90176c9c8c19b93eee77103d17f16283e54a44766e6b1a6780cd41b9b020f123"),
+    # the follower starts 0.1 m behind the leader, well inside the 0.25 m standoff
+    "follower-inside-standoff": (
+        {"kind": "leader-follower",
+         "nodes": [{"id": 1, "role": "leader", "start_pose": [0.0, 0.0, 0.0], "path": [[2.0, 0.0]]},
+                   {"id": 2, "role": "follower", "start_pose": [-0.1, 0.0, 0.0]}]},
+        "84dd748ca3669fd928fdbcfcb55edb13053e4f5b6315e4ae800a7f98e15a404a",
+        "91ce1c8fa05f7f35df163d88c17ce22a6feb19fdb23969d31743e8ca8787d3c1"),
 }
 
 
@@ -133,3 +152,31 @@ def test_a_cruise_speed_beyond_the_wheel_limit_is_scaled_to_it(tmp_path):
     limit = RobotParams().max_wheel_speed_mms
     emitted = [(r[V1], r[V2]) for r in rows if r[KIND] == "cmd-emit"]
     assert emitted and all(max(abs(left), abs(right)) == limit for left, right in emitted)
+
+
+def test_a_stop_broadcast_latches_a_plant_whose_stop_command_was_erased(tmp_path):
+    rows = _run("stop-broadcast-latch", tmp_path)
+    (trip,) = [r for r in rows if r[KIND] == "estop" and r[CAUSE] == "controller-latch"]
+    cycle = trip[CYCLE]
+    (stop_cmd,) = [r for r in rows if r[KIND] == "rx" and r[CYCLE] == cycle
+                   and r[FRAME] == "CMD" and r[NODE] == 1]
+    assert stop_cmd[CAUSE] == "erased"
+    (latch,) = [r for r in rows if r[KIND] == "estop" and r[CAUSE] == "plant-latch"]
+    (heard,) = [r for r in rows if r[KIND] == "rx" and r[CYCLE] == cycle
+                and r[FRAME] == "ESTOP" and r[NODE] == 1]
+    assert heard[CAUSE] == "delivered" and heard[SLOT] == 4  # the first retx slot
+    assert latch[CYCLE] == cycle and latch[NODE] == 1 and latch[TIME] > heard[TIME]
+    assert not [r for r in rows if r[KIND] == "cmd-apply" and r[SEQ] == stop_cmd[SEQ]]
+
+
+def test_a_follower_inside_its_standoff_is_held(tmp_path):
+    rows = _run("follower-inside-standoff", tmp_path)
+    emitted = {node: [(r[V1], r[V2]) for r in rows if r[KIND] == "cmd-emit" and r[DST] == node]
+               for node in (1, 2)}
+    assert emitted[1] and all(speeds != (0, 0) for speeds in emitted[1])
+    assert emitted[2] and all(speeds == (0, 0) for speeds in emitted[2])
+    poses = [r for r in rows if r[KIND] == "pose"]
+    leader = {r[CYCLE]: r for r in poses if r[NODE] == 1}
+    follower = {r[CYCLE]: r for r in poses if r[NODE] == 2}
+    gaps = [math.dist(leader[c][V1:V3], follower[c][V1:V3]) for c in leader]
+    assert max(gaps) < 0.25  # FollowerParams().standoff_m
