@@ -12,8 +12,8 @@ from .engine import Engine, RunSummary
 from .frames import (BROADCAST, FRAME_SIZE, NO_READING, CmdFrame, EstopFrame,
                      FbFrame, Frame, FrameError, MsgType, SyncFrame,
                      decode_frame, encode_frame)
-from .mac import (CycleSchedule, Direction, LoopSpec, ScheduleError, SyncParams,
-                  SyncState, build_schedule, run_sync_beacon)
+from .mac import (CycleSchedule, Direction, ScheduleError, SyncParams, SyncState,
+                  build_schedule, run_sync_beacon)
 from .robot import Pose, Robot, RobotParams, Segment, step_kinematics
 from .scenario import ConfigError, ScenarioConfig, config_from_dict, load_config
 from .simulation import SimulationResult, run_scenario, run_sweep

@@ -18,8 +18,7 @@ from typing import Any, get_args, get_type_hints
 PROBABILITY = {"ge": 0.0, "le": 1.0}
 
 # a field's JSON key where it is not the field's name
-JSON_KEYS = {"node_id": "id", "sender": "from", "receiver": "to",
-             "steering": "controller", "follower": "controller.follower"}
+JSON_KEYS = {"node_id": "id", "sender": "from", "receiver": "to", "steering": "controller"}
 
 _SIGNS = {"ge": ">=", "gt": ">", "le": "<=", "lt": "<"}
 

@@ -37,6 +37,12 @@ TURN_TAPER_RAD = 0.5   # rotation slows below this bearing (slew headroom)
 
 
 @dataclass(frozen=True)
+class FollowerParams:
+    min_spacing_m: float = field(default=0.05, metadata={"gt": 0})  # leader travel per point
+    standoff_m: float = field(default=0.25, metadata={"gt": 0})     # hold while this close
+
+
+@dataclass(frozen=True)
 class SteeringParams:
     cruise_speed_mms: float = field(default=150.0, metadata={"gt": 0})
     tolerance_m: float = field(default=0.02, metadata={"gt": 0})    # waypoint advance radius
@@ -47,16 +53,11 @@ class SteeringParams:
     turn_rate: float = field(default=2.0, metadata={"gt": 0})       # rad/s, rotating in place
     curve_mode: str = "parabola"                                    # or "arc"
     estop_threshold_mm: int = field(default=150, metadata={"gt": 0})
+    follower: FollowerParams = field(default_factory=FollowerParams)  # platoon spacing and standoff
 
     def __post_init__(self) -> None:  # the curve law reads any other mode as "parabola"
         if self.curve_mode not in ("parabola", "arc"):
             raise ConfigError(f"controller.curve_mode: unknown curve mode {self.curve_mode!r}")
-
-
-@dataclass(frozen=True)
-class FollowerParams:
-    min_spacing_m: float = field(default=0.05, metadata={"gt": 0})  # leader travel per point
-    standoff_m: float = field(default=0.25, metadata={"gt": 0})     # hold while this close
 
 
 def target_in_robot_frame(pose: Pose, target: tuple[float, float]) -> tuple[float, float]:
@@ -187,13 +188,10 @@ class CycleDecisions(NamedTuple):
 class PathController:
     """One controller instance driving every configured robot each cycle."""
 
-    def __init__(self, node: int, steering: SteeringParams,
-                 follower_params: FollowerParams | None = None):
+    def __init__(self, node: int, steering: SteeringParams):
         self.node = node
         self.steering = steering
-        self.follower_params = follower_params or FollowerParams()
         check_bounds(steering, "controller")
-        check_bounds(self.follower_params, "controller.follower")
         self.lanes: dict[int, RobotLane] = {}
         self._by_robot: list[RobotLane] = []
         self._leaders_first: list[RobotLane] = []
@@ -285,7 +283,7 @@ class PathController:
         # follower lane: track the leader's trace while keeping the standoff
         leader = self.lanes[lane.follower_of].est_pose
         gap = math.hypot(leader.x - lane.est_pose.x, leader.y - lane.est_pose.y)
-        standoff = self.follower_params.standoff_m
+        standoff = self.steering.follower.standoff_m
         if gap < standoff or refs.in_frame is None:
             return (0.0, 0.0), advanced, False  # hold
         # taper on the approach to the leader standoff, not on the next point
@@ -302,7 +300,7 @@ class PathController:
         for lane in self._leaders_first:
             if lane.follower_of is not None:
                 lane.refs.extend(self.lanes[lane.follower_of].est_pose,
-                                 self.follower_params.min_spacing_m)
+                                 self.steering.follower.min_spacing_m)
             if self.estop_latched:
                 speeds, advanced, completed = (0.0, 0.0), 0, False
             else:

@@ -2,7 +2,7 @@
 
 One cycle (superframe) is built as:
 
-    [sync flood] [uplink FB slot per loop] [compute gap] [downlink CMD slot per loop]
+    [sync flood] [uplink FB slot per plant] [compute gap] [downlink CMD slot per plant]
     [shared retx flood slots]
 
 Feedback slots always precede command slots, so every loop closes within a
@@ -37,7 +37,7 @@ from .frames import BROADCAST, SyncFrame, new_record
 
 
 class ScheduleError(ValueError):
-    """Invalid loop set or protocol constants."""
+    """Invalid plant set or protocol constants."""
 
 
 class Direction:
@@ -51,20 +51,11 @@ class Direction:
 
 
 @dataclass(frozen=True)
-class LoopSpec:
-    """One control loop: a controller driving one plant."""
-
-    loop_id: int
-    controller: int
-    plant: int
-
-
-@dataclass(frozen=True)
 class Slot:
     position: int
     direction: str       # a `Direction` constant
     owner: int | None    # transmitting node; None for flood and gap slots
-    loop_id: int | None  # None for sync, gap and retx slots
+    plant: int | None    # the robot of an uplink or downlink slot; None otherwise
     offset_us: int       # start from cycle start; the gap lasts one slot + compute gap
     hop: tuple[int, ...]  # the band's hop sequence; () for the gap
 
@@ -89,42 +80,36 @@ def _check_permutation(hop: tuple[int, ...], name: str) -> None:
         raise ScheduleError(f"{name} hop sequence {hop} is not a permutation of 0..{len(hop) - 1}")
 
 
-def build_schedule(loops: list[LoopSpec], *, slot_duration_us: int = 250,
+def build_schedule(controller: int, plants: list[int], *, slot_duration_us: int = 250,
                    compute_gap_us: int = 500, retx_slots: int = 2,
                    hop_forward: tuple[int, ...], hop_feedback: tuple[int, ...]) -> CycleSchedule:
-    """Build the cycle layout for a set of control loops.
+    """Build the cycle layout for one controller closing a radio loop per plant.
 
-    Slot order: sync flood, one feedback slot per loop (loop-id order), the
-    compute gap, one command slot per loop (same order), then the shared
+    Slot order: sync flood, one feedback slot per plant (plant-id order), the
+    compute gap, one command slot per plant (same order), then the shared
     retransmission flood slots.
     """
-    if not loops:
+    if not plants:
         raise ScheduleError("need at least one control loop")
     _check_permutation(hop_forward, "forward")
     _check_permutation(hop_feedback, "feedback")
-
-    ids = [loop.loop_id for loop in loops]
-    if len(set(ids)) != len(ids):
-        raise ScheduleError("duplicate loop ids")
-    plants = [loop.plant for loop in loops]
     if len(set(plants)) != len(plants):
         raise ScheduleError("duplicate slot ownership: one plant serves two loops")
-    for loop in loops:
-        if loop.controller == loop.plant:
-            raise ScheduleError(f"loop {loop.loop_id}: controller and plant are the same node")
+    if controller in plants:
+        raise ScheduleError(f"node {controller}: controller and plant are the same node")
 
-    ordered = sorted(loops, key=lambda l: l.loop_id)
+    ordered = sorted(plants)
     entries = [(Direction.SYNC, None, None)]
-    entries += [(Direction.UPLINK, loop.plant, loop.loop_id) for loop in ordered]
+    entries += [(Direction.UPLINK, plant, plant) for plant in ordered]
     entries.append((Direction.GAP, None, None))
-    entries += [(Direction.DOWNLINK, loop.controller, loop.loop_id) for loop in ordered]
+    entries += [(Direction.DOWNLINK, controller, plant) for plant in ordered]
     entries += [(Direction.RETX, None, None)] * retx_slots
     hop_forward, hop_feedback = tuple(hop_forward), tuple(hop_feedback)
     slots, offset_us = [], 0
-    for position, (direction, owner, loop_id) in enumerate(entries):
+    for position, (direction, owner, plant) in enumerate(entries):
         hop = (hop_feedback if direction is Direction.UPLINK
                else () if direction is Direction.GAP else hop_forward)
-        slots.append(Slot(position, direction, owner, loop_id, offset_us, hop))
+        slots.append(Slot(position, direction, owner, plant, offset_us, hop))
         offset_us += slot_duration_us + (compute_gap_us if direction is Direction.GAP else 0)
     return CycleSchedule(slots=tuple(slots), slot_duration_us=slot_duration_us,
                          compute_gap_us=compute_gap_us)

@@ -22,6 +22,7 @@ with its path, before any run starts.
 
 from __future__ import annotations
 
+import dataclasses
 import difflib
 import functools
 import hashlib
@@ -33,8 +34,8 @@ from typing import Any, Callable, Union, get_args, get_origin, get_type_hints
 
 from .bounds import JSON_KEYS, PROBABILITY, ConfigError, check_bounds
 from .channel import BurstModel, frame_airtime_us
-from .controller import FollowerParams, SteeringParams
-from .mac import LoopSpec, SyncParams
+from .controller import SteeringParams
+from .mac import SyncParams
 from .robot import Pose, RobotParams, Segment
 
 ROLES = ("controller", "robot", "leader", "follower", "relay")
@@ -102,14 +103,15 @@ class ScenarioConfig:
     nodes: tuple[NodeSpec, ...]
     protocol: ProtocolParams = field(default_factory=ProtocolParams)
     steering: SteeringParams = field(default_factory=SteeringParams)
-    follower: FollowerParams = field(default_factory=FollowerParams)
     channel: ChannelConfig = field(default_factory=ChannelConfig)
     obstacles: tuple[ObstacleSpec, ...] = ()
     duration_s: float = field(default=120.0, metadata={"gt": 0})
     run_to_completion: bool = True
     # the feedback frame's u16 distance field, 0xFFFF meaning no reading
     sensor_range_mm: int = field(default=1000, metadata={"ge": 1, "le": 0xFFFE})
-    raw: dict | None = field(default=None, compare=False, repr=False)
+    # the JSON document the config was read from; set by config_from_dict
+    # outside __init__, so that dataclasses.replace drops it
+    raw: dict | None = field(default=None, init=False, compare=False, repr=False)
 
     # -- derived views -----------------------------------------------------
 
@@ -126,19 +128,12 @@ class ScenarioConfig:
     def robots(self) -> list[NodeSpec]:
         return sorted((n for n in self.nodes if n.is_robot), key=lambda n: n.node_id)
 
-    def loops(self) -> list[LoopSpec]:
-        """Radio control loops: in a platoon the leader's own loop is local."""
-        controller = self.controller_node().node_id
-        plants = [n.node_id for n in self.robots() if n.node_id != controller]
-        return [LoopSpec(loop_id=i, controller=controller, plant=plant)
-                for i, plant in enumerate(sorted(plants))]
-
     @property
     def max_time_us(self) -> int:
         return int(round(self.duration_s * 1e6))
 
     def digest(self) -> str:
-        payload = self.raw if self.raw is not None else {"kind": self.kind, "seed": self.seed}
+        payload = self.raw if self.raw is not None else dataclasses.asdict(self)
         return hashlib.sha256(
             json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
         ).hexdigest()
@@ -310,20 +305,18 @@ def _converter(tp: Any) -> Callable[[Any], Any]:
 
 
 @functools.cache
-def _schema(cls: type, skip: tuple[str, ...] = ()) -> tuple[dict, list[str]]:
-    """JSON key -> (field name, converter) for a dataclass, and its required keys."""
+def _schema(cls: type) -> tuple[dict, list[str]]:
+    """JSON key -> (field name, converter) for each field of a dataclass that
+    its __init__ takes, and the required keys."""
     hints = get_type_hints(cls)
-    keyed = [(JSON_KEYS.get(f.name, f.name), f) for f in fields(cls) if f.name not in skip]
+    keyed = [(JSON_KEYS.get(f.name, f.name), f) for f in fields(cls) if f.init]
     convs = {key: (f.name, _converter(hints[f.name])) for key, f in keyed}
     required = [key for key, f in keyed
                 if f.default is MISSING and f.default_factory is MISSING]
     return convs, required
 
 
-# The steering fields sit under "controller", with FollowerParams under "controller.follower".
-_CONTROLLER = {**_schema(SteeringParams)[0], "follower": ("follower", _converter(FollowerParams))}
-_TOP_FIELDS, _TOP_REQUIRED = _schema(ScenarioConfig, ("steering", "follower", "raw"))
-_TOP = {**_TOP_FIELDS, "controller": ("controller", functools.partial(_members, _CONTROLLER, []))}
+_TOP, _TOP_REQUIRED = _schema(ScenarioConfig)
 
 
 def config_from_dict(raw: dict) -> ScenarioConfig:
@@ -335,10 +328,7 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
     try:
         if type(raw) is not dict:
             raise ConfigError("scenario config must be a JSON object")
-        kwargs = _members(_TOP, _TOP_REQUIRED, raw)
-        steering = kwargs.pop("controller", {})
-        kwargs["follower"] = steering.pop("follower", FollowerParams())
-        config = ScenarioConfig(**kwargs, steering=SteeringParams(**steering), raw=raw)
+        config = ScenarioConfig(**_members(_TOP, _TOP_REQUIRED, raw))
     except _Invalid as exc:
         where = "".join(f"[{p}]" if type(p) is int else f".{p}" for p in reversed(exc.where))
         raise ConfigError(f"{where.lstrip('.')}: {exc}" if where else str(exc)) from None
@@ -346,6 +336,7 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from None
+    object.__setattr__(config, "raw", raw)  # frozen
     return config
 
 

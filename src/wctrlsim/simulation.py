@@ -2,15 +2,15 @@
 
 The engine steps one cycle per period; each cycle runs its slots in order:
 
-    sync flood -> per-loop feedback slots -> controller compute (gap) ->
-    per-loop command slots -> shared retx flood slots -> plant tick
+    sync flood -> per-plant feedback slots -> controller compute (gap) ->
+    per-plant command slots -> shared retx flood slots -> plant tick
 
 Every transmission is drawn against every listening node, so any node can
 overhear a frame and join later retransmission floods.  The shared retx slots
 serve one queue of pending frames in a fixed priority order: once the
 controller has latched an emergency stop, a broadcast stop frame heads it in
 every cycle, then come undelivered commands, then undelivered feedback, each
-by loop id.
+by robot id.
 
 In a leader-follower scenario the controller is hosted on the leader robot:
 the leader's own loop closes locally at compute time (encoders sampled and
@@ -55,7 +55,7 @@ _NO_OBSTACLES: list[Segment] = []  # shared, never written: a run without obstac
 class _Pending:
     """A frame awaiting the shared retx slots; dest None marks the stop broadcast."""
 
-    priority: tuple[int, int]  # (-1, 0) for the stop, (0, loop) commands, (1, loop) feedback
+    priority: tuple[int, int]  # (-1, 0) for the stop, (0, robot) commands, (1, robot) feedback
     frame: Frame
     dest: int | None
     holders: set[int]
@@ -87,27 +87,25 @@ class Simulation:
         hop_forward = tuple(int(c) for c in hop_rng.permutation(proto.n_channels))
         hop_rng = stream_rng(config.seed, None, "hop-feedback")
         hop_feedback = tuple(int(c) for c in hop_rng.permutation(proto.n_channels))
-        self.loops = config.loops()
-        self.schedule = build_schedule(self.loops,
+        self.controller_node = config.controller_node().node_id
+        # in a platoon the leader hosts the controller, and its own loop is local
+        plants = [spec.node_id for spec in config.robots() if spec.node_id != self.controller_node]
+        self.schedule = build_schedule(self.controller_node, plants,
                                        slot_duration_us=proto.slot_duration_us,
                                        compute_gap_us=proto.compute_gap_us,
                                        retx_slots=proto.retx_slots,
                                        hop_forward=hop_forward,
                                        hop_feedback=hop_feedback)
 
-        self.controller_node = config.controller_node().node_id
         self.robots: dict[int, Robot] = {}
         for spec in config.robots():
             self.robots[spec.node_id] = Robot(spec.node_id, spec.params, spec.start_pose,
                                               sensor_range_mm=config.sensor_range_mm,
                                               watchdog_cycles=proto.watchdog_cycles)
         self._robot_order = sorted(self.robots.items())
-        self.controller = PathController(self.controller_node, config.steering,
-                                         config.follower)
+        self.controller = PathController(self.controller_node, config.steering)
         self._build_lanes()
-        self._robot_loop = {loop.plant: loop.loop_id for loop in self.loops}
-        self._local_lanes = [robot for robot, _ in self._robot_order
-                             if robot not in self._robot_loop]
+        self._local_lanes = [self.controller_node] if self.controller_node in self.robots else []
         # one (handler, slot, start offset, hop sequence) per slot; plain functions,
         # so that the plan holds no reference back to the run
         handlers = {Direction.SYNC: Simulation._run_sync_slot,
@@ -145,18 +143,15 @@ class Simulation:
             self.medium.add_blackout(blackout.node, blackout.from_us, blackout.until_us)
 
     def _build_lanes(self) -> None:
-        cfg = self.config
-        if cfg.kind == "remote-control":
-            for spec in cfg.robots():
+        """A follower tracks the controller's own robot, the leader; every other
+        robot follows its path."""
+        for spec in self.config.robots():
+            if spec.role == "follower":
+                self.controller.add_follower_lane(spec.node_id, spec.params, spec.start_pose,
+                                                  self.controller_node)
+            else:
                 self.controller.add_path_lane(spec.node_id, spec.params, spec.start_pose,
                                               list(spec.path))
-        else:
-            leader = cfg.by_role("leader")[0]
-            follower = cfg.by_role("follower")[0]
-            self.controller.add_path_lane(leader.node_id, leader.params, leader.start_pose,
-                                          list(leader.path))
-            self.controller.add_follower_lane(follower.node_id, follower.params,
-                                              follower.start_pose, leader.node_id)
 
     # -- helpers -------------------------------------------------------------
 
@@ -275,7 +270,7 @@ class Simulation:
         if self.controller_node in received:
             self.controller.ingest_feedback(frame)
         else:
-            self._pending.append(_Pending(priority=(1, slot.loop_id), frame=frame,
+            self._pending.append(_Pending(priority=(1, robot_id), frame=frame,
                                           dest=self.controller_node,
                                           holders={robot_id, *received}))
 
@@ -304,18 +299,18 @@ class Simulation:
             self.trace.add(at, kind, self.cycle, None, self.controller_node, "CMD",
                            cmd.src, cmd.dst, cmd.seq, cause,
                            cmd.left_mms, cmd.right_mms, decision.informing_fb_seq)
-            if robot in self._robot_loop:
-                self._cycle_cmds[self._robot_loop[robot]] = cmd
-            else:
+            if robot == self.controller_node:
                 self._apply_cmd(robot, cmd, at, None)
+            else:
+                self._cycle_cmds[robot] = cmd
 
     def _run_downlink_slot(self, slot: Slot, at: SimTime, channel: int) -> None:
-        cmd = self._cycle_cmds[slot.loop_id]
+        cmd = self._cycle_cmds[slot.plant]
         received = self._send([self.controller_node], cmd, slot, at, channel)
         if cmd.dst in received:
             self._apply_cmd(cmd.dst, cmd, at + self.medium.airtime_us, slot.position)
         else:
-            self._pending.append(_Pending(priority=(0, slot.loop_id), frame=cmd, dest=cmd.dst,
+            self._pending.append(_Pending(priority=(0, slot.plant), frame=cmd, dest=cmd.dst,
                                           holders={self.controller_node, *received}))
 
     def _run_retx_slot(self, slot: Slot, at: SimTime, channel: int) -> None:

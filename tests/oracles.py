@@ -9,14 +9,22 @@ writer that keys every row on its cell types pins the one that trusts a
 declared layout, the fixed-path cursor and the popping follower queue pin
 the one reference-point list that serves both, and the slot layout recomputed
 from each slot's position pins the offset and hop sequence the slot carries.
+The line collector, stdlib only, records which statements a set of runs
+reaches.
 """
 
 from __future__ import annotations
 
+import ast
+import dis
+import inspect
 import math
 import struct
+import sys
+import types
 from dataclasses import dataclass, field
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 
@@ -294,3 +302,78 @@ def hop_of(slot, hop_forward, hop_feedback) -> tuple[int, ...]:
     if slot.direction is Direction.GAP:
         raise ScheduleError("gap entry has no channel")
     return hop_feedback if slot.direction is Direction.UPLINK else hop_forward
+
+
+def _line_starts(code: types.CodeType) -> set[int]:
+    return {line for _, line in dis.findlinestarts(code) if line is not None}
+
+
+def function_lines(path: str | Path, qualname: str = "") -> dict[int, str]:
+    """Line -> function for every line of `path` that holds an instruction of a
+    function whose qualified name starts with `qualname`, by the line table
+    that trace events follow.  Module and class bodies run at import and are
+    left out, and so are the lines of `raise` statements; a docstring holds
+    no instruction."""
+    source = Path(path).read_text(encoding="utf-8")
+    raises = {line for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Raise)
+              for line in range(node.lineno, node.end_lineno + 1)}
+    lines: dict[int, str] = {}
+    codes = [compile(source, str(path), "exec")]
+    while codes:
+        code = codes.pop()
+        codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+        if code.co_flags & inspect.CO_OPTIMIZED and code.co_qualname.startswith(qualname):
+            for line in _line_starts(code) - raises:
+                lines.setdefault(line, code.co_qualname.split(".<locals>")[0])
+    return lines
+
+
+class LineCollector:
+    """Records, with `sys.settrace`, which of the `missed` lines (source file
+    -> line numbers) run while the collector is active, taking each out of
+    `missed`, and stops tracing once none is left: tracing slows every call,
+    not only those in the given files.  A function's first line counts as run
+    when it is called (its RESUME raises no line event), and a function with
+    no missed line left is no longer traced."""
+
+    def __init__(self, missed: dict[str, set[int]]):
+        self.missed = {str(path): set(lines) for path, lines in missed.items()}
+        self._missed_in: dict[types.CodeType, set[int]] = {}
+
+    @property
+    def done(self) -> bool:
+        return not any(self.missed.values())
+
+    def __enter__(self) -> "LineCollector":
+        if not self.done:
+            sys.settrace(self._call)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        sys.settrace(None)
+
+    def _call(self, frame, event, arg):
+        code = frame.f_code
+        missed = self.missed.get(code.co_filename)
+        if missed is None:
+            return None
+        left = self._missed_in.get(code)
+        if left is None:
+            left = self._missed_in[code] = _line_starts(code)
+        left &= missed
+        if not left:
+            return None
+        self._ran(frame)
+        return self._line
+
+    def _line(self, frame, event, arg):
+        if event == "line":
+            self._ran(frame)
+        return self._line
+
+    def _ran(self, frame) -> None:
+        missed = self.missed[frame.f_code.co_filename]
+        if frame.f_lineno in missed:
+            missed.discard(frame.f_lineno)
+            if not missed and self.done:
+                sys.settrace(None)

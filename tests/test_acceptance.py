@@ -199,12 +199,12 @@ def test_criterion_06_schedule_properties():
         # conflict freedom: every owned slot has exactly one owner; plants unique
         uplinks = [s for s in sched.slots if s.direction is Direction.UPLINK]
         ok &= len({s.owner for s in uplinks}) == n
-        # control-awareness: FB strictly before CMD within the cycle, per loop
-        for loop in range(n):
+        # control-awareness: FB strictly before CMD within the cycle, per plant
+        for plant in {s.owner for s in uplinks}:
             fb = [s.position for s in sched.slots
-                  if s.direction is Direction.UPLINK and s.loop_id == loop]
+                  if s.direction is Direction.UPLINK and s.plant == plant]
             cmd = [s.position for s in sched.slots
-                   if s.direction is Direction.DOWNLINK and s.loop_id == loop]
+                   if s.direction is Direction.DOWNLINK and s.plant == plant]
             ok &= bool(fb and cmd and max(fb) < min(cmd))
         # hop coverage, read from the run's tx rows: over one period every slot
         # puts a frame on its hop channel in every cycle and so uses every channel
@@ -238,7 +238,7 @@ def test_criterion_07_closed_loop_tracking(square_result):
 
 def test_criterion_08_platooning(platoon_result, platoon_config):
     platoon = platoon_result.metrics["platoon"]
-    standoff = platoon_config.follower.standoff_m
+    standoff = platoon_config.steering.follower.standoff_m
     rms = platoon.get("follower_rms_vs_leader_m")
     gap_min = platoon.get("gap_min_post_convergence_m")
     completed = platoon_result.end_reason == "completed"

@@ -177,7 +177,7 @@ def test_refs_follow_a_path_like_the_path_cursor(path, poses, tolerance):
 
 
 def make_controller(path=((1.0, 0.0),), **steering_kwargs):
-    controller = PathController(0, SteeringParams(**steering_kwargs), FollowerParams())
+    controller = PathController(0, SteeringParams(**steering_kwargs))
     controller.add_path_lane(1, PARAMS, Pose(0, 0, 0), list(path))
     return controller
 
@@ -271,7 +271,7 @@ def test_commands_stop_after_path_complete():
 
 
 def test_completed_is_true_in_exactly_one_cycle_per_path_lane():
-    controller = PathController(0, SteeringParams(), FollowerParams())
+    controller = PathController(0, SteeringParams())
     controller.add_path_lane(1, PARAMS, Pose(0, 0, 0), [(0.01, 0.0)])  # reached at once
     controller.add_path_lane(2, PARAMS, Pose(0, 1, 0), [(0.01, 1.0), (0.5, 1.0)])
     completed = {1: 0, 2: 0}
@@ -288,7 +288,7 @@ def test_completed_is_true_in_exactly_one_cycle_per_path_lane():
 
 
 def test_finished_waits_for_the_follower_to_hold_or_stop():
-    controller = PathController(0, SteeringParams(), FollowerParams(standoff_m=0.25))
+    controller = PathController(0, SteeringParams(follower=FollowerParams(standoff_m=0.25)))
     controller.add_path_lane(1, PARAMS, Pose(0, 0, 0), [(0.01, 0.0)])  # complete at once
     follower = controller.add_follower_lane(2, PARAMS, Pose(-1.0, 0, 0), leader=1)
     controller.run_cycle()
@@ -297,8 +297,8 @@ def test_finished_waits_for_the_follower_to_hold_or_stop():
     controller.run_cycle()
     assert follower.settled and controller.finished()
 
-    controller = PathController(0, SteeringParams(),
-                                FollowerParams(min_spacing_m=0.5, standoff_m=0.05))
+    controller = PathController(
+        0, SteeringParams(follower=FollowerParams(min_spacing_m=0.5, standoff_m=0.05)))
     leader = controller.add_path_lane(1, PARAMS, Pose(0, 0, 0), [(0.01, 0.0)])
     follower = controller.add_follower_lane(2, PARAMS, Pose(-1.0, 0, 0), leader=1)
     controller.run_cycle()  # traces (0, 0)
@@ -376,7 +376,7 @@ def test_pop_reached_keeps_the_next_point_in_the_robot_frame():
 
 
 def test_decisions_come_in_robot_order_with_followers_last():
-    controller = PathController(0, SteeringParams(), FollowerParams())
+    controller = PathController(0, SteeringParams())
     controller.add_path_lane(3, PARAMS, Pose(0, 0, 0), [(1.0, 0.0)])
     controller.add_follower_lane(2, PARAMS, Pose(-0.5, 0, 0), leader=3)
     controller.add_path_lane(1, PARAMS, Pose(0, 1, 0), [(1.0, 1.0)])

@@ -3,9 +3,9 @@
 Each case is one robot, or a leader and its follower, driven for 0.5 s of
 virtual time at PER 0, changed in one or two places: a boundary value that the
 declared config ranges must keep accepting, a steering setting, a path, an
-obstacle with a blackout, or where the follower starts.  A case is pinned by the sha256 of
-`trace.csv` and `metrics.json` as `wctrlsim run` writes them, and checked by
-the trace rows that show its branch ran.
+obstacle with a blackout, or where the follower starts.  A case is pinned by
+the sha256 of `trace.csv` and `metrics.json` as `wctrlsim run` writes them,
+and checked by the trace rows that show its branch ran.
 """
 
 import copy

@@ -1,0 +1,65 @@
+"""Line check: the branch corpus and the golden runs together run every
+statement of the cycle path.
+
+The scope is every method of `Simulation` and every function of `mac.py` and
+`controller.py`, `raise` statements left out.  Each run is built from its JSON
+document while lines are collected, so config checks count too.  The corpus
+goes first, then the short lossy and fleet goldens, then platoon, which
+reaches every statement they leave, and last square.  Once every statement
+has run, the remaining runs are skipped, because tracing slows every call.
+"""
+
+import copy
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+import wctrlsim
+from conftest import SCENARIO_DIR, fleet_raw, lossy_raw
+from oracles import LineCollector, function_lines
+from test_corpus import BASE, CASES
+from wctrlsim.scenario import config_from_dict
+from wctrlsim.simulation import run_scenario
+
+SRC = Path(wctrlsim.__file__).parent
+SCOPE = {"simulation.py": "Simulation.", "mac.py": "", "controller.py": ""}
+
+# (file, function, statement) of each statement no config reaches; a comment gives why
+UNREACHABLE = {
+    # every feedback frame comes from a robot, and every robot has a lane
+    ("controller.py", "PathController.ingest_feedback", "return False"),
+}
+
+
+def _runs():
+    yield from ({**copy.deepcopy(BASE), **change} for change, *_ in CASES.values())
+    yield lossy_raw()
+    yield fleet_raw()
+    for name in ("leader_follower_l.json", "remote_control_square.json"):
+        yield json.loads((SCENARIO_DIR / name).read_text(encoding="utf-8"))
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="reads code.co_qualname, new in 3.11")
+def test_the_corpus_and_the_goldens_run_every_statement():
+    statements = {}
+    for name, qualname in SCOPE.items():
+        path = SRC / name
+        lines = function_lines(path, qualname)
+        source = path.read_text(encoding="utf-8").splitlines()
+        statements[str(path)] = {
+            line: (name, function, source[line - 1].strip()) for line, function in lines.items()}
+    named = [where for lines in statements.values() for where in lines.values()
+             if where in UNREACHABLE]
+    assert sorted(named) == sorted(UNREACHABLE), "each exception names one statement"
+
+    missed = {path: {line for line, where in lines.items() if where not in UNREACHABLE}
+              for path, lines in statements.items()}
+    with LineCollector(missed) as collector:
+        for raw in _runs():
+            if collector.done:
+                break
+            run_scenario(config_from_dict(raw))
+    assert sorted(statements[path][line] + (line,)
+                  for path, lines in collector.missed.items() for line in lines) == []

@@ -4,9 +4,8 @@ from hypothesis import given, settings, strategies as st
 from oracles import gap_position, hop_of, slot_offset_us, wave_scan_sync_beacon
 from wctrlsim.channel import Medium
 from wctrlsim.engine import Engine
-from wctrlsim.mac import (BeaconReception, BeaconReport, Direction, LoopSpec,
-                          ScheduleError, SyncParams, SyncState, build_schedule,
-                          run_sync_beacon)
+from wctrlsim.mac import (BeaconReception, BeaconReport, Direction, ScheduleError,
+                          SyncParams, SyncState, build_schedule, run_sync_beacon)
 
 HOP4 = (2, 0, 3, 1)
 HOP8 = (3, 6, 0, 5, 2, 7, 1, 4)
@@ -14,8 +13,7 @@ SYNC_CHANNEL = 3
 
 
 def schedule_for(n_loops, retx=2, **kwargs):
-    loops = [LoopSpec(loop_id=i, controller=0, plant=i + 1) for i in range(n_loops)]
-    return build_schedule(loops, retx_slots=retx, hop_forward=HOP8,
+    return build_schedule(0, list(range(1, n_loops + 1)), retx_slots=retx, hop_forward=HOP8,
                           hop_feedback=HOP8[::-1], **kwargs)
 
 
@@ -38,30 +36,28 @@ def test_two_loop_layout():
     assert [s.direction for s in sched.slots] == [
         Direction.SYNC, Direction.UPLINK, Direction.UPLINK, Direction.GAP,
         Direction.DOWNLINK, Direction.DOWNLINK, Direction.RETX, Direction.RETX]
-    assert [s.loop_id for s in sched.slots[1:3]] == [0, 1]
-    assert [s.loop_id for s in sched.slots[4:6]] == [0, 1]
+    assert [s.plant for s in sched.slots[1:3]] == [1, 2]
+    assert [s.plant for s in sched.slots[4:6]] == [1, 2]
 
 
 def test_no_loops_is_an_error():
     with pytest.raises(ScheduleError):
-        build_schedule([], hop_forward=HOP8, hop_feedback=HOP8)
+        build_schedule(0, [], hop_forward=HOP8, hop_feedback=HOP8)
 
 
 def test_duplicate_plant_is_an_error():
-    loops = [LoopSpec(0, controller=0, plant=1), LoopSpec(1, controller=0, plant=1)]
     with pytest.raises(ScheduleError):
-        build_schedule(loops, hop_forward=HOP8, hop_feedback=HOP8)
+        build_schedule(0, [1, 1], hop_forward=HOP8, hop_feedback=HOP8)
 
 
 def test_controller_equals_plant_is_an_error():
     with pytest.raises(ScheduleError):
-        build_schedule([LoopSpec(0, controller=1, plant=1)],
-                       hop_forward=HOP8, hop_feedback=HOP8)
+        build_schedule(1, [1], hop_forward=HOP8, hop_feedback=HOP8)
 
 
 def test_non_permutation_hop_sequence_rejected():
     with pytest.raises(ScheduleError):
-        build_schedule([LoopSpec(0, 0, 1)], hop_forward=(0, 0, 1), hop_feedback=(0, 1, 2))
+        build_schedule(0, [1], hop_forward=(0, 0, 1), hop_feedback=(0, 1, 2))
 
 
 def test_cycle_length_values():
@@ -77,11 +73,11 @@ def test_slot_offsets_account_for_the_stretched_gap():
 def test_feedback_slot_strictly_precedes_command_slot_per_loop():
     for n in range(1, 9):
         sched = schedule_for(n)
-        for loop in range(n):
+        for plant in range(1, n + 1):
             fb = [s.position for s in sched.slots
-                  if s.direction is Direction.UPLINK and s.loop_id == loop]
+                  if s.direction is Direction.UPLINK and s.plant == plant]
             cmd = [s.position for s in sched.slots
-                   if s.direction is Direction.DOWNLINK and s.loop_id == loop]
+                   if s.direction is Direction.DOWNLINK and s.plant == plant]
             assert fb and cmd and max(fb) < min(cmd)
 
 
@@ -115,16 +111,14 @@ def test_bands_use_their_own_hop_sequence():
 
 @st.composite
 def schedules(draw):
-    """1-16 loops with any distinct ids and plants, handed over in any order,
-    with random slot and gap durations, retx counts and hop permutations."""
+    """1-16 distinct plants, handed over in any order, with random slot and gap
+    durations, retx counts and hop permutations."""
     n = draw(st.integers(1, 16))
-    ids = draw(st.lists(st.integers(0, 10_000), min_size=n, max_size=n, unique=True))
     plants = draw(st.lists(st.integers(1, 254), min_size=n, max_size=n, unique=True))
-    loops = [LoopSpec(loop_id, controller=0, plant=plant) for loop_id, plant in zip(ids, plants)]
     channels = draw(st.integers(1, 16))
     hops = (tuple(draw(st.permutations(range(channels)))),
             tuple(draw(st.permutations(range(channels)))))
-    return build_schedule(loops, slot_duration_us=draw(st.integers(1, 10_000)),
+    return build_schedule(0, plants, slot_duration_us=draw(st.integers(1, 10_000)),
                           compute_gap_us=draw(st.integers(0, 10_000)),
                           retx_slots=draw(st.integers(0, 5)),
                           hop_forward=hops[0], hop_feedback=hops[1]), hops
@@ -140,6 +134,9 @@ def test_slot_offsets_and_hops_match_the_recomputed_layout(drawn):
         if slot.direction is not Direction.GAP:
             assert slot.hop is hop_of(slot, hop_forward, hop_feedback)  # the very tuple handed in
     assert sched.cycle_length_us == sched.slots[-1].offset_us + sched.slot_duration_us
+    for direction in (Direction.UPLINK, Direction.DOWNLINK):  # in plant-id order
+        plants = [slot.plant for slot in sched.slots if slot.direction is direction]
+        assert plants == sorted(plants)
 
 
 # -- sync flooding -----------------------------------------------------------

@@ -13,7 +13,7 @@ On every pattern the trace must show that:
 - a command is applied only in its primary slot, or in a retx slot where it
   headed the queue, and every delivery to its robot applies it;
 - no command is applied twice;
-- commands outrank feedback, and lower loop ids go first;
+- commands outrank feedback, and lower robot ids go first;
 - the senders of a retx flood are exactly the synced nodes that already held
   the frame;
 - once the controller has latched an emergency stop, every retx slot carries
@@ -125,7 +125,6 @@ def erasure_patterns(monkeypatch, config, pers, desynced=frozenset(), end_reason
 def check_retx_rules(sim):
     """Assert the rules in the module docstring on one cycle's trace; return
     the robots whose command was applied over the radio."""
-    loop_of = {loop.plant: loop.loop_id for loop in sim.loops}
     synced = {node for node, state in sim.sync_states.items() if state.synced}
     rows_in = defaultdict(list)
     for row in sim.trace:
@@ -137,7 +136,7 @@ def check_retx_rules(sim):
 
     def priority(frame):
         name, src, dst, _ = frame
-        return (0, loop_of[dst]) if name == "CMD" else (1, loop_of[src])
+        return (0, dst) if name == "CMD" else (1, src)
 
     pending: dict[tuple, set[int]] = {}     # frame -> nodes holding it
     stop_holders = {sim.controller_node}  # nodes holding the ESTOP frame
@@ -158,7 +157,7 @@ def check_retx_rules(sim):
             if frame is None:
                 continue
             assert senders == {slot.owner}
-            assert priority(frame)[1] == slot.loop_id
+            assert priority(frame)[1] == slot.plant
             holders = set(senders)
         elif slot.direction is Direction.RETX and latched_at is not None:
             assert latched_at < slot.offset_us

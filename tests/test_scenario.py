@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from wctrlsim.scenario import (ConfigError, apply_overrides, config_from_dict,
                                load_config)
-from wctrlsim.simulation import run_scenario
+from wctrlsim.simulation import Simulation, run_scenario
 
 README = Path(__file__).parent.parent / "README.md"
 END_REASONS = ("completed", "estopped", "timeout")
@@ -32,8 +33,9 @@ def test_bundled_configs_load(square_config, platoon_config):
     assert [r.node_id for r in square_config.robots()] == [1]
     assert platoon_config.kind == "leader-follower"
     assert platoon_config.controller_node().node_id == 1  # hosted on the leader
-    loops = platoon_config.loops()
-    assert len(loops) == 1 and loops[0].plant == 2
+    # one radio loop, to the follower: the leader's own loop closes locally
+    schedule = Simulation(platoon_config).schedule
+    assert [(s.owner, s.plant) for s in schedule.slots if s.plant is not None] == [(2, 2), (1, 2)]
 
 
 def test_minimal_config_valid():
@@ -146,6 +148,16 @@ def test_digest_tracks_content():
     c = config_from_dict(minimal_remote(seed=2))
     assert a.digest() == b.digest()
     assert a.digest() != c.digest()
+
+
+def test_a_replaced_config_reports_the_digest_of_its_own_content():
+    config = config_from_dict(minimal_remote())
+    short = dataclasses.replace(config, duration_s=0.01)
+    reseeded = dataclasses.replace(short, seed=7)
+    assert short.raw is None  # the JSON document describes the original only
+    assert len({config.digest(), short.digest(), reseeded.digest()}) == 3
+    assert dataclasses.replace(reseeded).digest() == reseeded.digest()
+    assert run_scenario(reseeded).metrics["config_digest"] == reseeded.digest()
 
 
 def test_load_config_rejects_bad_json(tmp_path):
