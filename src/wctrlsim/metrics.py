@@ -94,8 +94,8 @@ def _frame_id(cycle: int, src: int, dst: int, seq: int) -> int:
 
 
 class TraceView:
-    """Single-pass extraction of everything the metrics need from trace rows: a
-    `Trace`, or the tuples `load_trace` returns, each in `trace.COLUMNS` order."""
+    """Single-pass extraction of everything the metrics need from the rows of a
+    `Trace`, as a run builds it or as `load_trace` reads it back."""
 
     def __init__(self, rows):
         self.latencies: list[tuple[int, int, int]] = []  # (apply time, robot, latency us)
@@ -243,10 +243,7 @@ def compute_metrics(result) -> dict:
         polyline = view.reference_polyline(node)
         if polyline is None:
             continue
-        xy = view.pose_xy(node)
-        if xy.size == 0:
-            continue
-        d = polyline_distances(xy, polyline)
+        d = polyline_distances(view.pose_xy(node), polyline)
         report["tracking"][str(node)] = {
             "rms_m": float(np.sqrt(np.mean(d * d))),
             "max_m": float(d.max()),

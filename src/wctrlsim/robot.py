@@ -131,10 +131,6 @@ class Robot:
         self._track = params.track_width_m
 
     @property
-    def ticks(self) -> tuple[int, int]:
-        return self._ticks[0], self._ticks[1]
-
-    @property
     def stationary(self) -> bool:
         return self.actual == (0.0, 0.0)
 

@@ -30,23 +30,10 @@ from .frames import FRAME_NAMES, CmdFrame, EstopFrame, FbFrame, Frame, new_recor
 from .mac import CycleSchedule, Direction, Slot, SyncState, build_schedule, run_sync_beacon
 from .robot import Robot, Segment
 from .scenario import ScenarioConfig
-from .trace import Trace, declare_kind
-
-# per-cycle row kinds: (time_us, cycle, slot, node) (frame, src, dst, seq, cause) (v1..v5)
-_TX = declare_kind("tx", "ssss ssss- s----")
-_RX = declare_kind("rx", "ssss sssss s----")
-_RX_EMPTY = declare_kind("rx", "ssss ----s -----")
-_SYNC_TX = declare_kind("tx", "ssss ssss- ss---")
-_SYNC_RX = declare_kind("rx", "ssss sssss ss---")
-_SYNC = declare_kind("sync", "ssss ----- fs---")
-_SYNC_MISS = declare_kind("sync-miss", "ssss ----- s----")
-_FB_SAMPLE = declare_kind("fb-sample", "ssss ---s- sss--")
-_FB_SAMPLE_LOCAL = declare_kind("fb-sample", "ss-s ---ss sss--")
-_CMD_EMIT = declare_kind("cmd-emit", "ss-s ssss- sss--")
-_CMD_EMIT_ESTOP = declare_kind("cmd-emit", "ss-s sssss sss--")
-_CMD_APPLY = declare_kind("cmd-apply", "ssss sssss ss---")
-_CMD_APPLY_LOCAL = declare_kind("cmd-apply", "ss-s sssss ss---")
-_POSE = declare_kind("pose", "ss-s ----- fffff")
+from .trace import (CMD_APPLY, CMD_APPLY_LOCAL, CMD_EMIT, CMD_EMIT_ESTOP, DESYNC, END,
+                    ESTOP_CONTROLLER, ESTOP_PLANT, FB_SAMPLE, FB_SAMPLE_LOCAL, META, POSE,
+                    REF_POINT, RX, RX_EMPTY, SYNC, SYNC_MISS, SYNC_RX, SYNC_TX, TX, WAYPOINT,
+                    WAYPOINT_COMPLETE, Trace)
 
 _NO_OBSTACLES: list[Segment] = []  # shared, never written: a run without obstacles
 
@@ -165,7 +152,7 @@ class Simulation:
         ticks_l, ticks_r, distance = self.robots[robot_id].sample_feedback(
             self._active_obstacles(at))
         seq = self._fb_seq[robot_id] = (self._fb_seq[robot_id] + 1) & 0xFFFF
-        kind, cause = (_FB_SAMPLE_LOCAL, "local") if slot is None else (_FB_SAMPLE, None)
+        kind, cause = (FB_SAMPLE_LOCAL, "local") if slot is None else (FB_SAMPLE, None)
         self.trace.add(at, kind, self.cycle, slot, robot_id, None, None, None, seq, cause,
                        ticks_l, ticks_r, -1 if distance is None else distance)
         return new_record(FbFrame, (robot_id, self.controller_node, seq, ticks_l, ticks_r,
@@ -177,17 +164,17 @@ class Simulation:
         disposition = robot.apply_command(cmd)
         self._commands_seen.add(robot_id)
         cause = "local" if slot is None and disposition == "applied" else disposition
-        kind = _CMD_APPLY_LOCAL if slot is None else _CMD_APPLY  # None: the leader's own loop
+        kind = CMD_APPLY_LOCAL if slot is None else CMD_APPLY  # None: the leader's own loop
         self.trace.add(at, kind, self.cycle, slot, robot_id, "CMD", cmd.src, cmd.dst, cmd.seq,
                        cause, cmd.left_mms, cmd.right_mms)
         if robot.estop_latched and not was_latched:
-            self.trace.add(at, "estop", cycle=self.cycle, node=robot_id, cause="plant-latch")
+            self.trace.add(at, ESTOP_PLANT, cycle=self.cycle, node=robot_id, cause="plant-latch")
 
     def _latch_estop_plant(self, robot_id: int, at: SimTime) -> None:
         robot = self.robots[robot_id]
         if not robot.estop_latched:
             robot.latch_estop()
-            self.trace.add(at, "estop", cycle=self.cycle, node=robot_id, cause="plant-latch")
+            self.trace.add(at, ESTOP_PLANT, cycle=self.cycle, node=robot_id, cause="plant-latch")
         self._commands_seen.add(robot_id)
 
     def _send(self, senders: list[int], frame: Frame, slot: Slot, at: SimTime,
@@ -215,7 +202,7 @@ class Simulation:
                          if node not in sending]
         name, src, dst, seq = FRAME_NAMES[type(frame)], frame.src, frame.dst, frame.seq
         for sender in senders:
-            add(at, _TX, cycle, position, sender, name, src, dst, seq, None, channel)
+            add(at, TX, cycle, position, sender, name, src, dst, seq, None, channel)
         received: list[int] = []
         for node, state in listeners:
             if state.synced:
@@ -225,14 +212,14 @@ class Simulation:
                     received.append(node)
             else:
                 cause = Cause.DESYNCED_LISTENER
-            add(at, _RX, cycle, position, node, name, src, dst, seq, cause, channel)
+            add(at, RX, cycle, position, node, name, src, dst, seq, cause, channel)
         return received
 
     def _log_empty_slot(self, slot: Slot, at: SimTime) -> None:
         cycle, position, add = self.cycle, slot.position, self.trace.add
         for node in self.all_nodes:
             if node != slot.owner:
-                add(at, _RX_EMPTY, cycle, position, node, None, None, None, None,
+                add(at, RX_EMPTY, cycle, position, node, None, None, None, None,
                     Cause.NO_TRANSMITTER)
 
     # -- per-slot handlers -----------------------------------------------------
@@ -245,20 +232,20 @@ class Simulation:
         frame = transmissions[0][1].frame  # the originator's wave-1 beacon
         name, src, dst, seq = FRAME_NAMES[type(frame)], frame.src, frame.dst, frame.seq
         for wave, tx in transmissions:
-            add(tx.start, _SYNC_TX, cycle, 0, tx.sender, name, src, dst, seq, None,
+            add(tx.start, SYNC_TX, cycle, 0, tx.sender, name, src, dst, seq, None,
                 channel, wave)
         for wave, at, outcome in outcomes:
-            add(at, _SYNC_RX, cycle, 0, outcome.receiver, name, src, dst, seq, outcome.cause,
+            add(at, SYNC_RX, cycle, 0, outcome.receiver, name, src, dst, seq, outcome.cause,
                 channel, wave)
         for node, wave, residual_us in receptions:
-            add(cycle_start, _SYNC, cycle, 0, node, None, None, None, None, None,
+            add(cycle_start, SYNC, cycle, 0, node, None, None, None, None, None,
                 residual_us, wave)
         for node, state in self._sync_order:
             if state.missed_beacons > 0:
-                add(cycle_start, _SYNC_MISS, cycle, 0, node, None, None, None, None, None,
+                add(cycle_start, SYNC_MISS, cycle, 0, node, None, None, None, None, None,
                     state.missed_beacons)
         for node in desynced:
-            add(cycle_start, "desync", cycle, 0, node)
+            add(cycle_start, DESYNC, cycle, 0, node)
 
     def _run_uplink_slot(self, slot: Slot, at: SimTime, channel: int) -> None:
         robot_id = slot.owner
@@ -281,7 +268,7 @@ class Simulation:
 
         decisions = self.controller.run_cycle()
         if decisions.estop_triggered:
-            self.trace.add(at, "estop", cycle=self.cycle, node=self.controller_node,
+            self.trace.add(at, ESTOP_CONTROLLER, cycle=self.cycle, node=self.controller_node,
                            cause="controller-latch", v1=decisions.estop_source)
         if self.controller.estop_latched:
             self._estop_seq = (self._estop_seq + 1) & 0xFFFF
@@ -292,10 +279,11 @@ class Simulation:
         for decision in decisions.commands:
             robot, cmd = decision.robot, decision.cmd
             if decision.advanced:  # a path is completed by reaching its last point
-                self.trace.add(at, "waypoint", cycle=self.cycle, node=robot,
-                               cause="complete" if decision.completed else None,
+                kind, cause = ((WAYPOINT_COMPLETE, "complete") if decision.completed
+                               else (WAYPOINT, None))
+                self.trace.add(at, kind, cycle=self.cycle, node=robot, cause=cause,
                                v1=decision.advanced)
-            kind, cause = (_CMD_EMIT_ESTOP, "estop") if cmd.estop else (_CMD_EMIT, None)
+            kind, cause = (CMD_EMIT_ESTOP, "estop") if cmd.estop else (CMD_EMIT, None)
             self.trace.add(at, kind, self.cycle, None, self.controller_node, "CMD",
                            cmd.src, cmd.dst, cmd.seq, cause,
                            cmd.left_mms, cmd.right_mms, decision.informing_fb_seq)
@@ -354,7 +342,7 @@ class Simulation:
             robot.end_cycle(cycle_s, robot_id in self._commands_seen)
             x, y, theta = robot.pose
             left, right = robot.actual
-            self.trace.add(cycle_end, _POSE, self.cycle, None, robot_id, None, None, None,
+            self.trace.add(cycle_end, POSE, self.cycle, None, robot_id, None, None, None,
                            None, None, x, y, theta, left, right)
 
         reason = self._completion_reason()
@@ -376,18 +364,18 @@ class Simulation:
     def _finish(self, reason: str, at: SimTime) -> None:
         self.end_reason = reason
         self.end_time_us = at
-        self.trace.add(at, "end", cycle=self.cycle, cause=reason, v1=self.cycle)
+        self.trace.add(at, END, cycle=self.cycle, cause=reason, v1=self.cycle)
 
     # -- entry point -----------------------------------------------------------
 
     def run(self) -> SimulationResult:
-        self.trace.add(0, "meta", v1=self.schedule.cycle_length_us,
+        self.trace.add(0, META, v1=self.schedule.cycle_length_us,
                        v2=self.medium.airtime_us, v3=len(self.schedule.slots),
                        v4=self.config.seed)
         for spec in self.config.robots():
             if spec.path:
                 for idx, (x, y) in enumerate(spec.path):
-                    self.trace.add(0, "ref-point", node=spec.node_id, seq=idx, v1=x, v2=y)
+                    self.trace.add(0, REF_POINT, node=spec.node_id, seq=idx, v1=x, v2=y)
         self.engine.run_until(self.schedule.cycle_length_us, self._run_cycle)
         result = SimulationResult(config=self.config, schedule=self.schedule,
                                   trace=self.trace, end_reason=self.end_reason,

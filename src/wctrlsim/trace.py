@@ -1,44 +1,24 @@
-"""Append-only run trace with a fixed CSV column set.
+"""Append-only run trace with a fixed CSV column set, and the one table of row layouts.
 
 Every row is (time_us, cycle, slot, node, kind, frame, src, dst, seq, cause,
-v1..v5); the meaning of v1..v5 depends on the kind:
-
-    meta        v1=cycle_length_us v2=airtime_us v3=n_slots v4=seed
-    ref-point   node=robot, seq=point index, v1=x v2=y
-    tx          frame/src/dst/seq, v1=channel, v2=wave (sync floods)
-    rx          frame/src/dst/seq, cause, v1=channel, v2=wave
-    sync        node re-aligned: v1=residual_us v2=wave
-    sync-miss   node missed a beacon: v1=missed count
-    desync      node lost sync (miss limit reached)
-    fb-sample   node=robot, seq=feedback seq, v1=left ticks v2=right ticks
-                v3=distance mm (-1 = no reading)
-    cmd-emit    src=controller dst=robot seq, v1=left v2=right
-                v3=informing feedback seq (-1 = none yet), cause="estop" if flagged
-    cmd-apply   node=robot, seq, cause=applied|estop|latched|local,
-                v1=left v2=right
-    waypoint    node=robot, v1=reference points reached, cause="complete" in
-                the cycle a path's last point is reached
-    estop       node, cause=controller-latch|plant-latch
-    pose        node=robot, v1=x v2=y v3=theta v4=left actual v5=right actual
-    end         cause=completed|estopped|timeout, v1=cycles run
+v1..v5).  Each kind of row the simulator writes is declared below, once, with
+its layout and beside it what its cells mean.  The layout drives both
+directions: `to_csv` writes a row as its kind's pattern filled with its
+non-empty cells, trusting the declared types without inspecting them, and
+`load_trace` finds each row's kind by its name and which of its cells are
+empty, then reads each cell by its letter.  So a written file loads back into a
+`Trace` that writes the same bytes again.
 
 `Trace.add(time_us, kind, cycle, slot, node, frame, src, dst, seq, cause,
-v1, ..., v5)` takes the kind second and the other cells in column order, by
-position or by keyword (omitted cells are None); the per-cycle rows of the
+v1, ..., v5)` takes a declared kind second and the other cells in column order,
+by position or by keyword (omitted cells are None); the per-cycle rows of the
 simulator pass them by position, which binds faster than keywords.  A trace
 keeps the cells of every row in one flat list, in column order, exactly as
-passed (ints, strs, floats, None): a stored row leaves no object of its own,
-so the rows that grow as N^2 give the cyclic collector nothing to scan.
-Iterating a trace rebuilds each row as a tuple in COLUMNS order, and cells are
-formatted once, in `to_csv`.  The simulator's per-cycle rows (tx, rx, sync,
-sync-miss, fb-sample, cmd-emit, cmd-apply, pose) pass a kind made by
-`declare_kind`: `to_csv` knows it by identity and trusts its declared cell
-types without inspecting the cells.  Other rows are formatted by the types of
-their cells: None is an empty cell, a bool is 1/0, a float has six decimals,
-anything else is `str`.  `write_csv` streams the rows to disk one at a time,
-so the text of the whole file is never held in memory.  A rerun with the same
-config reproduces the file byte for byte.  `load_trace` parses a CSV back into
-the same typed form, with each float the six-decimal value.
+passed: a stored row leaves no object of its own, so the rows that grow as N^2
+give the cyclic collector nothing to scan.  Iterating a trace rebuilds each row
+as a tuple in COLUMNS order.  `write_csv` streams the rows to disk one at a
+time, so the text of the whole file is never held in memory.  A rerun with the
+same config reproduces the file byte for byte.
 """
 
 from __future__ import annotations
@@ -54,35 +34,69 @@ COLUMNS = ("time_us", "cycle", "slot", "node", "kind", "frame", "src", "dst",
            "seq", "cause", "v1", "v2", "v3", "v4", "v5")
 _WIDTH = len(COLUMNS)
 
-
-def _spec(value) -> str:
-    """The %-format of one cell: None -> "", bool -> 1/0, float -> six decimals."""
-    if value is None:
-        return "%.0s"
-    if isinstance(value, bool):
-        return "%d"
-    if isinstance(value, float):
-        return "%.6f"
-    return "%s"
-
-
-_KINDS: dict[int, tuple[str, str, str, itemgetter]] = {}  # id -> kind, layout, pattern, cells
+# layout letter -> (format, reader of a cell's text)
+_LETTERS = {"d": ("%s", int), "s": ("%s", str), "f": ("%.6f", float), "-": ("", lambda _: None)}
+_KINDS: dict[int, tuple] = {}  # id -> kind, layout, pattern, cells, readers
+_LAYOUTS: dict[tuple[str, tuple[bool, ...]], tuple] = {}  # (name, filled cells) -> _KINDS entry
 
 
 def declare_kind(name: str, layout: str) -> str:
-    """A new str equal to `name` (two letters or more: a shorter str is shared) for a call
-    site whose rows always have `layout`: a letter per column but kind, in COLUMNS order
-    ("s" int or str, "f" float, "-" empty).  An exact str, which compares, hashes and
-    formats as `name` does."""
+    """A new str equal to `name` (two letters or more: a shorter str is shared) whose
+    rows always have `layout`: a letter per column but kind, in COLUMNS order ("d" int,
+    "s" str, "f" float, "-" empty).  An exact str, which compares, hashes and formats
+    as `name` does.  Two layouts of one name must differ in which cells are empty, so
+    that a row read back finds its kind."""
     layout = layout.replace(" ", "")
-    kind = sys.intern(name).encode().decode()  # new; equal literals stay the interned one
-    if len(name) < 2 or len(layout) != len(COLUMNS) - 1 or not set(layout) <= {"s", "f", "-"}:
+    if len(name) < 2 or len(layout) != _WIDTH - 1 or not set(layout) <= set(_LETTERS):
         raise ValueError(f"cannot declare kind {name!r} with layout {layout!r}")
-    formats = [{"s": "%s", "f": "%.6f", "-": ""}[c] for c in layout]
-    formats.insert(4, name.replace("%", "%%"))  # the kind column
+    filled = (name, tuple(c != "-" for c in layout[:4] + "k" + layout[4:]))
+    first = _LAYOUTS.get(filled)
+    if first is not None and first[1] != layout:
+        raise ValueError(f"kind {name!r}: layout {layout!r} has the empty cells of {first[1]!r}")
+    kind = sys.intern(name).encode().decode()  # new; equal literals stay the interned one
+    formats, readers = zip(*(_LETTERS[c] for c in layout))
+    pattern = ",".join((*formats[:4], name.replace("%", "%%"), *formats[4:])) + "\n"
     cells = itemgetter(*(i + (i >= 4) for i, c in enumerate(layout) if c != "-"))
-    _KINDS[id(kind)] = (kind, layout, ",".join(formats) + "\n", cells)  # kind keeps its id
+    readers = (*readers[:4], lambda _: kind, *readers[4:])
+    _KINDS[id(kind)] = entry = (kind, layout, pattern, cells, readers)  # kind keeps its id
+    _LAYOUTS.setdefault(filled, entry)
     return kind
+
+
+# Every kind of row the simulator writes; layouts group the columns as
+# (time_us, cycle, slot, node) (frame, src, dst, seq, cause) (v1..v5).
+# run constants: v1=cycle_length_us v2=airtime_us v3=n_slots v4=seed
+META = declare_kind("meta", "d--- ----- dddd-")
+REF_POINT = declare_kind("ref-point", "d--d ---d- ff---")  # node=robot, seq=point index, v1=x v2=y
+# a transmission, then one reception outcome (cause) per listening node: v1=channel
+TX = declare_kind("tx", "dddd sddd- d----")
+RX = declare_kind("rx", "dddd sddds d----")
+RX_EMPTY = declare_kind("rx", "dddd ----s -----")  # cause=no-transmitter: an empty slot
+SYNC_TX = declare_kind("tx", "dddd sddd- dd---")  # a sync flood: v1=channel v2=wave
+SYNC_RX = declare_kind("rx", "dddd sddds dd---")
+SYNC = declare_kind("sync", "dddd ----- fd---")  # node re-aligned: v1=residual_us v2=wave
+SYNC_MISS = declare_kind("sync-miss", "dddd ----- d----")  # node missed a beacon: v1=missed count
+DESYNC = declare_kind("desync", "dddd ----- -----")  # node lost sync (miss limit reached)
+# node=robot, seq=feedback seq, v1=left ticks v2=right ticks v3=distance mm (-1 = no reading);
+# cause="local" in the leader's own loop, which has no slot
+FB_SAMPLE = declare_kind("fb-sample", "dddd ---d- ddd--")
+FB_SAMPLE_LOCAL = declare_kind("fb-sample", "dd-d ---ds ddd--")
+# node=controller, src=controller dst=robot seq, v1=left v2=right mm/s,
+# v3=informing feedback seq (-1 = none yet), cause="estop" if flagged
+CMD_EMIT = declare_kind("cmd-emit", "dd-d sddd- ddd--")
+CMD_EMIT_ESTOP = declare_kind("cmd-emit", "dd-d sddds ddd--")
+# node=robot, seq, cause=applied|estop|latched|local, v1=left v2=right; the leader's own
+# loop applies with no slot
+CMD_APPLY = declare_kind("cmd-apply", "dddd sddds dd---")
+CMD_APPLY_LOCAL = declare_kind("cmd-apply", "dd-d sddds dd---")
+# node=robot, v1=reference points reached; cause="complete" when a path's last point is reached
+WAYPOINT = declare_kind("waypoint", "dd-d ----- d----")
+WAYPOINT_COMPLETE = declare_kind("waypoint", "dd-d ----s d----")
+ESTOP_CONTROLLER = declare_kind("estop", "dd-d ----s d----")  # controller-latch, v1=source robot
+ESTOP_PLANT = declare_kind("estop", "dd-d ----s -----")  # node=robot, cause=plant-latch
+# node=robot, v1=x v2=y v3=theta v4=left actual v5=right actual
+POSE = declare_kind("pose", "dd-d ----- fffff")
+END = declare_kind("end", "dd-- ----s d----")  # cause=completed|estopped|timeout, v1=cycles run
 
 
 class Trace:
@@ -106,25 +120,19 @@ class Trace:
 
     def to_csv(self, out: TextIO | None = None) -> str | None:
         """Write the header and every row to the text stream `out`, one row at
-        a time; with no stream, return the whole text instead."""
+        a time; with no stream, return the whole text instead.  A row whose kind
+        `declare_kind` did not make raises ValueError."""
         if out is None:
             text = io.StringIO()
             self.to_csv(text)
             return text.getvalue()
-        # other kinds have only a dozen or so row type-shapes: one pattern per shape
-        patterns: dict[tuple[type, ...], str] = {}
         write, kinds = out.write, _KINDS
         write(",".join(COLUMNS) + "\n")
         for row in self:
             declared = kinds.get(id(row[4]))
-            if declared is not None:  # the layout is trusted, not checked
-                write(declared[2] % declared[3](row))
-                continue
-            shape = tuple(map(type, row))
-            pattern = patterns.get(shape)
-            if pattern is None:
-                pattern = patterns[shape] = ",".join(map(_spec, row)) + "\n"
-            write(pattern % row)
+            if declared is None:
+                raise ValueError(f"trace row of kind {row[4]!r}, which is not a declared kind")
+            write(declared[2] % declared[3](row))  # the layout is trusted, not checked
         return None
 
     def write_csv(self, path: str | Path) -> None:
@@ -133,32 +141,27 @@ class Trace:
             self.to_csv(fh)
 
 
-def _parse(cell: str):
-    if cell == "":
-        return None
-    try:
-        return int(cell)
-    except ValueError:
-        pass
-    try:
-        return float(cell)
-    except ValueError:
-        return cell
-
-
-def load_trace(path: str | Path) -> list[tuple]:
-    """Read a trace CSV back into the in-memory row form: "" -> None, integer
-    text -> int, decimal text -> float, anything else stays a str.  A row
-    without one cell per column (a truncated file) raises ValueError."""
+def load_trace(path: str | Path) -> Trace:
+    """Read a trace CSV back into a `Trace`.  Each row takes the declared kind of
+    its name whose empty cells are the row's, and each cell is read by its
+    layout letter, so a float is the six-decimal value.  A file without the
+    header, a row without one cell per column (a truncated file) and a row that
+    no declared layout reads raise ValueError."""
+    trace = Trace()
+    cells, layouts = trace._cells, _LAYOUTS
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         if tuple(header) != COLUMNS:
             raise ValueError(f"not a trace file: unexpected header {header}")
-        rows = []
         for row in reader:
-            if len(row) != len(COLUMNS):
+            if len(row) != _WIDTH:
                 raise ValueError(f"{path}: line {reader.line_num} has {len(row)} cells, "
-                                 f"expected {len(COLUMNS)}")
-            rows.append(tuple(map(_parse, row)))
-        return rows
+                                 f"expected {_WIDTH}")
+            try:
+                readers = layouts[row[4], tuple(map(bool, row))][4]
+                cells.extend([read(cell) for read, cell in zip(readers, row)])
+            except (KeyError, ValueError):
+                raise ValueError(f"{path}: line {reader.line_num}: no declared layout "
+                                 f"reads this {row[4]!r} row") from None
+    return trace

@@ -164,6 +164,17 @@ def _empty_trace(tiny_config, tmp_path):
     return ["plot-data", str(empty), "--metric", "cycle-cdf"]
 
 
+def _bad_row(row):
+    """A trace as a run writes it, with line 3 replaced by `row`."""
+    def build(tiny_config, tmp_path):
+        lines = _tiny_trace(tiny_config).to_csv().splitlines(keepends=True)
+        lines[2] = row + "\n"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(lines), encoding="utf-8")
+        return ["plot-data", str(bad), "--metric", "cycle-cdf"]
+    return build
+
+
 def _plot_data_out(out):
     def build(tiny_config, tmp_path):
         trace = tmp_path / "trace.csv"
@@ -182,6 +193,11 @@ BAD_INPUTS = {
     "run-out-below-a-file": (_out_is_a_file("run", below="sub"), "taken is not a directory"),
     "plot-data-truncated-trace": (_truncated_trace, "has 1 cells, expected 15"),
     "plot-data-empty-trace": (_empty_trace, "not a trace file"),
+    # an empty slot's reception outcome with a wave, which only sync floods have
+    "plot-data-rx-row-with-a-v2-cell": (_bad_row("0,0,3,1,rx,,,,,no-transmitter,,1,,,"),
+                                        "line 3: no declared layout reads this 'rx' row"),
+    "plot-data-row-of-an-unknown-kind": (_bad_row("0,0,3,1,hop,,,,,,,,,,"),
+                                         "line 3: no declared layout reads this 'hop' row"),
     "plot-data-out-is-a-directory": (_plot_data_out("plots"), "Is a directory"),
     "plot-data-out-below-a-missing-directory": (_plot_data_out("missing/cdf.csv"),
                                                 "No such file or directory"),

@@ -104,7 +104,9 @@ def _run(name, tmp_path):
     digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
                     for f in ("trace.csv", "metrics.json"))
     assert digests == (trace_digest, metrics_digest)
-    return load_trace(out / "trace.csv")
+    rows = load_trace(out / "trace.csv")
+    assert rows.to_csv() == (out / "trace.csv").read_text(encoding="utf-8")  # a round trip
+    return rows
 
 
 def test_one_hop_channel_puts_every_frame_on_channel_0(tmp_path):

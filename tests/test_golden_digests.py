@@ -1,7 +1,8 @@
 """Golden digests: the bundled scenarios must keep producing the same bytes.
 
 The values are the full sha256 of `trace.csv` and `metrics.json` as the CLI
-writes them (the trace both as text and as the file `write_csv` streams) for
+writes them (the trace both as text and as the file `write_csv` streams, which
+`load_trace` reads back into a trace that writes the same text) for
 the bundled configs at their own seeds, for the lossy three-robot run of
 `conftest.lossy_raw` (PER 0.3, a burst link, a blackout and an obstacle that
 ends the run in an emergency stop), and for the eight-robot run of
@@ -17,6 +18,8 @@ import json
 from pathlib import Path
 
 import pytest
+
+from wctrlsim.trace import load_trace
 
 GOLDEN = {
     "square": ("0e01381b5410a2be702239a1f8a656e4231d9b415e3b73bc93c350e692454b9a",
@@ -42,6 +45,7 @@ def test_bundled_scenario_outputs_match_golden_digests(scenario, request, tmp_pa
     written = tmp_path / "trace.csv"
     result.trace.write_csv(written)
     assert hashlib.sha256(written.read_bytes()).hexdigest() == trace_digest
+    assert load_trace(written).to_csv() == written.read_text(encoding="utf-8")
     assert _sha256(json.dumps(result.metrics, sort_keys=True, indent=2) + "\n") == metrics_digest
 
 

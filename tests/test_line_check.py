@@ -1,12 +1,13 @@
 """Line check: the branch corpus and the golden runs together run every
 statement of the cycle path.
 
-The scope is every method of `Simulation` and every function of `mac.py` and
-`controller.py`, `raise` statements left out.  Each run is built from its JSON
-document while lines are collected, so config checks count too.  The corpus
-goes first, then the short lossy and fleet goldens, then platoon, which
-reaches every statement they leave, and last square.  Once every statement
-has run, the remaining runs are skipped, because tracing slows every call.
+The scope is every method of `Simulation` and every function of `mac.py`,
+`controller.py` and `trace.py`, `raise` statements left out.  Each run is
+built from its JSON document while lines are collected, so config checks count
+too, and the first run is written and read back.  The corpus goes first, then
+the short lossy and fleet goldens, then platoon, which reaches every statement
+they leave, and last square.  Once every statement has run, the remaining runs
+are skipped, because tracing slows every call.
 """
 
 import copy
@@ -22,14 +23,17 @@ from oracles import LineCollector, function_lines
 from test_corpus import BASE, CASES
 from wctrlsim.scenario import config_from_dict
 from wctrlsim.simulation import run_scenario
+from wctrlsim.trace import declare_kind, load_trace
 
 SRC = Path(wctrlsim.__file__).parent
-SCOPE = {"simulation.py": "Simulation.", "mac.py": "", "controller.py": ""}
+SCOPE = {"simulation.py": "Simulation.", "mac.py": "", "controller.py": "", "trace.py": ""}
 
 # (file, function, statement) of each statement no config reaches; a comment gives why
 UNREACHABLE = {
     # every feedback frame comes from a robot, and every robot has a lane
     ("controller.py", "PathController.ingest_feedback", "return False"),
+    # a run writes only rows of declared kinds, each in its own layout
+    ("trace.py", "load_trace", "except (KeyError, ValueError):"),
 }
 
 
@@ -42,7 +46,7 @@ def _runs():
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="reads code.co_qualname, new in 3.11")
-def test_the_corpus_and_the_goldens_run_every_statement():
+def test_the_corpus_and_the_goldens_run_every_statement(tmp_path):
     statements = {}
     for name, qualname in SCOPE.items():
         path = SRC / name
@@ -56,10 +60,17 @@ def test_the_corpus_and_the_goldens_run_every_statement():
 
     missed = {path: {line for line, where in lines.items() if where not in UNREACHABLE}
               for path, lines in statements.items()}
+    written = tmp_path / "trace.csv"
     with LineCollector(missed) as collector:
+        # the simulator's kinds are declared at import, before lines are collected
+        declare_kind("line-check", "d--- ----- -----")
         for raw in _runs():
             if collector.done:
                 break
-            run_scenario(config_from_dict(raw))
+            trace = run_scenario(config_from_dict(raw)).trace
+            if not written.exists():
+                trace.write_csv(written)
+                loaded = load_trace(written)
+                assert len(loaded) == len(trace) and loaded.to_csv() == written.read_text("utf-8")
     assert sorted(statements[path][line] + (line,)
                   for path, lines in collector.missed.items() for line in lines) == []

@@ -85,7 +85,7 @@ def test_encoder_ticks_for_straight_run():
     robot.apply_command(CmdFrame(src=0, dst=1, seq=1, left_mms=100, right_mms=100))
     for _ in range(1000):
         robot.tick(0.001)  # 1 s at 100 mm/s = 0.1 m
-    assert robot.ticks == (191, 191)
+    assert robot.sample_feedback([])[:2] == (191, 191)
 
 
 def test_slew_limits_wheel_acceleration():
@@ -122,7 +122,7 @@ def test_idle_robot_does_not_move():
     robot = make_robot()
     robot.tick(0.5)
     assert robot.pose == Pose(0, 0, 0)
-    assert robot.ticks == (0, 0)
+    assert robot.sample_feedback([])[:2] == (0, 0)
 
 
 def test_encoder_remainder_carries_without_bias():
@@ -138,9 +138,9 @@ def test_encoder_remainder_carries_without_bias():
         robot.apply_command(CmdFrame(src=0, dst=1, seq=seq, left_mms=speed, right_mms=speed))
         robot.tick(0.002)
         exact += speed * 1e-3 * 0.002
-        assert abs(robot.ticks[0] - exact * ticks_per_m) <= 0.5 + 1e-9
+        assert abs(robot.sample_feedback([])[0] - exact * ticks_per_m) <= 0.5 + 1e-9
     # reconstructing the arc from ticks stays within one tick quantum
-    assert abs(robot.ticks[0] / ticks_per_m - exact) <= 1.0 / ticks_per_m
+    assert abs(robot.sample_feedback([])[0] / ticks_per_m - exact) <= 1.0 / ticks_per_m
 
 
 def test_ray_distance_wall_ahead():
