@@ -16,7 +16,7 @@ from .mac import (CycleSchedule, Direction, ScheduleError, SyncParams, SyncState
                   build_schedule, run_sync_beacon)
 from .robot import Pose, Robot, RobotParams, Segment, step_kinematics
 from .scenario import ConfigError, ScenarioConfig, config_from_dict, load_config
-from .simulation import SimulationResult, run_scenario, run_sweep
+from .simulation import Simulation, run_scenario
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -57,10 +57,9 @@ class BurstModel:
 
 @dataclass
 class RadioLink:
-    """Directed link model with per-channel erasure probabilities and burst state."""
+    """Directed link model with per-channel erasure probabilities and burst state;
+    a receiver keeps its links by sender."""
 
-    sender: int
-    receiver: int
     per_by_channel: tuple[float, ...]
     burst: BurstModel | None = None
     bad: bool = False
@@ -135,9 +134,7 @@ class Medium:
         if len(per_by_channel) != self.n_channels:  # a shorter table fails at a later send
             raise ChannelError(f"link {sender}->{receiver} has {len(per_by_channel)} "
                                f"per-channel probabilities, expected {self.n_channels}")
-        link = RadioLink(sender=sender, receiver=receiver,
-                         per_by_channel=tuple(map(float, per_by_channel)),
-                         burst=burst)
+        link = RadioLink(tuple(map(float, per_by_channel)), burst)
         if burst is not None:
             check_bounds(burst, "burst")
             link._draws = self.engine.draws(receiver, f"burst:{sender}")
@@ -153,7 +150,7 @@ class Medium:
             links = self._receiver(receiver).links
             for sender in nodes:
                 if sender != receiver and sender not in links:
-                    links[sender] = RadioLink(sender, receiver, per_by_channel)
+                    links[sender] = RadioLink(per_by_channel)
 
     def add_blackout(self, node: int, start_us: SimTime, end_us: SimTime) -> None:
         """Force every reception at `node` to fail for start_us <= t < end_us."""

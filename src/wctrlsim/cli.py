@@ -5,9 +5,11 @@
     wctrlsim plot-data <trace.csv> --metric {cycle-cdf|path|gap} [--out FILE]
 
 `run` writes trace.csv and metrics.json into the output directory.  `sweep`
-writes sweep.csv with one aggregated row per grid point.  `plot-data` turns a
-trace into plot-ready CSV on stdout (or --out).  Exit code 2 signals a
-rejected input: a configuration, an --out path or a trace file.
+runs one simulation per grid point (`run_sweep`, defined here) and writes
+sweep.csv with one aggregated row per run.  `plot-data` turns a trace into
+plot-ready CSV on stdout (or --out).  Exit code 2 signals a rejected input: a
+configuration, a grid, an --out path or a trace file; its error line names
+the file when the file is not valid JSON.
 """
 
 from __future__ import annotations
@@ -17,16 +19,13 @@ import csv
 import io
 import json
 import sys
+from itertools import product
 from pathlib import Path
 
-from .metrics import TraceView, cdf_pairs, polyline_distances
-from .scenario import ConfigError, config_from_dict
-from .simulation import run_scenario, run_sweep
+from .metrics import TraceView, cdf_pairs
+from .scenario import ConfigError, apply_overrides, config_from_dict, read_json
+from .simulation import run_scenario
 from .trace import load_trace
-
-
-def _metrics_json(metrics: dict) -> str:
-    return json.dumps(metrics, sort_keys=True, indent=2) + "\n"
 
 
 def _out_dir(path: str) -> Path:
@@ -41,37 +40,84 @@ def _out_dir(path: str) -> Path:
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         out_dir = _out_dir(args.out)
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        raw = read_json(args.config)
         if args.seed is not None and type(raw) is dict:
             raw["seed"] = args.seed
         config = config_from_dict(raw)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    result = run_scenario(config)
+    run = run_scenario(config)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result.trace.write_csv(out_dir / "trace.csv")
-    (out_dir / "metrics.json").write_text(_metrics_json(result.metrics), encoding="utf-8")
-    print(f"{config.kind}: {result.end_reason} after {result.cycles} cycles "
-          f"({result.end_time_us} us); outputs in {out_dir}")
+    run.trace.write_csv(out_dir / "trace.csv")
+    metrics = json.dumps(run.metrics, sort_keys=True, indent=2) + "\n"
+    (out_dir / "metrics.json").write_text(metrics, encoding="utf-8")
+    print(f"{config.kind}: {run.end_reason} after {run.cycle} cycles "
+          f"({run.end_time_us} us); outputs in {out_dir}")
     return 0
+
+
+def run_sweep(raw_config: dict, grid: dict) -> list[dict]:
+    """One run per grid point; returns one aggregated metrics row per run.
+
+    `grid` holds "parameters" (dotted config path -> list of values) and
+    optionally "seeds" (list of seeds, overriding the config seed).  Every
+    point is built and validated before the first run, so a bad grid raises
+    ConfigError and runs nothing.  Runs are independent: each builds its own
+    engine and shares no state.
+    """
+    if type(raw_config) is not dict or type(grid) is not dict:
+        raise ConfigError("the scenario config and the grid must be JSON objects")
+    for key in grid:
+        if key not in ("parameters", "seeds"):
+            raise ConfigError(f'grid: unknown key {key!r}; a grid takes "parameters" and "seeds"')
+    parameters = grid.get("parameters", {})
+    seeds = grid.get("seeds", [raw_config.get("seed", 0)])
+    if type(parameters) is not dict or "seed" in parameters:
+        raise ConfigError('grid.parameters: expected an object of dotted paths; '
+                          'seeds go in "seeds"')
+    for name, values in [*parameters.items(), ("seeds", seeds)]:
+        if type(values) is not list or not values:
+            raise ConfigError(f"grid: {name} needs a non-empty array of values")
+
+    names = sorted(parameters)
+    points = []
+    for combo in product(*(parameters[name] for name in names)):
+        for seed in seeds:
+            point = dict(zip(names, combo), seed=seed)
+            try:
+                points.append((point, config_from_dict(apply_overrides(raw_config, point))))
+            except ConfigError as exc:
+                label = ", ".join(f"{k}={v}" for k, v in point.items())
+                raise ConfigError(f"sweep point {label}: {exc}") from None
+
+    rows = []
+    for point, config in points:
+        run = run_scenario(config)
+        m = run.metrics
+        row: dict = {**point,
+                     "end_reason": run.end_reason,
+                     "cycles": run.cycle,
+                     "cmd_delivery_ratio": m["delivery"]["cmd"]["ratio"],
+                     "fb_delivery_ratio": m["delivery"]["fb"]["ratio"],
+                     "latency_mean_us": m["cycle_time"]["mean_us"],
+                     "latency_p99_us": m["cycle_time"]["p99_us"]}
+        tracking = m.get("tracking") or {}
+        if tracking:
+            row["worst_rms_m"] = max(v["rms_m"] for v in tracking.values())
+        rows.append(row)
+    return rows
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         out_dir = _out_dir(args.out)
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        grid = json.loads(Path(args.grid).read_text(encoding="utf-8"))
-        rows = run_sweep(raw, grid)  # checks every grid point before the first run
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+        rows = run_sweep(read_json(args.config), read_json(args.grid))  # checks every point first
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out_dir.mkdir(parents=True, exist_ok=True)
-    columns: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
+    columns = list(dict.fromkeys(key for row in rows for key in row))  # first seen first
     text = io.StringIO()  # quoted where a cell holds a comma: an array or object value
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(columns)
@@ -91,16 +137,10 @@ def _plot_rows(rows, metric: str) -> list[str]:
     if metric == "path":
         out = ["time_us,node,x,y,cross_track_m"]
         for node in sorted(view.poses):
-            polyline = view.reference_polyline(node)
-            series = view.poses[node]
-            if polyline is None:
-                for t, x, y, _vl, _vr in series:
-                    out.append(f"{t},{node},{x:.6f},{y:.6f},")
-                continue
-            xy = view.pose_xy(node)
-            d = polyline_distances(xy, polyline)
-            for (t, x, y, _vl, _vr), err in zip(series, d):
-                out.append(f"{t},{node},{x:.6f},{y:.6f},{err:.6f}")
+            series, d = view.poses[node], view.cross_track(node)
+            errors = [""] * len(series) if d is None else [f"{err:.6f}" for err in d]
+            for (t, x, y, _vl, _vr), err in zip(series, errors):
+                out.append(f"{t},{node},{x:.6f},{y:.6f},{err}")
         return out
     if metric == "gap":
         robots = sorted(view.poses)

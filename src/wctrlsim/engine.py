@@ -43,7 +43,6 @@ def _blocks(master_seed: int, node: int | None, purpose: str,
 @dataclass(frozen=True)
 class RunSummary:
     events_processed: int
-    final_time: SimTime
 
 
 class Engine:
@@ -81,4 +80,4 @@ class Engine:
             if not step():
                 break
             self.now += period
-        return RunSummary(events_processed=processed, final_time=self.now)
+        return RunSummary(events_processed=processed)

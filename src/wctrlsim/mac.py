@@ -119,7 +119,6 @@ def build_schedule(controller: int, plants: list[int], *, slot_duration_us: int 
 class SyncState:
     """Per-node sync bookkeeping; a desynced node only listens until re-synced."""
 
-    node: int
     synced: bool = True
     missed_beacons: int = 0
 

@@ -107,8 +107,6 @@ class TraceView:
         self.plant_latch_us: dict[int, int] = {}
         self.waypoint_complete_us: dict[int, int] = {}
         self.points_reached: list[tuple[int, int, int]] = []  # (time, node, count)
-        self.end_reason: str | None = None
-        self.cycles: int | None = None
 
         fb_time: dict[tuple[int, int], int] = {}
         emit_informing: dict[tuple[int, int], int] = {}
@@ -150,15 +148,8 @@ class TraceView:
                     self.points_reached.append((t, node, v1))
                 if cause == "complete":
                     self.waypoint_complete_us.setdefault(node, t)
-            elif kind == "end":
-                self.end_reason = cause
-                self.cycles = v1
 
     # -- derived series ------------------------------------------------------
-
-    def pose_xy(self, node: int) -> np.ndarray:
-        return np.array([(x, y) for _, x, y, _, _ in self.poses.get(node, [])],
-                        dtype=float).reshape(-1, 2)
 
     def reference_polyline(self, node: int) -> list[tuple[float, float]] | None:
         refs = self.refpoints.get(node)
@@ -167,6 +158,13 @@ class TraceView:
         series = self.poses.get(node)
         head = [(series[0][1], series[0][2])] if series else []
         return head + refs
+
+    def cross_track(self, node: int) -> np.ndarray | None:
+        """Cross-track error of each of the node's poses, or None without reference points."""
+        polyline = self.reference_polyline(node)
+        if polyline is None:
+            return None
+        return polyline_distances([(x, y) for _, x, y, _, _ in self.poses.get(node, ())], polyline)
 
     def stationary_time_us(self, node: int, after_us: int) -> int | None:
         for t, _x, _y, vl, vr in self.poses.get(node, []):
@@ -217,21 +215,20 @@ def _ratio(view: TraceView, frame: str) -> dict:
             "ratio": delivered / attempted if attempted else None}
 
 
-def compute_metrics(result) -> dict:
-    """Build the metrics report for a finished run (a SimulationResult)."""
-    view = TraceView(result.trace)
-    config = result.config
+def compute_metrics(run) -> dict:
+    """Build the metrics report of a finished `Simulation`."""
+    view = TraceView(run.trace)
+    config, schedule = run.config, run.schedule
     report: dict = {
         "config_digest": config.digest(),
         "kind": config.kind,
         "seed": config.seed,
-        "end": {"reason": result.end_reason, "time_us": result.end_time_us,
-                "cycles": result.cycles},
+        "end": {"reason": run.end_reason, "time_us": run.end_time_us, "cycles": run.cycle},
         "schedule": {
-            "cycle_length_us": result.schedule.cycle_length_us,
-            "n_slots": len(result.schedule.slots),
-            "slot_duration_us": result.schedule.slot_duration_us,
-            "compute_gap_us": result.schedule.compute_gap_us,
+            "cycle_length_us": schedule.cycle_length_us,
+            "n_slots": len(schedule.slots),
+            "slot_duration_us": schedule.slot_duration_us,
+            "compute_gap_us": schedule.compute_gap_us,
         },
         "cycle_time": _latency_stats([lat for _, _, lat in view.latencies]),
         "delivery": {"cmd": _ratio(view, "CMD"), "fb": _ratio(view, "FB")},
@@ -240,10 +237,9 @@ def compute_metrics(result) -> dict:
     }
 
     for node in sorted(view.poses):
-        polyline = view.reference_polyline(node)
-        if polyline is None:
+        d = view.cross_track(node)
+        if d is None:
             continue
-        d = polyline_distances(view.pose_xy(node), polyline)
         report["tracking"][str(node)] = {
             "rms_m": float(np.sqrt(np.mean(d * d))),
             "max_m": float(d.max()),

@@ -124,6 +124,7 @@ class Robot:
         self.actual = (0.0, 0.0)     # mm/s
         self.estop_latched = False
         self.cycles_without_command = 0
+        self._commanded_this_cycle = False  # the watchdog's mark, cleared by end_cycle
         self._arc_m = [0.0, 0.0]     # exact cumulative wheel arc lengths
         self._ticks = [0, 0]         # emitted cumulative encoder ticks
         self._ticks_per_m = params.ticks_per_meter
@@ -139,27 +140,31 @@ class Robot:
 
         Returns the disposition: "applied", "estop" or "latched".  An
         emergency-stop command always latches; once latched, a plain command
-        is not applied.
+        is not applied.  Any command feeds the watchdog for this cycle.
         """
+        self._commanded_this_cycle = True
         if cmd.estop:
             self.latch_estop()
-            self.cycles_without_command = 0
             return "estop"
         if self.estop_latched:
             return "latched"
         limit = self._limit
         self.commanded = (max(-limit, min(limit, float(cmd.left_mms))),
                           max(-limit, min(limit, float(cmd.right_mms))))
-        self.cycles_without_command = 0
         return "applied"
 
     def latch_estop(self) -> None:
+        """Latch the emergency stop; a stop frame also feeds the watchdog for this cycle."""
         self.estop_latched = True
         self.commanded = (0.0, 0.0)
+        self._commanded_this_cycle = True
 
-    def end_cycle(self, dt_s: float, command_seen: bool) -> None:
+    def end_cycle(self, dt_s: float) -> None:
         """Close out one MAC cycle: watchdog, slew, pose and encoder advance."""
-        if not command_seen:
+        if self._commanded_this_cycle:
+            self._commanded_this_cycle = False
+            self.cycles_without_command = 0
+        else:
             self.cycles_without_command += 1
             if self.cycles_without_command >= self.watchdog_cycles:
                 self.commanded = (0.0, 0.0)  # local safety stop, not latched

@@ -157,6 +157,8 @@ class ScenarioConfig:
                 raise ConfigError(f"node {node.node_id}: unknown role {node.role!r}")
             if node.is_robot and node.start_pose is None:
                 raise ConfigError(f"robot node {node.node_id} needs a start pose")
+            if not node.is_robot and (node.start_pose, node.path) != (None, None):
+                raise ConfigError(f"node {node.node_id}: a {node.role} takes no start_pose or path")
 
         if self.kind == "remote-control":
             if len(self.by_role("controller")) != 1:
@@ -183,6 +185,9 @@ class ScenarioConfig:
                 raise ConfigError(f"link {link.sender}->{link.receiver} references unknown node")
             if link.sender == link.receiver:
                 raise ConfigError(f"link {link.sender}->{link.receiver} is a self-link")
+            if sum(v is not None for v in (link.per, link.per_by_channel, link.burst)) > 1:
+                raise ConfigError(f"link {link.sender}->{link.receiver}: "
+                                  "set at most one of per, per_by_channel and burst")
             if (link.per_by_channel is not None
                     and len(link.per_by_channel) != self.protocol.n_channels):
                 raise ConfigError(
@@ -340,12 +345,17 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
     return config
 
 
-def load_config(path: str | Path) -> ScenarioConfig:
+def read_json(path: str | Path) -> Any:
+    """The JSON document in the file at `path`.  Text that is not JSON (nor UTF-8,
+    which JSON text is) raises ConfigError naming the file."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ConfigError(f"{path}: not valid JSON ({exc})") from None
-    return config_from_dict(raw)
+
+
+def load_config(path: str | Path) -> ScenarioConfig:
+    return config_from_dict(read_json(path))
 
 
 def apply_overrides(raw: dict, overrides: dict[str, Any]) -> dict:

@@ -1,4 +1,4 @@
-"""Scenario orchestration: one run wiring engine, medium, MAC, plants and controller.
+"""The per-cycle executor: one run wiring engine, medium, MAC, plants and controller.
 
 The engine steps one cycle per period; each cycle runs its slots in order:
 
@@ -16,6 +16,9 @@ In a leader-follower scenario the controller is hosted on the leader robot:
 the leader's own loop closes locally at compute time (encoders sampled and
 commands applied in place), while the follower's loop runs over the radio.
 Lane progress and completion are read from the controller, never copied here.
+
+A finished run is its `Simulation`: `run()` returns the run itself, with its
+trace, end reason, cycle count and metrics report.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .channel import Cause, Medium
 from .controller import PathController
 from .engine import Engine, SimTime, stream_rng
 from .frames import FRAME_NAMES, CmdFrame, EstopFrame, FbFrame, Frame, new_record
-from .mac import CycleSchedule, Direction, Slot, SyncState, build_schedule, run_sync_beacon
+from .mac import Direction, Slot, SyncState, build_schedule, run_sync_beacon
 from .robot import Robot, Segment
 from .scenario import ScenarioConfig
 from .trace import (CMD_APPLY, CMD_APPLY_LOCAL, CMD_EMIT, CMD_EMIT_ESTOP, DESYNC, END,
@@ -46,17 +49,6 @@ class _Pending:
     frame: Frame
     dest: int | None
     holders: set[int]
-
-
-@dataclass
-class SimulationResult:
-    config: ScenarioConfig
-    schedule: CycleSchedule
-    trace: Trace
-    end_reason: str
-    cycles: int
-    end_time_us: SimTime
-    metrics: dict
 
 
 class Simulation:
@@ -105,18 +97,18 @@ class Simulation:
         self._last_start = config.max_time_us - self._cycle_len  # the last cycle that fits
         self._plan = [(handlers[s.direction], s, s.offset_us, s.hop or None)
                       for s in self.schedule.slots]
-        self.sync_states = {node: SyncState(node=node) for node in self.all_nodes}
+        self.sync_states = {node: SyncState() for node in self.all_nodes}
         self._sync_order = [(node, self.sync_states[node]) for node in self.all_nodes]
         self._listeners: dict[int, list[tuple[int, SyncState]]] = {}  # filled by _send
         self.trace = Trace()
         self.cycle = 0
         self.end_reason: str | None = None
         self.end_time_us: SimTime = 0
+        self.metrics: dict = {}  # the report, once run() returns
         self._fb_seq: dict[int, int] = {node: 0 for node in self.robots}
         self._estop_seq = 0
         self._cycle_cmds: dict[int, CmdFrame] = {}
         self._pending: list[_Pending] = []
-        self._commands_seen: set[int] = set()
 
     # -- setup ---------------------------------------------------------------
 
@@ -162,7 +154,6 @@ class Simulation:
         robot = self.robots[robot_id]
         was_latched = robot.estop_latched
         disposition = robot.apply_command(cmd)
-        self._commands_seen.add(robot_id)
         cause = "local" if slot is None and disposition == "applied" else disposition
         kind = CMD_APPLY_LOCAL if slot is None else CMD_APPLY  # None: the leader's own loop
         self.trace.add(at, kind, self.cycle, slot, robot_id, "CMD", cmd.src, cmd.dst, cmd.seq,
@@ -173,9 +164,8 @@ class Simulation:
     def _latch_estop_plant(self, robot_id: int, at: SimTime) -> None:
         robot = self.robots[robot_id]
         if not robot.estop_latched:
-            robot.latch_estop()
             self.trace.add(at, ESTOP_PLANT, cycle=self.cycle, node=robot_id, cause="plant-latch")
-        self._commands_seen.add(robot_id)
+        robot.latch_estop()  # every stop frame a plant hears feeds its watchdog
 
     def _send(self, senders: list[int], frame: Frame, slot: Slot, at: SimTime,
               channel: int) -> list[int]:
@@ -329,7 +319,6 @@ class Simulation:
         if cycle_start > self._last_start:
             self._finish("timeout", cycle_start)
             return False
-        self._commands_seen = set()
         self._pending = []
 
         for handler, slot, offset, hop in self._plan:
@@ -339,7 +328,7 @@ class Simulation:
         cycle_end = cycle_start + self._cycle_len
         cycle_s = self._cycle_s
         for robot_id, robot in self._robot_order:
-            robot.end_cycle(cycle_s, robot_id in self._commands_seen)
+            robot.end_cycle(cycle_s)
             x, y, theta = robot.pose
             left, right = robot.actual
             self.trace.add(cycle_end, POSE, self.cycle, None, robot_id, None, None, None,
@@ -368,7 +357,8 @@ class Simulation:
 
     # -- entry point -----------------------------------------------------------
 
-    def run(self) -> SimulationResult:
+    def run(self) -> Simulation:
+        """Execute the run to its completion condition, then compute its metrics."""
         self.trace.add(0, META, v1=self.schedule.cycle_length_us,
                        v2=self.medium.airtime_us, v3=len(self.schedule.slots),
                        v4=self.config.seed)
@@ -377,70 +367,10 @@ class Simulation:
                 for idx, (x, y) in enumerate(spec.path):
                     self.trace.add(0, REF_POINT, node=spec.node_id, seq=idx, v1=x, v2=y)
         self.engine.run_until(self.schedule.cycle_length_us, self._run_cycle)
-        result = SimulationResult(config=self.config, schedule=self.schedule,
-                                  trace=self.trace, end_reason=self.end_reason,
-                                  cycles=self.cycle, end_time_us=self.end_time_us,
-                                  metrics={})
-        result.metrics = metrics_mod.compute_metrics(result)
-        return result
+        self.metrics = metrics_mod.compute_metrics(self)
+        return self
 
 
-def run_scenario(config: ScenarioConfig) -> SimulationResult:
+def run_scenario(config: ScenarioConfig) -> Simulation:
     """Validate, build and execute one scenario to its completion condition."""
     return Simulation(config).run()
-
-
-def run_sweep(raw_config: dict, grid: dict) -> list[dict]:
-    """One run per grid point; returns one aggregated metrics row per run.
-
-    `grid` holds "parameters" (dotted config path -> list of values) and
-    optionally "seeds" (list of seeds, overriding the config seed).  Every
-    point is built and validated before the first run, so a bad grid raises
-    ConfigError and runs nothing.  Runs are independent: each builds its own
-    engine and shares no state.
-    """
-    from itertools import product
-
-    from .scenario import ConfigError, apply_overrides, config_from_dict
-
-    if type(raw_config) is not dict or type(grid) is not dict:
-        raise ConfigError("the scenario config and the grid must be JSON objects")
-    for key in grid:
-        if key not in ("parameters", "seeds"):
-            raise ConfigError(f'grid: unknown key {key!r}; a grid takes "parameters" and "seeds"')
-    parameters = grid.get("parameters", {})
-    seeds = grid.get("seeds", [raw_config.get("seed", 0)])
-    if type(parameters) is not dict or "seed" in parameters:
-        raise ConfigError('grid.parameters: expected an object of dotted paths; '
-                          'seeds go in "seeds"')
-    for name, values in [*parameters.items(), ("seeds", seeds)]:
-        if type(values) is not list or not values:
-            raise ConfigError(f"grid: {name} needs a non-empty array of values")
-
-    names = sorted(parameters)
-    points = []
-    for combo in product(*(parameters[name] for name in names)):
-        for seed in seeds:
-            point = dict(zip(names, combo), seed=seed)
-            try:
-                points.append((point, config_from_dict(apply_overrides(raw_config, point))))
-            except ConfigError as exc:
-                label = ", ".join(f"{k}={v}" for k, v in point.items())
-                raise ConfigError(f"sweep point {label}: {exc}") from None
-
-    rows = []
-    for point, config in points:
-        result = run_scenario(config)
-        m = result.metrics
-        row: dict = {**point,
-                     "end_reason": result.end_reason,
-                     "cycles": result.cycles,
-                     "cmd_delivery_ratio": m["delivery"]["cmd"]["ratio"],
-                     "fb_delivery_ratio": m["delivery"]["fb"]["ratio"],
-                     "latency_mean_us": m["cycle_time"]["mean_us"],
-                     "latency_p99_us": m["cycle_time"]["p99_us"]}
-        tracking = m.get("tracking") or {}
-        if tracking:
-            row["worst_rms_m"] = max(v["rms_m"] for v in tracking.values())
-        rows.append(row)
-    return rows

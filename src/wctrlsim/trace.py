@@ -6,7 +6,8 @@ its layout and beside it what its cells mean.  The layout drives both
 directions: `to_csv` writes a row as its kind's pattern filled with its
 non-empty cells, trusting the declared types without inspecting them, and
 `load_trace` finds each row's kind by its name and which of its cells are
-empty, then reads each cell by its letter.  So a written file loads back into a
+empty, then builds the row in one call: the kind, None for each empty cell and
+each filled cell read by its letter.  So a written file loads back into a
 `Trace` that writes the same bytes again.
 
 `Trace.add(time_us, kind, cycle, slot, node, frame, src, dst, seq, cause,
@@ -34,9 +35,10 @@ COLUMNS = ("time_us", "cycle", "slot", "node", "kind", "frame", "src", "dst",
            "seq", "cause", "v1", "v2", "v3", "v4", "v5")
 _WIDTH = len(COLUMNS)
 
-# layout letter -> (format, reader of a cell's text)
-_LETTERS = {"d": ("%s", int), "s": ("%s", str), "f": ("%.6f", float), "-": ("", lambda _: None)}
-_KINDS: dict[int, tuple] = {}  # id -> kind, layout, pattern, cells, readers
+# layout letter -> (format, the expression that reads cell {0} of a row r read as text)
+_LETTERS = {"d": ("%s", "int(r[{0}])"), "s": ("%s", "r[{0}]"), "f": ("%.6f", "float(r[{0}])"),
+            "-": ("", "None")}
+_KINDS: dict[int, tuple] = {}  # id -> kind, layout, pattern, cells, row builder
 _LAYOUTS: dict[tuple[str, tuple[bool, ...]], tuple] = {}  # (name, filled cells) -> _KINDS entry
 
 
@@ -54,11 +56,14 @@ def declare_kind(name: str, layout: str) -> str:
     if first is not None and first[1] != layout:
         raise ValueError(f"kind {name!r}: layout {layout!r} has the empty cells of {first[1]!r}")
     kind = sys.intern(name).encode().decode()  # new; equal literals stay the interned one
-    formats, readers = zip(*(_LETTERS[c] for c in layout))
+    formats, reads = zip(*(_LETTERS[c] for c in layout))
     pattern = ",".join((*formats[:4], name.replace("%", "%%"), *formats[4:])) + "\n"
     cells = itemgetter(*(i + (i >= 4) for i, c in enumerate(layout) if c != "-"))
-    readers = (*readers[:4], lambda _: kind, *readers[4:])
-    _KINDS[id(kind)] = entry = (kind, layout, pattern, cells, readers)  # kind keeps its id
+    # load_trace's reader of this layout: one expression per row, with a call per int or float
+    reads = (*reads[:4], "kind", *reads[4:])
+    build = eval(f"lambda r: ({', '.join(read.format(i) for i, read in enumerate(reads))})",
+                 {"kind": kind})
+    _KINDS[id(kind)] = entry = (kind, layout, pattern, cells, build)  # kind keeps its id
     _LAYOUTS.setdefault(filled, entry)
     return kind
 
@@ -159,8 +164,7 @@ def load_trace(path: str | Path) -> Trace:
                 raise ValueError(f"{path}: line {reader.line_num} has {len(row)} cells, "
                                  f"expected {_WIDTH}")
             try:
-                readers = layouts[row[4], tuple(map(bool, row))][4]
-                cells.extend([read(cell) for read, cell in zip(readers, row)])
+                cells.extend(layouts[row[4], tuple(map(bool, row))][4](row))
             except (KeyError, ValueError):
                 raise ValueError(f"{path}: line {reader.line_num}: no declared layout "
                                  f"reads this {row[4]!r} row") from None

@@ -195,7 +195,7 @@ def test_criterion_06_schedule_properties():
     for n in range(1, 9):
         result = run_scenario(_hop_period_config(n))
         sched = result.schedule
-        ok &= result.cycles == 8
+        ok &= result.cycle == 8
         # conflict freedom: every owned slot has exactly one owner; plants unique
         uplinks = [s for s in sched.slots if s.direction is Direction.UPLINK]
         ok &= len({s.owner for s in uplinks}) == n
@@ -269,7 +269,7 @@ def test_criterion_09_cycle_time_distribution(square_result):
         "run_to_completion": False,
     })
     result = run_scenario(config)
-    n = result.cycles
+    n = result.cycle
     counts = dict(result.metrics["cycle_time"]["counts"])
     sched = result.schedule
     airtime = 104

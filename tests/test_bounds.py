@@ -23,7 +23,9 @@ from wctrlsim.scenario import ConfigError, ScenarioConfig, config_from_dict
 
 N_CHANNELS = 8
 
-# one instance of every config class: node 0 is the controller, node 1 a robot
+# one instance of every config class: node 0 is the controller, node 1 a robot.  A
+# link takes one erasure model; a bound is checked before that rule, so the
+# out-of-range values below may still go into any field of link 0.
 BASE = {
     "kind": "remote-control",
     "seed": 1,
@@ -33,9 +35,10 @@ BASE = {
         {"id": 1, "role": "robot", "start_pose": [0.0, 0.0, 0.0], "path": [[1.0, 0.0]]},
     ],
     "channel": {
-        "links": [{"from": 0, "to": 1, "per": 0.1, "per_by_channel": [0.1] * N_CHANNELS,
+        "links": [{"from": 0, "to": 1,
                    "burst": {"p_good_to_bad": 0.1, "p_bad_to_good": 0.3,
-                             "per_good": 0.1, "per_bad": 0.8}}],
+                             "per_good": 0.1, "per_bad": 0.8}},
+                  {"from": 1, "to": 0, "per_by_channel": [0.1] * N_CHANNELS}],
         "blackouts": [{"node": 1, "from_us": 0, "until_us": 10}],
     },
     "obstacles": [{"segment": [0.5, -0.1, 0.5, 0.1]}],

@@ -146,6 +146,17 @@ def _out_is_a_file(command, below=""):
     return build
 
 
+def _not_json(command):
+    """A run config, or a sweep grid, that is not valid JSON."""
+    def build(tiny_config, tmp_path):
+        bad = tmp_path / "broken.json"
+        bad.write_text('{"seeds": [1, 2}', encoding="utf-8")
+        if command == "run":
+            return ["run", str(bad), "--out", str(tmp_path / "out")]
+        return ["sweep", str(tiny_config), "--grid", str(bad), "--out", str(tmp_path / "out")]
+    return build
+
+
 def _tiny_trace(tiny_config):
     return run_scenario(config_from_dict(json.loads(tiny_config.read_text()))).trace
 
@@ -188,6 +199,8 @@ def _plot_data_out(out):
 BAD_INPUTS = {
     "run-config-not-an-object-with-seed": (_array_config_with_seed,
                                            "scenario config must be a JSON object"),
+    "run-config-not-json": (_not_json("run"), "broken.json: not valid JSON (Expecting"),
+    "sweep-grid-not-json": (_not_json("sweep"), "broken.json: not valid JSON (Expecting"),
     "run-out-is-a-file": (_out_is_a_file("run"), "taken is not a directory"),
     "sweep-out-is-a-file": (_out_is_a_file("sweep"), "taken is not a directory"),
     "run-out-below-a-file": (_out_is_a_file("run", below="sub"), "taken is not a directory"),

@@ -350,7 +350,7 @@ def test_plant_and_dead_reckoning_agree_without_loss():
         decisions = controller.run_cycle()
         cmd = decisions.commands[0].cmd
         robot.apply_command(cmd)
-        robot.end_cycle(dt, command_seen=True)
+        robot.end_cycle(dt)
     err = math.hypot(lane.est_pose.x - robot.pose.x, lane.est_pose.y - robot.pose.y)
     assert err < 0.005  # < 5 mm over a ~2 m run
 

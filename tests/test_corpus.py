@@ -3,7 +3,8 @@
 Each case is one robot, or a leader and its follower, driven for 0.5 s of
 virtual time at PER 0, changed in one or two places: a boundary value that the
 declared config ranges must keep accepting, a steering setting, a path, an
-obstacle with a blackout, or where the follower starts.  A case is pinned by
+obstacle (with a blackout, or parallel to the heading), or where the follower
+starts.  A case is pinned by
 the sha256 of `trace.csv` and `metrics.json` as `wctrlsim run` writes them,
 and checked by the trace rows that show its branch ran.
 """
@@ -26,6 +27,7 @@ TIME, CYCLE, KIND, NODE, SLOT, FRAME, DST, SEQ, CAUSE, V1, V2, V3 = (
 DEAD_CHANNEL = 3
 LATCH_CYCLE_US = 200_000  # the obstacle appears as this cycle starts; cycles are 2,000 us
 TWIN = [0.01, 0.0]  # within the waypoint tolerance of the start, and on the robot's way out
+PARALLEL_WALL = [0.0, -0.2, 2.0, -0.2]
 
 BASE = {
     "kind": "remote-control",
@@ -83,6 +85,12 @@ CASES = {
              {"node": 1, "from_us": LATCH_CYCLE_US + 1250, "until_us": LATCH_CYCLE_US + 1500}]}},
         "c10d40d9c94ce6d4b7ceda506845587c86ff0b96fa33aa7b260dec6f1e292dc7",
         "90176c9c8c19b93eee77103d17f16283e54a44766e6b1a6780cd41b9b020f123"),
+    # a wall 0.2 m to the right of the start, along the starting heading: the
+    # first ray runs parallel to it, and the robot turns left, away from it
+    "parallel-wall": (
+        {"obstacles": [{"segment": PARALLEL_WALL}]},
+        "9bd15926c4029fe081fb0146d54f532221d71836c6be610f11c5d79b0e6f3953",
+        "7da6a2861280aab7c82af0400d7d4f1c900cdf79120a3a4e0389e6ae6784e1f7"),
     # the follower starts 0.1 m behind the leader, well inside the 0.25 m standoff
     "follower-inside-standoff": (
         {"kind": "leader-follower",
@@ -182,3 +190,11 @@ def test_a_follower_inside_its_standoff_is_held(tmp_path):
     follower = {r[CYCLE]: r for r in poses if r[NODE] == 2}
     gaps = [math.dist(leader[c][V1:V3], follower[c][V1:V3]) for c in leader]
     assert max(gaps) < 0.25  # FollowerParams().standoff_m
+
+
+def test_a_wall_parallel_to_the_heading_gives_no_reading(tmp_path):
+    rows = _run("parallel-wall", tmp_path)
+    samples = [r[V3] for r in rows if r[KIND] == "fb-sample"]
+    assert samples and set(samples) == {-1}  # -1: no reading
+    poses = [r for r in rows if r[KIND] == "pose"]
+    assert poses and min(r[V2] for r in poses) > PARALLEL_WALL[1]  # never reached

@@ -2,12 +2,12 @@
 statement of the cycle path.
 
 The scope is every method of `Simulation` and every function of `mac.py`,
-`controller.py` and `trace.py`, `raise` statements left out.  Each run is
-built from its JSON document while lines are collected, so config checks count
-too, and the first run is written and read back.  The corpus goes first, then
-the short lossy and fleet goldens, then platoon, which reaches every statement
-they leave, and last square.  Once every statement has run, the remaining runs
-are skipped, because tracing slows every call.
+`controller.py`, `trace.py`, `robot.py` and `channel.py`, `raise` statements
+left out.  Each run is built from its JSON document while lines are collected,
+so config checks count too, and the first run is written and read back.  The
+corpus goes first, then the short lossy and fleet goldens, then platoon, which
+reaches every statement they leave, and last square.  Once every statement has
+run, the remaining runs are skipped, because tracing slows every call.
 """
 
 import copy
@@ -26,7 +26,8 @@ from wctrlsim.simulation import run_scenario
 from wctrlsim.trace import declare_kind, load_trace
 
 SRC = Path(wctrlsim.__file__).parent
-SCOPE = {"simulation.py": "Simulation.", "mac.py": "", "controller.py": "", "trace.py": ""}
+SCOPE = {"simulation.py": "Simulation.", "mac.py": "", "controller.py": "", "trace.py": "",
+         "robot.py": "", "channel.py": ""}
 
 # (file, function, statement) of each statement no config reaches; a comment gives why
 UNREACHABLE = {
@@ -34,6 +35,11 @@ UNREACHABLE = {
     ("controller.py", "PathController.ingest_feedback", "return False"),
     # a run writes only rows of declared kinds, each in its own layout
     ("trace.py", "load_trace", "except (KeyError, ValueError):"),
+    # once the controller latches, every command it emits carries the stop flag,
+    # and the retx queue that could carry an older command is emptied every cycle
+    ("robot.py", "Robot.apply_command", 'return "latched"'),
+    # add_links links every ordered pair of nodes, so every listener has a link
+    ("channel.py", "Medium.deliver", "except KeyError:"),
 }
 
 

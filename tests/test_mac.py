@@ -149,7 +149,7 @@ def sync_setup(pers, seed=0):
     medium = Medium(engine, n_channels=8)
     for (a, b), per in pers.items():
         medium.add_link(a, b, per=per)
-    states = {n: SyncState(node=n) for n in nodes}
+    states = {n: SyncState() for n in nodes}
     return engine, medium, states, nodes
 
 
@@ -232,7 +232,7 @@ def test_one_pass_flood_matches_the_wave_by_wave_scan(case):
         medium = Medium(engine, n_channels=4)
         for (a, b), per in pers.items():
             medium.add_link(a, b, per=per)
-        states = {node: SyncState(node, synced, missed)
+        states = {node: SyncState(synced, missed)
                   for node, (synced, missed) in start_states.items()}
         reports = [flood(engine, medium, cycle % 4, cycle, originator, list(nodes), states,
                          params, cycle * 2000)

@@ -2,9 +2,10 @@
 
 `perfbench/tracer.py` patches functions by name and reads some of their
 arguments and results (the kind of a `Trace.add` row as `args[2]`, the
-`.received` of a delivery, ...).  This runs the golden `fleet` case through
-the CLI with every probe installed, as a traced benchmark execution does, and
-checks that the probes still see each layer.  The benchmark is only read here.
+`.received` of a delivery, ...).  This runs the golden `fleet` case, and a
+two-point sweep, through the CLI with every probe installed, as a traced
+benchmark execution does, and checks that the probes still see each layer.
+The benchmark is only read here.
 """
 
 import importlib.util
@@ -14,6 +15,7 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 from conftest import fleet_raw
+from test_corpus import BASE
 from test_golden_digests import GOLDEN, _sha256
 from wctrlsim import cli
 from wctrlsim.trace import COLUMNS, load_trace
@@ -66,3 +68,26 @@ def test_every_probe_sees_the_golden_fleet_run(tmp_path):
     assert rec.counts["trace.rx_rows"] == sum(row[kind] == "rx" for row in rows)
     assert {name: spans[name][1] for name in CALLS} == CALLS
     assert CALLS["trace.add"] == len(rows)
+
+
+def test_the_sweep_probe_times_the_sweep_the_cli_runs(tmp_path):
+    tracer = _load_tracer()
+    config, grid = tmp_path / "config.json", tmp_path / "grid.json"
+    config.write_text(json.dumps(BASE), encoding="utf-8")
+    grid.write_text(json.dumps({"seeds": [1, 2]}), encoding="utf-8")
+    rec = tracer.Recorder()
+    outputs = []
+    for traced in (True, False):
+        out = tmp_path / f"traced-{traced}"
+        argv = ["sweep", str(config), "--grid", str(grid), "--out", str(out)]
+        with tracer.installed(rec, full=traced), redirect_stdout(io.StringIO()):
+            rec.begin(int(traced))
+            assert cli.main(argv) == 0
+        outputs.append((out / "sweep.csv").read_bytes())
+
+    spans = rec.self_times()[1]
+    self_ns, calls = spans["simulation.run_sweep"]
+    assert calls == 1 and self_ns > 0
+    assert spans["cli.write"][1] == 1  # sweep.csv
+    assert spans["simulation.run"][1] == 2
+    assert outputs[0] == outputs[1]  # the probes leave the bytes alone

@@ -227,17 +227,17 @@ def test_estop_latches_and_ignores_later_commands():
 
 def test_watchdog_stops_robot_after_commandless_cycles():
     robot = make_robot()
-    robot.apply_command(CmdFrame(src=0, dst=1, seq=1, left_mms=100, right_mms=100))
-    for _ in range(100):
-        robot.end_cycle(0.002, command_seen=True)
+    for seq in range(1, 101):  # a command in every cycle
+        robot.apply_command(CmdFrame(src=0, dst=1, seq=seq, left_mms=100, right_mms=100))
+        robot.end_cycle(0.002)
     assert robot.actual == (100.0, 100.0)
     for i in range(9):
-        robot.end_cycle(0.002, command_seen=False)
+        robot.end_cycle(0.002)
     assert robot.commanded == (100.0, 100.0)  # one cycle short of the limit
-    robot.end_cycle(0.002, command_seen=False)
+    robot.end_cycle(0.002)
     assert robot.commanded == (0.0, 0.0)
     for _ in range(200):
-        robot.end_cycle(0.002, command_seen=False)
+        robot.end_cycle(0.002)
     assert robot.actual == (0.0, 0.0)
     # a fresh command resumes motion: the watchdog stop is not a latch
     assert robot.apply_command(

@@ -83,6 +83,32 @@ def test_self_link_rejected():
         config_from_dict(raw)
 
 
+@pytest.mark.parametrize("link", [
+    {"per": 0.1, "per_by_channel": [0.2] * 8},
+    {"per": 0.1, "burst": {"p_good_to_bad": 0.1, "p_bad_to_good": 0.1, "per_good": 0.0,
+                           "per_bad": 1.0}},
+    {"per_by_channel": [0.2] * 8, "burst": {"p_good_to_bad": 0.1, "p_bad_to_good": 0.1,
+                                            "per_good": 0.0, "per_bad": 1.0}},
+])
+def test_a_link_with_two_erasure_models_is_rejected(link):
+    # a run would read only one of them: per_by_channel over per, burst over both
+    raw = minimal_remote(channel={"links": [{"from": 0, "to": 1, **link}]})
+    with pytest.raises(ConfigError, match="link 0->1: set at most one of per, per_by_channel"):
+        config_from_dict(raw)
+
+
+@pytest.mark.parametrize("role", ["controller", "relay"])
+@pytest.mark.parametrize("key, value", [("start_pose", [0, 0, 0]), ("path", [[1, 0]])])
+def test_a_pose_or_path_on_a_node_that_is_no_robot_is_rejected(role, key, value):
+    # a run reads start poses and paths of robots only
+    raw = minimal_remote()
+    raw["nodes"].append({"id": 2, "role": "relay"})
+    node = raw["nodes"][0 if role == "controller" else 2]
+    node[key] = value
+    with pytest.raises(ConfigError, match=f"node {node['id']}: a {role} takes no start_pose"):
+        config_from_dict(raw)
+
+
 def test_blackout_referencing_unknown_node_rejected():
     raw = minimal_remote(channel={"blackouts": [{"node": 9, "from_us": 0, "until_us": 10}]})
     with pytest.raises(ConfigError):
@@ -160,10 +186,11 @@ def test_a_replaced_config_reports_the_digest_of_its_own_content():
     assert run_scenario(reseeded).metrics["config_digest"] == reseeded.digest()
 
 
-def test_load_config_rejects_bad_json(tmp_path):
+@pytest.mark.parametrize("text", [b"{not json", b'{"seed": "\xff"}'])  # the second: not UTF-8
+def test_load_config_rejects_bad_json(text, tmp_path):
     path = tmp_path / "broken.json"
-    path.write_text("{not json", encoding="utf-8")
-    with pytest.raises(ConfigError):
+    path.write_bytes(text)
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: not valid JSON"):
         load_config(path)
 
 

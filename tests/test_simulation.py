@@ -4,10 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_remote_config
 from wctrlsim.channel import Cause
+from wctrlsim.cli import run_sweep
 from wctrlsim.mac import Direction
 from wctrlsim.metrics import TraceView
 from wctrlsim.scenario import config_from_dict
-from wctrlsim.simulation import Simulation, run_scenario, run_sweep
+from wctrlsim.simulation import Simulation, run_scenario
 
 # trace column indices
 TIME, CYCLE, SLOT, NODE, KIND, FRAME, SRC, DST, SEQ, CAUSE = range(10)
@@ -67,7 +68,7 @@ def test_zero_order_hold_keeps_commands_flowing_without_feedback():
         channel={"default_per": 0.0, "links": [{"from": 1, "to": 0, "per": 1.0}]})
     result = run_scenario(config)
     emits = rows_of(result, "cmd-emit")
-    assert len(emits) == result.cycles
+    assert len(emits) == result.cycle
     assert all(r[V3] == -1 for r in emits)  # no feedback ever informed a command
     seqs = [int(r[SEQ]) for r in emits]
     assert seqs == list(range(1, len(seqs) + 1))
@@ -280,7 +281,7 @@ def test_single_point_grid_equals_single_run():
     rows = run_sweep(raw, {"parameters": {}, "seeds": [4]})
     single = run_scenario(config_from_dict(raw))
     assert len(rows) == 1
-    assert rows[0]["cycles"] == single.cycles
+    assert rows[0]["cycles"] == single.cycle
     assert rows[0]["latency_mean_us"] == single.metrics["cycle_time"]["mean_us"]
 
 

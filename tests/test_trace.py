@@ -65,7 +65,6 @@ def test_loaded_trace_gives_the_same_view_as_the_in_memory_rows(lossy_result, tm
     assert a.attempted["CMD"] and a.attempted == b.attempted
     assert a.delivered["FB"] and a.delivered == b.delivered
     assert (a.controller_latch_us, a.plant_latch_us) == (b.controller_latch_us, b.plant_latch_us)
-    assert (a.end_reason, a.cycles) == (b.end_reason, b.cycles) == ("estopped", 484)
 
 
 @pytest.mark.parametrize("scenario, metrics", [
