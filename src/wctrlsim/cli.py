@@ -131,24 +131,24 @@ def _plot_rows(rows, metric: str) -> list[str]:
     view = TraceView(rows)
     if metric == "cycle-cdf":
         out = ["latency_us,fraction"]
-        for value, fraction in cdf_pairs([lat for _, _, lat in view.latencies]):
+        for value, fraction in cdf_pairs(view.latencies[:, 2]):
             out.append(f"{value:.1f},{fraction:.6f}")
         return out
     if metric == "path":
         out = ["time_us,node,x,y,cross_track_m"]
         for node in sorted(view.poses):
-            series, d = view.poses[node], view.cross_track(node)
-            errors = [""] * len(series) if d is None else [f"{err:.6f}" for err in d]
-            for (t, x, y, _vl, _vr), err in zip(series, errors):
-                out.append(f"{t},{node},{x:.6f},{y:.6f},{err}")
+            (t, xylr), d = view.poses[node], view.cross_track(node)
+            errors = [""] * len(t) if d is None else [f"{err:.6f}" for err in d.tolist()]
+            for t_us, x, y, err in zip(t.tolist(), *xylr[:, :2].T.tolist(), errors):
+                out.append(f"{t_us},{node},{x:.6f},{y:.6f},{err}")
         return out
     if metric == "gap":
         robots = sorted(view.poses)
         if len(robots) != 2:
             raise ValueError("gap metric needs a trace with exactly two robots")
         out = ["time_us,gap_m"]
-        for t, gap in view.gap_series(robots[0], robots[1]):
-            out.append(f"{t},{gap:.6f}")
+        for t_us, gap in zip(*(column.tolist() for column in view.gap_series(*robots))):
+            out.append(f"{t_us},{gap:.6f}")
         return out
     raise ValueError(f"unknown metric {metric!r}")
 

@@ -16,6 +16,7 @@ too far, and the result is bit-identical to a scan of every segment.
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 
@@ -40,7 +41,7 @@ def polyline_distances(points, polyline) -> np.ndarray:
     best = np.hypot(pts[:, 0] - poly[0, 0], pts[:, 1] - poly[0, 1])
     starts, ends = poly[:-1], poly[1:]
     if len(starts) == 0 or len(pts) == 0:
-        return best
+        return best  # a one-point polyline, or no points
     steps = ends - starts
     denoms = [float(ab @ ab) for ab in steps]
     lo, hi = np.minimum(starts, ends), np.maximum(starts, ends)
@@ -68,74 +69,82 @@ def polyline_distances(points, polyline) -> np.ndarray:
     return best
 
 
-def thin_polyline(points, min_spacing_m: float = 0.002) -> list[tuple[float, float]]:
-    """Drop points closer than min_spacing to the previous kept point."""
-    kept: list[tuple[float, float]] = []
-    for x, y in points:
-        if not kept or math.hypot(x - kept[-1][0], y - kept[-1][1]) >= min_spacing_m:
-            kept.append((x, y))
-    return kept
+def thin_polyline(points, min_spacing_m: float = 0.002) -> np.ndarray:
+    """The (n, 2) points less each closer than min_spacing to the previous kept point."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    (xs, ys), kept = pts.T.tolist(), array("q")  # indices: a kept point leaves no object
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        if not kept or math.hypot(x - xs[kept[-1]], y - ys[kept[-1]]) >= min_spacing_m:
+            kept.append(i)
+    return pts[np.frombuffer(kept, np.int64)]
 
 
 def cdf_pairs(values) -> list[tuple[float, float]]:
     """Sorted (value, cumulative fraction) pairs over the samples."""
-    if len(values) == 0:
-        return []
     arr = np.sort(np.asarray(values, dtype=float))
     uniq, counts = np.unique(arr, return_counts=True)
     fractions = np.cumsum(counts) / len(arr)
     return [(float(v), float(f)) for v, f in zip(uniq, fractions)]
 
 
-def _frame_id(cycle: int, src: int, dst: int, seq: int) -> int:
-    """(cycle, src, dst, seq) packed into an int, half a tuple's memory: the cycle
-    parts frames whose 16-bit seq wrapped; retx copies share their frame's cycle."""
-    return cycle << 32 | src << 24 | dst << 16 | seq
+def _distinct(ids) -> np.ndarray:
+    """The sorted distinct rows of a buffer of (cycle, src << 24 | dst << 16 | seq) int64
+    pairs: retx copies share their frame's cycle, which parts frames whose seq wrapped."""
+    pairs = np.frombuffer(ids, np.int64).reshape(-1, 2)
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    first = np.ones(len(pairs), bool)  # of its run of equal rows
+    first[1:] = (pairs[1:] != pairs[:-1]).any(axis=1)
+    return pairs[first]
+
+
+_NO_POSES = (np.empty(0, np.int64), np.empty((0, 4)))  # a node that has none: t, x y left right
 
 
 class TraceView:
     """Single-pass extraction of everything the metrics need from the rows of a
-    `Trace`, as a run builds it or as `load_trace` reads it back."""
+    `Trace`, as a run builds it or as `load_trace` reads it back, into typed arrays
+    read through numpy views and dicts keyed by packed ints: no Python object per row."""
 
     def __init__(self, rows):
-        self.latencies: list[tuple[int, int, int]] = []  # (apply time, robot, latency us)
-        self.poses: dict[int, list[tuple[int, float, float, float, float]]] = {}  # t x y l r
+        latencies = array("q")  # apply time, robot, latency us
+        poses: dict[int, tuple[array, array]] = {}  # node -> t, (x y left right) per pose
+        attempted = {"CMD": array("q"), "FB": array("q")}  # cycle, src dst seq per frame
+        delivered = {"CMD": array("q"), "FB": array("q")}
         self.refpoints: dict[int, list[tuple[float, float]]] = {}
-        self.attempted: dict[str, set[int]] = {"CMD": set(), "FB": set()}  # _frame_id
-        self.delivered: dict[str, set[int]] = {"CMD": set(), "FB": set()}
         self.controller_latch_us: int | None = None
         self.plant_latch_us: dict[int, int] = {}
         self.waypoint_complete_us: dict[int, int] = {}
         self.points_reached: list[tuple[int, int, int]] = []  # (time, node, count)
 
-        fb_time: dict[tuple[int, int], int] = {}
-        emit_informing: dict[tuple[int, int], int] = {}
+        fb_time: dict[int, int] = {}  # node << 16 | seq -> sample time
+        emit_informing: dict[int, int] = {}  # dst << 16 | seq -> informing feedback seq
         for t, cycle, slot, node, kind, frame, src, dst, seq, cause, v1, v2, v3, v4, v5 in rows:
             if kind == "rx":  # the commonest kinds first
-                if cause == "delivered" and frame in ("CMD", "FB") and node == dst:
-                    self.delivered[frame].add(_frame_id(cycle, src, dst, seq))
+                if cause == "delivered" and frame in delivered and node == dst:
+                    delivered[frame].extend((cycle, src << 24 | dst << 16 | seq))
             elif kind == "tx":
-                if frame in ("CMD", "FB"):
-                    self.attempted[frame].add(_frame_id(cycle, src, dst, seq))
+                if frame in attempted:
+                    attempted[frame].extend((cycle, src << 24 | dst << 16 | seq))
             elif kind == "pose":  # v1..v5 = x y theta left right; no metric reads theta
-                series = self.poses.get(node) or self.poses.setdefault(node, [])
+                ts, xylr = poses.get(node) or poses.setdefault(node, (array("q"), array("d")))
+                ts.append(t)
                 # as in trace.csv: round(v, 6) == float(f"{v:.6f}"), which a whole v equals
-                series.append((t, v1 if v1.is_integer() else round(v1, 6),
-                               v2 if v2.is_integer() else round(v2, 6),
-                               v4 if v4.is_integer() else round(v4, 6),
-                               v5 if v5.is_integer() else round(v5, 6)))
+                xylr.extend((v1 if v1.is_integer() else round(v1, 6),
+                             v2 if v2.is_integer() else round(v2, 6),
+                             v4 if v4.is_integer() else round(v4, 6),
+                             v5 if v5.is_integer() else round(v5, 6)))
             elif kind == "fb-sample":
-                fb_time[(node, seq)] = t
+                fb_time[node << 16 | seq] = t
             elif kind == "cmd-emit":
-                emit_informing[(dst, seq)] = v3
+                emit_informing[dst << 16 | seq] = v3
             elif kind == "cmd-apply":
                 # radio applications only: local (co-located) loops have no slot
                 if cause in ("applied", "estop") and slot is not None:
-                    informing = emit_informing.get((node, seq))
+                    informing = emit_informing.get(node << 16 | seq)
                     if informing is not None and informing >= 0:
-                        t_fb = fb_time.get((node, informing))
+                        t_fb = fb_time.get(node << 16 | informing)
                         if t_fb is not None:
-                            self.latencies.append((t, node, t - t_fb))
+                            latencies.extend((t, node, t - t_fb))
             elif kind == "ref-point":
                 self.refpoints.setdefault(node, []).append((round(v1, 6), round(v2, 6)))
             elif kind == "estop":
@@ -149,37 +158,42 @@ class TraceView:
                 if cause == "complete":
                     self.waypoint_complete_us.setdefault(node, t)
 
+        self.latencies = np.frombuffer(latencies, np.int64).reshape(-1, 3)  # (n, 3), as above
+        self.poses = {node: (np.frombuffer(ts, np.int64), np.frombuffer(xylr).reshape(-1, 4))
+                      for node, (ts, xylr) in poses.items()}  # node -> t, (n, 4) x y left right
+        self.attempted = {frame: _distinct(ids) for frame, ids in attempted.items()}
+        self.delivered = {frame: _distinct(ids) for frame, ids in delivered.items()}
+
     # -- derived series ------------------------------------------------------
 
-    def reference_polyline(self, node: int) -> list[tuple[float, float]] | None:
+    def reference_polyline(self, node: int) -> np.ndarray | None:
+        """The node's first pose followed by its reference points, or None without any."""
         refs = self.refpoints.get(node)
         if not refs:
             return None
-        series = self.poses.get(node)
-        head = [(series[0][1], series[0][2])] if series else []
-        return head + refs
+        return np.concatenate((self.poses.get(node, _NO_POSES)[1][:1, :2], refs))
 
     def cross_track(self, node: int) -> np.ndarray | None:
         """Cross-track error of each of the node's poses, or None without reference points."""
         polyline = self.reference_polyline(node)
         if polyline is None:
             return None
-        return polyline_distances([(x, y) for _, x, y, _, _ in self.poses.get(node, ())], polyline)
+        return polyline_distances(self.poses.get(node, _NO_POSES)[1][:, :2], polyline)
 
     def stationary_time_us(self, node: int, after_us: int) -> int | None:
-        for t, _x, _y, vl, vr in self.poses.get(node, []):
-            if t >= after_us and abs(vl) < 1e-9 and abs(vr) < 1e-9:
-                return t
-        return None
+        """Time of the node's first pose at or after `after_us` with both wheels still."""
+        t, xylr = self.poses.get(node, _NO_POSES)
+        still = np.flatnonzero((t >= after_us) & (np.abs(xylr[:, 2:]) < 1e-9).all(axis=1))
+        return int(t[still[0]]) if still.size else None
 
-    def gap_series(self, leader: int, follower: int) -> list[tuple[int, float]]:
-        lead = {t: (x, y) for t, x, y, _, _ in self.poses.get(leader, [])}
-        out = []
-        for t, x, y, _, _ in self.poses.get(follower, []):
-            pos = lead.get(t)
-            if pos is not None:
-                out.append((t, math.hypot(pos[0] - x, pos[1] - y)))
-        return out
+    def gap_series(self, leader: int, follower: int) -> tuple[np.ndarray, np.ndarray]:
+        """(time, gap) at each follower pose that has a leader pose at the same time.
+        Each gap is math.hypot's, which numpy's hypot can differ from in the last bit."""
+        lead_t, lead = self.poses.get(leader, _NO_POSES)
+        follow_t, follow = self.poses.get(follower, _NO_POSES)
+        t, i, j = np.intersect1d(lead_t, follow_t, return_indices=True)
+        dx, dy = (lead[i, :2] - follow[j, :2]).T.tolist()
+        return t, np.fromiter(map(math.hypot, dx, dy), float, len(t))
 
     def convergence_time_us(self, follower: int, min_reached: int = 3) -> int | None:
         total = 0
@@ -191,11 +205,11 @@ class TraceView:
         return None
 
 
-def _latency_stats(latencies: list[int]) -> dict:
-    if not latencies:
+def _latency_stats(latencies: np.ndarray) -> dict:
+    if not latencies.size:
         return {"count": 0, "min_us": None, "mean_us": None, "p99_us": None,
                 "max_us": None, "cdf": [], "counts": []}
-    arr = np.asarray(latencies, dtype=float)
+    arr = latencies.astype(float)
     uniq, counts = np.unique(arr, return_counts=True)
     return {
         "count": int(arr.size),
@@ -209,10 +223,10 @@ def _latency_stats(latencies: list[int]) -> dict:
 
 
 def _ratio(view: TraceView, frame: str) -> dict:
-    attempted = len(view.attempted[frame])
-    delivered = len(view.delivered[frame] & view.attempted[frame])
-    return {"attempted": attempted, "delivered": delivered,
-            "ratio": delivered / attempted if attempted else None}
+    attempted, delivered = view.attempted[frame], view.delivered[frame]
+    both = len(attempted) + len(delivered) - len(_distinct(np.concatenate((attempted, delivered))))
+    return {"attempted": len(attempted), "delivered": both,
+            "ratio": both / len(attempted) if len(attempted) else None}
 
 
 def compute_metrics(run) -> dict:
@@ -230,7 +244,7 @@ def compute_metrics(run) -> dict:
             "slot_duration_us": schedule.slot_duration_us,
             "compute_gap_us": schedule.compute_gap_us,
         },
-        "cycle_time": _latency_stats([lat for _, _, lat in view.latencies]),
+        "cycle_time": _latency_stats(view.latencies[:, 2]),
         "delivery": {"cmd": _ratio(view, "CMD"), "fb": _ratio(view, "FB")},
         "tracking": {},
         "waypoints": {},
@@ -251,21 +265,19 @@ def compute_metrics(run) -> dict:
     if config.kind == "leader-follower":
         leader = config.by_role("leader")[0].node_id
         follower = config.by_role("follower")[0].node_id
-        gaps = view.gap_series(leader, follower)
+        gap_t, gaps = view.gap_series(leader, follower)
         converged = view.convergence_time_us(follower)
         platoon: dict = {"converged_at_us": converged}
-        if gaps:
-            platoon["gap_min_m"] = float(min(g for _, g in gaps))
-            platoon["gap_mean_m"] = float(np.mean([g for _, g in gaps]))
+        if gaps.size:
+            platoon["gap_min_m"] = float(gaps.min())
+            platoon["gap_mean_m"] = float(np.mean(gaps))
         if converged is not None:
-            post = [g for t, g in gaps if t >= converged]
-            if post:
-                platoon["gap_min_post_convergence_m"] = float(min(post))
-            leader_path = thin_polyline([(x, y) for _, x, y, _, _
-                                         in view.poses.get(leader, [])])
-            follower_xy = np.array([(x, y) for t, x, y, _, _
-                                    in view.poses.get(follower, []) if t >= converged],
-                                   dtype=float).reshape(-1, 2)
+            post = gaps[gap_t >= converged]
+            if post.size:
+                platoon["gap_min_post_convergence_m"] = float(post.min())
+            leader_path = thin_polyline(view.poses.get(leader, _NO_POSES)[1][:, :2])
+            follow_t, follow = view.poses.get(follower, _NO_POSES)
+            follower_xy = follow[follow_t >= converged, :2]
             if len(leader_path) >= 2 and follower_xy.size:
                 d = polyline_distances(follower_xy, leader_path)
                 platoon["follower_rms_vs_leader_m"] = float(np.sqrt(np.mean(d * d)))

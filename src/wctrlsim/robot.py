@@ -90,7 +90,8 @@ class Segment:
 
 
 def ray_distance_m(pose: Pose, obstacles: list[Segment]) -> float | None:
-    """Distance along the heading ray to the nearest obstacle segment, or None."""
+    """Distance along the heading ray to the nearest obstacle segment, or None.
+    A segment that lies on the ray's line reads its nearest point ahead."""
     if not obstacles:
         return None
     ox, oy = pose.x, pose.y
@@ -100,10 +101,14 @@ def ray_distance_m(pose: Pose, obstacles: list[Segment]) -> float | None:
         ax, ay = seg.x1, seg.y1
         ex, ey = seg.x2 - ax, seg.y2 - ay
         denom = dx * ey - dy * ex
-        if abs(denom) < 1e-12:
-            continue  # parallel (or degenerate) segment
-        t = ((ax - ox) * ey - (ay - oy) * ex) / denom
-        s = ((ax - ox) * dy - (ay - oy) * dx) / denom
+        if abs(denom) < 1e-12:  # parallel (or degenerate) segment
+            ends = ((ax - ox) * dx + (ay - oy) * dy, (seg.x2 - ox) * dx + (seg.y2 - oy) * dy)
+            if abs((ax - ox) * dy - (ay - oy) * dx) >= 1e-12 or max(ends) < 0.0:
+                continue  # off the ray's line, or wholly behind
+            t, s = max(min(ends), 0.0), 0.0  # its nearest point ahead: 0 when the ray starts on it
+        else:
+            t = ((ax - ox) * ey - (ay - oy) * ex) / denom
+            s = ((ax - ox) * dy - (ay - oy) * dx) / denom
         if t >= 0.0 and 0.0 <= s <= 1.0 and (best is None or t < best):
             best = t
     return best

@@ -179,12 +179,15 @@ class ScenarioConfig:
             if not self.by_role("leader")[0].path:
                 raise ConfigError("the leader needs a reference path")
 
-        known = set(ids)
+        known, linked = set(ids), set()
         for link in self.channel.links:
             if link.sender not in known or link.receiver not in known:
                 raise ConfigError(f"link {link.sender}->{link.receiver} references unknown node")
             if link.sender == link.receiver:
                 raise ConfigError(f"link {link.sender}->{link.receiver} is a self-link")
+            if (link.sender, link.receiver) in linked:
+                raise ConfigError(f"link {link.sender}->{link.receiver} is given twice")
+            linked.add((link.sender, link.receiver))
             if sum(v is not None for v in (link.per, link.per_by_channel, link.burst)) > 1:
                 raise ConfigError(f"link {link.sender}->{link.receiver}: "
                                   "set at most one of per, per_by_channel and burst")

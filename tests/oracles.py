@@ -6,9 +6,11 @@ vectorized metric, the scan of every segment pins the pruned search's exact
 bits, the wave-by-wave sync flood pins the one-pass flood draw for draw, the
 encoder with a named range check per field pins the struct-checked one, the
 writer that keys every row on its cell types pins the one that trusts a
-declared layout, the fixed-path cursor and the popping follower queue pin
-the one reference-point list that serves both, and the slot layout recomputed
-from each slot's position pins the offset and hop sequence the slot carries.
+declared layout, the walk of trace rows into tuples, sets and tuple-keyed
+dicts pins the typed columns of the metrics' view, the fixed-path cursor and
+the popping follower queue pin the one reference-point list that serves both,
+and the slot layout recomputed from each slot's position pins the offset and
+hop sequence the slot carries.
 The line collector, stdlib only, records which statements a set of runs
 reaches.
 """
@@ -224,6 +226,85 @@ def shape_keyed_csv(rows) -> str:
             pattern = patterns[shape] = ",".join(map(_cell_spec, row)) + "\n"
         lines.append(pattern % row)
     return "".join(lines)
+
+
+def _frame_id(cycle: int, src: int, dst: int, seq: int) -> int:
+    return cycle << 32 | src << 24 | dst << 16 | seq
+
+
+class RowWalkTraceView:
+    """The metrics' view of a trace as one walk of its rows into Python tuples,
+    lists, sets and tuple-keyed dicts, with the series derived from them; the
+    typed-column `TraceView` must give the same values."""
+
+    def __init__(self, rows):
+        self.latencies: list[tuple[int, int, int]] = []  # (apply time, robot, latency us)
+        self.poses: dict[int, list[tuple[int, float, float, float, float]]] = {}  # t x y l r
+        self.refpoints: dict[int, list[tuple[float, float]]] = {}
+        self.attempted: dict[str, set[int]] = {"CMD": set(), "FB": set()}
+        self.delivered: dict[str, set[int]] = {"CMD": set(), "FB": set()}
+        self.controller_latch_us: int | None = None
+        self.plant_latch_us: dict[int, int] = {}
+        self.waypoint_complete_us: dict[int, int] = {}
+        self.points_reached: list[tuple[int, int, int]] = []  # (time, node, count)
+
+        fb_time: dict[tuple[int, int], int] = {}
+        emit_informing: dict[tuple[int, int], int] = {}
+        for t, cycle, slot, node, kind, frame, src, dst, seq, cause, v1, v2, v3, v4, v5 in rows:
+            if kind == "rx":
+                if cause == "delivered" and frame in ("CMD", "FB") and node == dst:
+                    self.delivered[frame].add(_frame_id(cycle, src, dst, seq))
+            elif kind == "tx":
+                if frame in ("CMD", "FB"):
+                    self.attempted[frame].add(_frame_id(cycle, src, dst, seq))
+            elif kind == "pose":
+                self.poses.setdefault(node, []).append(
+                    (t, *(v if v.is_integer() else round(v, 6) for v in (v1, v2, v4, v5))))
+            elif kind == "fb-sample":
+                fb_time[(node, seq)] = t
+            elif kind == "cmd-emit":
+                emit_informing[(dst, seq)] = v3
+            elif kind == "cmd-apply":
+                if cause in ("applied", "estop") and slot is not None:
+                    informing = emit_informing.get((node, seq))
+                    if informing is not None and informing >= 0:
+                        t_fb = fb_time.get((node, informing))
+                        if t_fb is not None:
+                            self.latencies.append((t, node, t - t_fb))
+            elif kind == "ref-point":
+                self.refpoints.setdefault(node, []).append((round(v1, 6), round(v2, 6)))
+            elif kind == "estop":
+                if cause == "controller-latch" and self.controller_latch_us is None:
+                    self.controller_latch_us = t
+                elif cause == "plant-latch":
+                    self.plant_latch_us.setdefault(node, t)
+            elif kind == "waypoint":
+                if v1:
+                    self.points_reached.append((t, node, v1))
+                if cause == "complete":
+                    self.waypoint_complete_us.setdefault(node, t)
+
+    def delivered_count(self, frame: str) -> int:
+        return len(self.delivered[frame] & self.attempted[frame])
+
+    def cross_track(self, node: int) -> np.ndarray | None:
+        refs = self.refpoints.get(node)
+        if not refs:
+            return None
+        series = self.poses.get(node, [])
+        head = [(series[0][1], series[0][2])] if series else []
+        return scan_polyline_distances([(x, y) for _, x, y, _, _ in series], head + refs)
+
+    def stationary_time_us(self, node: int, after_us: int) -> int | None:
+        for t, _x, _y, vl, vr in self.poses.get(node, []):
+            if t >= after_us and abs(vl) < 1e-9 and abs(vr) < 1e-9:
+                return t
+        return None
+
+    def gap_series(self, leader: int, follower: int) -> list[tuple[int, float]]:
+        lead = {t: (x, y) for t, x, y, _, _ in self.poses.get(leader, [])}
+        return [(t, math.hypot(lead[t][0] - x, lead[t][1] - y))
+                for t, x, y, _, _ in self.poses.get(follower, []) if t in lead]
 
 
 @dataclass

@@ -283,7 +283,7 @@ def test_criterion_09_cycle_time_distribution(square_result):
         ok &= abs(mass - expect) <= 3 * sigma
         details.append(f"{offset}us: {mass:.4f} vs {expect} +/- {3 * sigma:.4f}")
     # per = 0: the latency is one constant value
-    lossless = {lat for _, _, lat in TraceView(square_result.trace).latencies}
+    lossless = set(TraceView(square_result.trace).latencies[:, 2].tolist())
     ok &= len(lossless) == 1
     details.append(f"lossless latency constant {sorted(lossless)}")
     report(9, "cycle-time mixture", ok, "; ".join(details))

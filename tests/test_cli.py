@@ -146,6 +146,14 @@ def _out_is_a_file(command, below=""):
     return build
 
 
+def _duplicate_link(tiny_config, tmp_path):
+    raw = json.loads(tiny_config.read_text())
+    raw["channel"]["links"] = [{"from": 0, "to": 1, "per": 0.2}, {"from": 0, "to": 1, "per": 0.9}]
+    bad = tmp_path / "twice.json"
+    bad.write_text(json.dumps(raw), encoding="utf-8")
+    return ["run", str(bad), "--out", str(tmp_path / "out")]
+
+
 def _not_json(command):
     """A run config, or a sweep grid, that is not valid JSON."""
     def build(tiny_config, tmp_path):
@@ -200,6 +208,7 @@ BAD_INPUTS = {
     "run-config-not-an-object-with-seed": (_array_config_with_seed,
                                            "scenario config must be a JSON object"),
     "run-config-not-json": (_not_json("run"), "broken.json: not valid JSON (Expecting"),
+    "run-config-with-a-link-given-twice": (_duplicate_link, "link 0->1 is given twice"),
     "sweep-grid-not-json": (_not_json("sweep"), "broken.json: not valid JSON (Expecting"),
     "run-out-is-a-file": (_out_is_a_file("run"), "taken is not a directory"),
     "sweep-out-is-a-file": (_out_is_a_file("sweep"), "taken is not a directory"),

@@ -3,10 +3,10 @@
 Each case is one robot, or a leader and its follower, driven for 0.5 s of
 virtual time at PER 0, changed in one or two places: a boundary value that the
 declared config ranges must keep accepting, a steering setting, a path, an
-obstacle (with a blackout, or parallel to the heading), or where the follower
-starts.  A case is pinned by
-the sha256 of `trace.csv` and `metrics.json` as `wctrlsim run` writes them,
-and checked by the trace rows that show its branch ran.
+obstacle (with a blackout, parallel to the heading, or on its line), where the
+follower starts, or a link that loses every frame.  A case is pinned by the
+sha256 of `trace.csv` and `metrics.json` as `wctrlsim run` writes them, and
+checked by the trace rows that show its branch ran.
 """
 
 import copy
@@ -28,6 +28,7 @@ DEAD_CHANNEL = 3
 LATCH_CYCLE_US = 200_000  # the obstacle appears as this cycle starts; cycles are 2,000 us
 TWIN = [0.01, 0.0]  # within the waypoint tolerance of the start, and on the robot's way out
 PARALLEL_WALL = [0.0, -0.2, 2.0, -0.2]
+ON_LINE_AHEAD = [0.5, 0.0, 1.0, 0.0]
 
 BASE = {
     "kind": "remote-control",
@@ -98,6 +99,18 @@ CASES = {
                    {"id": 2, "role": "follower", "start_pose": [-0.1, 0.0, 0.0]}]},
         "84dd748ca3669fd928fdbcfcb55edb13053e4f5b6315e4ae800a7f98e15a404a",
         "91ce1c8fa05f7f35df163d88c17ce22a6feb19fdb23969d31743e8ca8787d3c1"),
+    # two walls on the starting heading line, one ahead and one behind: the first
+    # rays run along both, and read the nearer end of the one ahead
+    "walls-on-the-heading-line": (
+        {"obstacles": [{"segment": ON_LINE_AHEAD}, {"segment": [-1.0, 0.0, -0.5, 0.0]}]},
+        "86fd3970a2d815ee4849ba8292d6232c3dc4a63b356e7751e15dbead1a7a8f48",
+        "33dd6464f56fbde5d6cbe9cafe9aaeeb3aeabc10637ae3daf5d9ef20b72040d0"),
+    # every feedback frame is lost: commands still flow, but none closes a loop,
+    # so the run has no cycle-time sample
+    "dead-uplink": (
+        {"channel": {"default_per": 0.0, "links": [{"from": 1, "to": 0, "per": 1.0}]}},
+        "8f50027704046162c1706b9fb84ad54f1bf26aa42348f497efde54c188b38978",
+        "cf885caf027dad22c245b86a8552fe06dc0d2eb8339bba2fac39e59e7512f33d"),
 }
 
 
@@ -198,3 +211,18 @@ def test_a_wall_parallel_to_the_heading_gives_no_reading(tmp_path):
     assert samples and set(samples) == {-1}  # -1: no reading
     poses = [r for r in rows if r[KIND] == "pose"]
     assert poses and min(r[V2] for r in poses) > PARALLEL_WALL[1]  # never reached
+
+
+def test_a_wall_on_the_heading_line_reads_its_nearer_end(tmp_path):
+    rows = _run("walls-on-the-heading-line", tmp_path)
+    first = next(r for r in rows if r[KIND] == "fb-sample")
+    assert first[V3] == round(ON_LINE_AHEAD[0] * 1000)  # mm; the wall behind gives none
+
+
+def test_a_dead_uplink_leaves_every_command_uninformed(tmp_path):
+    rows = _run("dead-uplink", tmp_path)
+    fb = [r for r in rows if r[KIND] == "rx" and r[FRAME] == "FB" and r[NODE] == 0]
+    assert fb and all(r[CAUSE] == "erased" for r in fb)
+    informing = [r[V3] for r in rows if r[KIND] == "cmd-emit"]
+    assert informing and set(informing) == {-1}  # -1: no feedback yet
+    assert [r for r in rows if r[KIND] == "cmd-apply" and r[CAUSE] == "applied"]

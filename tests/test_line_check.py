@@ -2,8 +2,8 @@
 statement of the cycle path.
 
 The scope is every method of `Simulation` and every function of `mac.py`,
-`controller.py`, `trace.py`, `robot.py` and `channel.py`, `raise` statements
-left out.  Each run is built from its JSON document while lines are collected,
+`controller.py`, `trace.py`, `robot.py`, `channel.py` and `metrics.py`,
+`raise` statements left out.  Each run is built from its JSON document while lines are collected,
 so config checks count too, and the first run is written and read back.  The
 corpus goes first, then the short lossy and fleet goldens, then platoon, which
 reaches every statement they leave, and last square.  Once every statement has
@@ -27,7 +27,7 @@ from wctrlsim.trace import declare_kind, load_trace
 
 SRC = Path(wctrlsim.__file__).parent
 SCOPE = {"simulation.py": "Simulation.", "mac.py": "", "controller.py": "", "trace.py": "",
-         "robot.py": "", "channel.py": ""}
+         "robot.py": "", "channel.py": "", "metrics.py": ""}
 
 # (file, function, statement) of each statement no config reaches; a comment gives why
 UNREACHABLE = {
@@ -40,6 +40,9 @@ UNREACHABLE = {
     ("robot.py", "Robot.apply_command", 'return "latched"'),
     # add_links links every ordered pair of nodes, so every listener has a link
     ("channel.py", "Medium.deliver", "except KeyError:"),
+    # a measured node has poses, and its polyline holds its first pose and at least
+    # one reference point; a leader path is measured only with two points or more
+    ("metrics.py", "polyline_distances", "return best  # a one-point polyline, or no points"),
 }
 
 

@@ -1,12 +1,20 @@
+import copy
+import gc
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_point_to_polyline, scan_polyline_distances
-from wctrlsim.metrics import TraceView, cdf_pairs, polyline_distances, thin_polyline
+from oracles import RowWalkTraceView, brute_point_to_polyline, scan_polyline_distances
+from test_corpus import BASE, CASES
+from test_scenario import remote_configs
+from wctrlsim.metrics import (TraceView, _ratio, cdf_pairs, compute_metrics, polyline_distances,
+                              thin_polyline)
+from wctrlsim.scenario import ConfigError, config_from_dict
+from wctrlsim.simulation import run_scenario
 from wctrlsim.trace import Trace
 
 
@@ -75,15 +83,15 @@ def test_cdf_of_empty_is_empty():
 def test_thin_polyline_spacing():
     points = [(0, 0), (0.0005, 0), (0.001, 0), (0.01, 0), (0.02, 0)]
     kept = thin_polyline(points, min_spacing_m=0.002)
-    assert kept[0] == (0, 0)
+    assert kept.tolist() == [[0, 0], [0.01, 0], [0.02, 0]]
     assert all(math.hypot(b[0] - a[0], b[1] - a[1]) >= 0.002
                for a, b in zip(kept, kept[1:]))
 
 
 def test_thin_polyline_keeps_the_first_point():
-    assert thin_polyline([]) == []
-    assert thin_polyline([(0.5, -1.0)]) == [(0.5, -1.0)]
-    assert thin_polyline(np.array([[0.5, -1.0], [0.5, -1.0]])) == [(0.5, -1.0)]
+    assert thin_polyline([]).tolist() == []
+    assert thin_polyline([(0.5, -1.0)]).tolist() == [[0.5, -1.0]]
+    assert thin_polyline(np.array([[0.5, -1.0], [0.5, -1.0]])).tolist() == [[0.5, -1.0]]
 
 
 def synthetic_trace():
@@ -102,7 +110,7 @@ def synthetic_trace():
 
 def test_latency_join_through_informing_sequence():
     view = TraceView(synthetic_trace())
-    assert view.latencies == [(1354, 1, 1104)]
+    assert view.latencies.tolist() == [[1354, 1, 1104]]
 
 
 def test_latency_ignores_uninformed_commands():
@@ -117,13 +125,15 @@ def test_latency_ignores_uninformed_commands():
 
 def test_empty_trace_is_not_an_error():
     view = TraceView([])
-    assert view.latencies == []
-    assert cdf_pairs([lat for *_, lat in view.latencies]) == []
+    assert view.latencies.shape == (0, 3)
+    assert cdf_pairs(view.latencies[:, 2]) == []
+    assert view.poses == {} and view.gap_series(1, 2)[1].size == 0
+    assert view.stationary_time_us(1, after_us=0) is None
 
 
 def test_reference_polyline_prepends_first_pose():
     view = TraceView(synthetic_trace())
-    assert view.reference_polyline(1) == [(0.0, 0.05), (0.5, 0.0)]
+    assert view.reference_polyline(1).tolist() == [[0.0, 0.05], [0.5, 0.0]]
 
 
 def test_stationary_time_scan():
@@ -148,22 +158,94 @@ def test_pose_values_equal_round_to_six_decimals_bit_for_bit(values):
     x, y, left, right = values
     trace = Trace()
     trace.add(2000, "pose", cycle=0, node=1, v1=x, v2=y, v3=0.0, v4=left, v5=right)
-    (pose,) = TraceView(trace).poses[1]
+    t, xylr = TraceView(trace).poses[1]
     rounded = (2000, *(round(v, 6) for v in values))
-    assert struct.pack("<q4d", *pose) == struct.pack("<q4d", *rounded)
+    assert struct.pack("<q4d", *t.tolist(), *xylr[0].tolist()) == struct.pack("<q4d", *rounded)
 
 
 def test_delivery_counts_frames_whose_sequence_numbers_wrapped():
-    # the 16-bit command sequence has wrapped between cycle 3 and cycle 65539:
-    # two frames share (src, dst, seq), and only the first reached the robot
+    # the 16-bit command sequence wraps between the two cycles of each pair, the
+    # last two pairs beyond the cycles that fit in 31 and in 32 bits: all six
+    # frames share (src, dst, seq), and only the first of each pair reached the robot
     trace = Trace()
-    for cycle in (3, 65_539):
-        trace.add(1250, "tx", cycle=cycle, slot=3, node=0, frame="CMD", src=0, dst=1,
-                  seq=3, v1=0)
-    trace.add(1250, "rx", cycle=3, slot=3, node=1, frame="CMD", src=0, dst=1, seq=3,
-              cause="delivered", v1=0)
-    trace.add(1250, "rx", cycle=65_539, slot=3, node=1, frame="CMD", src=0, dst=1, seq=3,
-              cause="erased", v1=0)
-    view = TraceView(trace)
-    assert len(view.attempted["CMD"]) == 2
-    assert len(view.delivered["CMD"] & view.attempted["CMD"]) == 1
+    for first in (3, 2**31 + 3, 2**32 + 3):
+        for cycle, cause in ((first, "delivered"), (first + 65_536, "erased")):
+            trace.add(1250, "tx", cycle=cycle, slot=3, node=0, frame="CMD", src=0, dst=1,
+                      seq=3, v1=0)
+            trace.add(1250, "rx", cycle=cycle, slot=3, node=1, frame="CMD", src=0, dst=1,
+                      seq=3, cause=cause, v1=0)
+    assert _ratio(TraceView(trace), "CMD") == {"attempted": 6, "delivered": 3, "ratio": 0.5}
+
+
+# -- the typed columns against the row walk of tuples they replaced ----------------
+
+
+def _packed(values) -> bytes:
+    return struct.pack(f"={len(values)}d", *values)
+
+
+def assert_same_view(trace):
+    view, ref = TraceView(trace), RowWalkTraceView(trace)
+    assert view.latencies.tolist() == [list(row) for row in ref.latencies]
+    assert (view.refpoints, view.points_reached) == (ref.refpoints, ref.points_reached)
+    assert (view.controller_latch_us, view.plant_latch_us, view.waypoint_complete_us) == (
+        ref.controller_latch_us, ref.plant_latch_us, ref.waypoint_complete_us)
+    for frame in ("CMD", "FB"):
+        assert len(view.attempted[frame]) == len(ref.attempted[frame])
+        assert len(view.delivered[frame]) == len(ref.delivered[frame])
+        assert _ratio(view, frame)["delivered"] == ref.delivered_count(frame)
+    assert sorted(view.poses) == sorted(ref.poses)
+    for node, series in ref.poses.items():
+        t, xylr = view.poses[node]
+        assert t.tolist() == [pose[0] for pose in series]
+        assert xylr.tobytes() == _packed([v for pose in series for v in pose[1:]])  # bit for bit
+        d, ref_d = view.cross_track(node), ref.cross_track(node)
+        assert (d is None and ref_d is None) or d.tobytes() == ref_d.tobytes()
+        for after_us in (0, t[len(t) // 2], ref.controller_latch_us or 0):
+            assert view.stationary_time_us(node, after_us) == ref.stationary_time_us(node, after_us)
+        for other in ref.poses:
+            gap_t, gaps = view.gap_series(other, node)
+            ref_gaps = ref.gap_series(other, node)
+            assert gap_t.tolist() == [t for t, _ in ref_gaps]
+            assert gaps.tobytes() == _packed([gap for _, gap in ref_gaps])
+
+
+@pytest.mark.parametrize("golden", ["square", "platoon", "lossy", "fleet"])
+def test_the_typed_view_equals_the_row_walk_on_the_goldens(golden, request):
+    assert_same_view(request.getfixturevalue(f"{golden}_result").trace)
+
+
+def test_the_typed_view_equals_the_row_walk_on_the_corpus():
+    for change, *_ in CASES.values():
+        assert_same_view(run_scenario(config_from_dict({**copy.deepcopy(BASE), **change})).trace)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)  # about a third validate
+@given(remote_configs())
+def test_the_typed_view_equals_the_row_walk_on_drawn_configs(raw):
+    try:
+        config = config_from_dict(raw)
+    except ConfigError:
+        return
+    assert_same_view(run_scenario(config).trace)
+
+
+def test_the_metrics_pass_starts_no_collections_and_stays_small(platoon_result):
+    # the rows land in typed arrays and int-keyed dicts, so the pass allocates
+    # no tracked object per row and nothing wakes the cyclic collector
+    started = []
+
+    def count(phase, info):
+        started.append(phase == "start")
+
+    gc.collect()
+    gc.callbacks.append(count)
+    tracemalloc.start()
+    try:
+        compute_metrics(platoon_result)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.callbacks.remove(count)
+    assert sum(started) <= 2
+    assert peak < 8 * 2**20

@@ -165,6 +165,27 @@ def test_ray_distance_heading_dependent():
     assert ray_distance_m(pose, [wall]) == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("x1, x2, expected", [
+    (0.5, 1.0, 0.5),     # ahead: its nearer end
+    (1.0, 0.5, 0.5),     # either way round
+    (-1.0, -0.5, None),  # wholly behind
+    (-0.5, 1.0, 0.0),    # straddling the ray's start
+    (0.0, 1.0, 0.0),     # starting where the ray starts
+])
+def test_a_wall_on_the_heading_line_reads_its_nearest_point_ahead(x1, x2, expected):
+    for theta in (0.0, math.pi):  # along and against the x axis
+        sign = 1.0 if theta == 0.0 else -1.0
+        wall = Segment(sign * x1, 0.0, sign * x2, 0.0)
+        assert ray_distance_m(Pose(0, 0, theta), [wall]) == expected
+
+
+def test_a_parallel_wall_off_the_heading_line_gives_no_reading():
+    assert ray_distance_m(Pose(0, 0, 0), [Segment(0.5, 1e-6, 1.0, 1e-6)]) is None
+    # a wall across the ray reads before a farther one on the ray's line
+    walls = [Segment(0.8, 0.0, 2.0, 0.0), Segment(0.3, -1.0, 0.3, 1.0)]
+    assert ray_distance_m(Pose(0, 0, 0), walls) == pytest.approx(0.3)
+
+
 def test_distance_reading_saturates_to_sentinel():
     robot = make_robot()
     far_wall = [Segment(5.0, -1.0, 5.0, 1.0)]

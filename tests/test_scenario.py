@@ -83,6 +83,15 @@ def test_self_link_rejected():
         config_from_dict(raw)
 
 
+def test_a_directed_link_given_twice_is_rejected():
+    # the medium would keep only the last entry; the reverse direction is its own link
+    links = [{"from": 0, "to": 1, "per": 0.1}, {"from": 1, "to": 0, "per": 0.1}]
+    config_from_dict(minimal_remote(channel={"links": links}))
+    raw = minimal_remote(channel={"links": [*links, {"from": 0, "to": 1, "per": 0.5}]})
+    with pytest.raises(ConfigError, match="link 0->1 is given twice"):
+        config_from_dict(raw)
+
+
 @pytest.mark.parametrize("link", [
     {"per": 0.1, "per_by_channel": [0.2] * 8},
     {"per": 0.1, "burst": {"p_good_to_bad": 0.1, "p_bad_to_good": 0.1, "per_good": 0.0,

@@ -58,7 +58,7 @@ def test_lossless_latency_is_one_constant_schedule_value():
     fb_offset = sched.slots[1].offset_us
     cmd_offset = sched.slots[3].offset_us
     expected = cmd_offset + 104 - fb_offset  # FB->CMD separation plus airtime
-    values = [lat for _, _, lat in TraceView(result.trace).latencies]
+    values = TraceView(result.trace).latencies[:, 2].tolist()
     assert values and set(values) == {expected}
 
 
@@ -198,7 +198,7 @@ def test_estop_in_platoon_stops_leader_locally_and_follower_over_radio():
     latches = {r[NODE] for r in rows_of(result, "estop") if r[CAUSE] == "plant-latch"}
     assert latches == {1, 2}
     # the leader's local stop is immediate; latency samples stay radio-only
-    values = [lat for _, robot, lat in TraceView(result.trace).latencies]
+    values = TraceView(result.trace).latencies[:, 2].tolist()
     assert values and min(values) >= 104  # at least one airtime
 
 

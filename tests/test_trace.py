@@ -59,11 +59,17 @@ def test_loaded_trace_gives_the_same_view_as_the_in_memory_rows(lossy_result, tm
     assert len(loaded) == len(lossy_result.trace)
     assert next(iter(loaded))[:5] == (0, None, None, None, "meta")
     a, b = TraceView(lossy_result.trace), TraceView(loaded)
-    assert a.latencies and a.latencies == b.latencies
-    assert a.poses and a.poses == b.poses
+    assert a.latencies.size and a.latencies.tobytes() == b.latencies.tobytes()
+
+    def pose_bytes(view):
+        return {node: (t.tobytes(), xylr.tobytes()) for node, (t, xylr) in view.poses.items()}
+
+    assert a.poses and pose_bytes(a) == pose_bytes(b)
     assert a.refpoints == b.refpoints
-    assert a.attempted["CMD"] and a.attempted == b.attempted
-    assert a.delivered["FB"] and a.delivered == b.delivered
+    for frames in ("attempted", "delivered"):
+        for frame in ("CMD", "FB"):
+            ids, loaded_ids = getattr(a, frames)[frame], getattr(b, frames)[frame]
+            assert ids.size and ids.tobytes() == loaded_ids.tobytes()
     assert (a.controller_latch_us, a.plant_latch_us) == (b.controller_latch_us, b.plant_latch_us)
 
 
