@@ -22,6 +22,7 @@ import numpy as np
 
 _BLOCK = 128  # points per block at least; never more blocks than segments
 _MARGIN_M = 1e-9  # slack on the box bound for the rounding of both distances
+_NO_POSES = (np.empty(0, np.int64), np.empty((0, 4)))  # a node that has none: t, x y left right
 
 
 def polyline_distances(points, polyline) -> np.ndarray:
@@ -97,9 +98,6 @@ def _distinct(ids) -> np.ndarray:
     return pairs[first]
 
 
-_NO_POSES = (np.empty(0, np.int64), np.empty((0, 4)))  # a node that has none: t, x y left right
-
-
 class TraceView:
     """Single-pass extraction of everything the metrics need from the rows of a
     `Trace`, as a run builds it or as `load_trace` reads it back, into typed arrays
@@ -158,6 +156,7 @@ class TraceView:
                 if cause == "complete":
                     self.waypoint_complete_us.setdefault(node, t)
 
+        del fb_time, emit_informing  # the join is done; free them before the copies below
         self.latencies = np.frombuffer(latencies, np.int64).reshape(-1, 3)  # (n, 3), as above
         self.poses = {node: (np.frombuffer(ts, np.int64), np.frombuffer(xylr).reshape(-1, 4))
                       for node, (ts, xylr) in poses.items()}  # node -> t, (n, 4) x y left right
