@@ -93,18 +93,26 @@ def _distinct(ids) -> np.ndarray:
     pairs: retx copies share their frame's cycle, which parts frames whose seq wrapped."""
     pairs = np.frombuffer(ids, np.int64).reshape(-1, 2)
     pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-    first = np.ones(len(pairs), bool)  # of its run of equal rows
-    first[1:] = (pairs[1:] != pairs[:-1]).any(axis=1)
-    return pairs[first]
+    return pairs[np.diff(pairs, axis=0, prepend=-1).any(axis=1)]  # the first of each run
+
+
+def _latest(pairs, keys, before) -> np.ndarray:
+    """Per key, the value of its last row among the first `before` (key, value) int64 rows,
+    or -1: a join in trace order.  A first (-1, -1) row keeps them non-empty, matches key -1."""
+    pairs = np.frombuffer(pairs, np.int64).reshape(-1, 2)
+    n = len(pairs)  # a key < 2**24 (node <= 0xFE, 16-bit seq): key * n + row fits for n < 2**39
+    ranks = np.sort(pairs[:, 0] * n + np.arange(n))  # by key, then trace order
+    row = ranks[np.searchsorted(ranks, keys * n + before) - 1] % n
+    return np.where(pairs[row, 0] == keys, pairs[row, 1], -1)
 
 
 class TraceView:
     """Single-pass extraction of everything the metrics need from the rows of a
     `Trace`, as a run builds it or as `load_trace` reads it back, into typed arrays
-    read through numpy views and dicts keyed by packed ints: no Python object per row."""
+    read through numpy views and joined by packed int keys: no Python object per row."""
 
     def __init__(self, rows):
-        latencies = array("q")  # apply time, robot, latency us
+        applies = array("q")  # t, robot, seq, emits and samples before it per radio apply
         poses: dict[int, tuple[array, array]] = {}  # node -> t, (x y left right) per pose
         attempted = {"CMD": array("q"), "FB": array("q")}  # cycle, src dst seq per frame
         delivered = {"CMD": array("q"), "FB": array("q")}
@@ -114,8 +122,8 @@ class TraceView:
         self.waypoint_complete_us: dict[int, int] = {}
         self.points_reached: list[tuple[int, int, int]] = []  # (time, node, count)
 
-        fb_time: dict[int, int] = {}  # node << 16 | seq -> sample time
-        emit_informing: dict[int, int] = {}  # dst << 16 | seq -> informing feedback seq
+        samples = array("q", (-1, -1))  # node << 16 | seq, sample time per fb sample
+        emits = array("q", (-1, -1))  # dst << 16 | seq, informing feedback seq per emit
         for t, cycle, slot, node, kind, frame, src, dst, seq, cause, v1, v2, v3, v4, v5 in rows:
             if kind == "rx":  # the commonest kinds first
                 if cause == "delivered" and frame in delivered and node == dst:
@@ -132,17 +140,13 @@ class TraceView:
                              v4 if v4.is_integer() else round(v4, 6),
                              v5 if v5.is_integer() else round(v5, 6)))
             elif kind == "fb-sample":
-                fb_time[node << 16 | seq] = t
+                samples.extend((node << 16 | seq, t))
             elif kind == "cmd-emit":
-                emit_informing[dst << 16 | seq] = v3
+                emits.extend((dst << 16 | seq, v3))
             elif kind == "cmd-apply":
                 # radio applications only: local (co-located) loops have no slot
                 if cause in ("applied", "estop") and slot is not None:
-                    informing = emit_informing.get(node << 16 | seq)
-                    if informing is not None and informing >= 0:
-                        t_fb = fb_time.get(node << 16 | informing)
-                        if t_fb is not None:
-                            latencies.extend((t, node, t - t_fb))
+                    applies.extend((t, node, seq, len(emits) // 2, len(samples) // 2))
             elif kind == "ref-point":
                 self.refpoints.setdefault(node, []).append((round(v1, 6), round(v2, 6)))
             elif kind == "estop":
@@ -156,28 +160,27 @@ class TraceView:
                 if cause == "complete":
                     self.waypoint_complete_us.setdefault(node, t)
 
-        del fb_time, emit_informing  # the join is done; free them before the copies below
-        self.latencies = np.frombuffer(latencies, np.int64).reshape(-1, 3)  # (n, 3), as above
+        t, robot, seq, n_emits, n_samples = np.frombuffer(applies, np.int64).reshape(-1, 5).T
+        informing = _latest(emits, robot << 16 | seq, n_emits)
+        t_fb = _latest(samples, robot << 16 | informing, n_samples)  # -1: none joined
+        self.latencies = np.stack((t, robot, t - t_fb), axis=1)[t_fb >= 0]  # t, robot, latency us
+        del applies, samples, emits  # free them before the copies below, as pop does each id buffer
         self.poses = {node: (np.frombuffer(ts, np.int64), np.frombuffer(xylr).reshape(-1, 4))
                       for node, (ts, xylr) in poses.items()}  # node -> t, (n, 4) x y left right
-        self.attempted = {frame: _distinct(ids) for frame, ids in attempted.items()}
-        self.delivered = {frame: _distinct(ids) for frame, ids in delivered.items()}
+        self.attempted = {frame: _distinct(attempted.pop(frame)) for frame in ("CMD", "FB")}
+        self.delivered = {frame: _distinct(delivered.pop(frame)) for frame in ("CMD", "FB")}
 
     # -- derived series ------------------------------------------------------
 
     def reference_polyline(self, node: int) -> np.ndarray | None:
         """The node's first pose followed by its reference points, or None without any."""
         refs = self.refpoints.get(node)
-        if not refs:
-            return None
-        return np.concatenate((self.poses.get(node, _NO_POSES)[1][:1, :2], refs))
+        return np.concatenate((self.poses.get(node, _NO_POSES)[1][:1, :2], refs)) if refs else None
 
     def cross_track(self, node: int) -> np.ndarray | None:
         """Cross-track error of each of the node's poses, or None without reference points."""
-        polyline = self.reference_polyline(node)
-        if polyline is None:
-            return None
-        return polyline_distances(self.poses.get(node, _NO_POSES)[1][:, :2], polyline)
+        polyline, (_, xylr) = self.reference_polyline(node), self.poses.get(node, _NO_POSES)
+        return None if polyline is None else polyline_distances(xylr[:, :2], polyline)
 
     def stationary_time_us(self, node: int, after_us: int) -> int | None:
         """Time of the node's first pose at or after `after_us` with both wheels still."""
@@ -246,7 +249,8 @@ def compute_metrics(run) -> dict:
         "cycle_time": _latency_stats(view.latencies[:, 2]),
         "delivery": {"cmd": _ratio(view, "CMD"), "fb": _ratio(view, "FB")},
         "tracking": {},
-        "waypoints": {},
+        "waypoints": {str(node): {"completion_time_us": t}
+                      for node, t in sorted(view.waypoint_complete_us.items())},
     }
 
     for node in sorted(view.poses):
@@ -258,8 +262,6 @@ def compute_metrics(run) -> dict:
             "max_m": float(d.max()),
             "samples": int(d.size),
         }
-    for node, t in sorted(view.waypoint_complete_us.items()):
-        report["waypoints"][str(node)] = {"completion_time_us": t}
 
     if config.kind == "leader-follower":
         leader = config.by_role("leader")[0].node_id
@@ -289,8 +291,7 @@ def compute_metrics(run) -> dict:
             stationary = view.stationary_time_us(node, view.controller_latch_us)
             estop["per_robot"][str(node)] = {
                 "stationary_time_us": stationary,
-                "latency_us": (None if stationary is None
-                               else stationary - view.controller_latch_us),
+                "latency_us": None if stationary is None else stationary - view.controller_latch_us,
             }
         report["estop"] = estop
     return report

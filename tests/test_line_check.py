@@ -3,11 +3,12 @@ statement of the cycle path.
 
 The scope is every method of `Simulation` and every function of `mac.py`,
 `controller.py`, `trace.py`, `robot.py`, `channel.py` and `metrics.py`,
-`raise` statements left out.  Each run is built from its JSON document while lines are collected,
-so config checks count too, and the first run is written and read back.  The
-corpus goes first, then the short lossy and fleet goldens, then platoon, which
-reaches every statement they leave, and last square.  Once every statement has
-run, the remaining runs are skipped, because tracing slows every call.
+`raise` statements left out.  Each run is built from its JSON document while
+lines are collected, so config checks count too, and the first run is written
+and read back.  The corpus goes first, then the short lossy and fleet goldens,
+then platoon, which reaches every statement they leave, and last square.  Once
+every statement has run, the remaining runs are skipped, because tracing slows
+every call.
 """
 
 import copy
