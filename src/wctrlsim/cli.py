@@ -102,10 +102,10 @@ def run_sweep(raw_config: dict, grid: dict) -> list[dict]:
                      "fb_delivery_ratio": m["delivery"]["fb"]["ratio"],
                      "latency_mean_us": m["cycle_time"]["mean_us"],
                      "latency_p99_us": m["cycle_time"]["p99_us"]}
-        tracking = m.get("tracking") or {}
-        if tracking:
-            row["worst_rms_m"] = max(v["rms_m"] for v in tracking.values())
+        if m["tracking"]:
+            row["worst_rms_m"] = max(v["rms_m"] for v in m["tracking"].values())
         rows.append(row)
+        del run  # it holds its whole trace: free it before the next run fills one
     return rows
 
 

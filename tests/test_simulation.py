@@ -1,9 +1,11 @@
 import math
+import weakref
 
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_remote_config
 from wctrlsim.channel import Cause
+from wctrlsim import cli
 from wctrlsim.cli import run_sweep
 from wctrlsim.mac import Direction
 from wctrlsim.metrics import TraceView
@@ -284,6 +286,28 @@ def test_single_point_grid_equals_single_run():
     assert rows[0]["cycles"] == single.cycle
     assert rows[0]["latency_mean_us"] == single.metrics["cycle_time"]["mean_us"]
 
+
+def test_a_sweep_frees_each_run_before_the_next_starts(monkeypatch):
+    # a finished run holds its whole trace, so two of them must never be alive at once
+    finished = []
+
+    def tracked_run(config):
+        assert all(ref() is None for ref in finished)
+        run = run_scenario(config)
+        finished.append(weakref.ref(run))
+        return run
+
+    monkeypatch.setattr(cli, "run_scenario", tracked_run)
+    raw = {
+        "kind": "remote-control", "seed": 4, "duration_s": 0.2,
+        "nodes": [
+            {"id": 0, "role": "controller"},
+            {"id": 1, "role": "robot", "start_pose": [0, 0, 0], "path": [[5.0, 0.0]]},
+        ],
+        "run_to_completion": False,
+    }
+    assert len(run_sweep(raw, {"parameters": {}, "seeds": [4, 5, 6]})) == 3
+    assert len(finished) == 3
 
 @st.composite
 def configs_with_a_deaf_relay(draw):
