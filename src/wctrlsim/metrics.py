@@ -20,6 +20,10 @@ from array import array
 
 import numpy as np
 
+from .trace import (CMD_APPLY, CMD_EMIT, CMD_EMIT_ESTOP, ESTOP_CONTROLLER, ESTOP_PLANT, FB_SAMPLE,
+                    FB_SAMPLE_LOCAL, POSE, REF_POINT, RX, RX_EMPTY, SYNC_RX, SYNC_TX, TX, WAYPOINT,
+                    WAYPOINT_COMPLETE, Trace)
+
 _BLOCK = 128  # points per block at least; never more blocks than segments
 _MARGIN_M = 1e-9  # slack on the box bound for the rounding of both distances
 _NO_POSES = (np.empty(0, np.int64), np.empty((0, 4)))  # a node that has none: t, x y left right
@@ -106,12 +110,32 @@ def _latest(pairs, keys, before) -> np.ndarray:
     return np.where(pairs[row, 0] == keys, pairs[row, 1], -1)
 
 
+def _round6(values: np.ndarray) -> np.ndarray:
+    """Each value in place as round(v, 6) == float(f"{v:.6f}"), bit for bit: k / 1e6 for the
+    integer k nearest v * 1e6 wherever the product's rounding (2**-53 of it at most) cannot
+    have moved k across a half, a whole value as it is, and round(v, 6) elsewhere."""
+    for part in np.split(values, range(4096, len(values), 4096)):  # small temporaries
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan go to round
+            scaled = part * 1e6
+            k = np.rint(scaled)
+            size = np.abs(scaled)
+            sure = (0.5 - np.abs(scaled - k) > size * 2.0**-52) & (size < 2.0**52)
+            whole = part == np.trunc(part)
+        unsure = ~(sure | whole)
+        rounded = [round(v, 6) for v in part[unsure].tolist()]
+        np.divide(k, 1e6, out=part, where=~whole)
+        part[unsure] = rounded
+    return values
+
+
 class TraceView:
     """Single-pass extraction of everything the metrics need from the rows of a
     `Trace`, as a run builds it or as `load_trace` reads it back, into typed arrays
-    read through numpy views and joined by packed int keys: no Python object per row."""
+    read through numpy views and joined by packed int keys: no Python object per row.
+    The walk reads the trace's cells block by block, picks each row by its declared
+    kind object and reads only the cells of the kinds that a metric uses."""
 
-    def __init__(self, rows):
+    def __init__(self, trace: Trace):
         applies = array("q")  # t, robot, seq, emits and samples before it per radio apply
         poses: dict[int, tuple[array, array]] = {}  # node -> t, (x y left right) per pose
         attempted = {"CMD": array("q"), "FB": array("q")}  # cycle, src dst seq per frame
@@ -124,51 +148,64 @@ class TraceView:
 
         samples = array("q", (-1, -1))  # node << 16 | seq, sample time per fb sample
         emits = array("q", (-1, -1))  # dst << 16 | seq, informing feedback seq per emit
-        for t, cycle, slot, node, kind, frame, src, dst, seq, cause, v1, v2, v3, v4, v5 in rows:
-            if kind == "rx":  # the commonest kinds first
-                if cause == "delivered" and frame in delivered and node == dst:
-                    delivered[frame].extend((cycle, src << 24 | dst << 16 | seq))
-            elif kind == "tx":
-                if frame in attempted:
-                    attempted[frame].extend((cycle, src << 24 | dst << 16 | seq))
-            elif kind == "pose":  # v1..v5 = x y theta left right; no metric reads theta
-                ts, xylr = poses.get(node) or poses.setdefault(node, (array("q"), array("d")))
-                ts.append(t)
-                # as in trace.csv: round(v, 6) == float(f"{v:.6f}"), which a whole v equals
-                xylr.extend((v1 if v1.is_integer() else round(v1, 6),
-                             v2 if v2.is_integer() else round(v2, 6),
-                             v4 if v4.is_integer() else round(v4, 6),
-                             v5 if v5.is_integer() else round(v5, 6)))
-            elif kind == "fb-sample":
-                samples.extend((node << 16 | seq, t))
-            elif kind == "cmd-emit":
-                emits.extend((dst << 16 | seq, v3))
-            elif kind == "cmd-apply":
-                # radio applications only: local (co-located) loops have no slot
-                if cause in ("applied", "estop") and slot is not None:
-                    applies.extend((t, node, seq, len(emits) // 2, len(samples) // 2))
-            elif kind == "ref-point":
-                self.refpoints.setdefault(node, []).append((round(v1, 6), round(v2, 6)))
-            elif kind == "estop":
-                if cause == "controller-latch" and self.controller_latch_us is None:
-                    self.controller_latch_us = t
-                elif cause == "plant-latch":
-                    self.plant_latch_us.setdefault(node, t)
-            elif kind == "waypoint":
-                if v1:  # reference points reached this cycle
-                    self.points_reached.append((t, node, v1))
-                if cause == "complete":
-                    self.waypoint_complete_us.setdefault(node, t)
+        # c[p] is a row's kind, c[p - 1] its time and c[p + i] the i-th other cell that its
+        # layout fills, named beside each kind below; the commonest kinds come first, as locals
+        rx_empty, tx, sync_tx, rx, sync_rx, cmd_emit, pose = (
+            RX_EMPTY, TX, SYNC_TX, RX, SYNC_RX, CMD_EMIT, POSE)
+        for _, c, kinds_at in trace.blocks():
+            for p in kinds_at:
+                kind = c[p]
+                if kind is rx_empty:
+                    continue
+                if kind is tx or kind is sync_tx:  # cycle slot node frame src dst seq
+                    if c[p + 4] in attempted:
+                        attempted[c[p + 4]].extend(
+                            (c[p + 1], c[p + 5] << 24 | c[p + 6] << 16 | c[p + 7]))
+                elif kind is rx or kind is sync_rx:  # cycle slot node frame src dst seq cause
+                    if c[p + 3] == c[p + 6] and c[p + 8] == "delivered" and c[p + 4] in delivered:
+                        delivered[c[p + 4]].extend(
+                            (c[p + 1], c[p + 5] << 24 | c[p + 6] << 16 | c[p + 7]))
+                elif kind is cmd_emit or kind is CMD_EMIT_ESTOP:
+                    # cycle node frame src dst seq [cause] left right informing
+                    emits.extend((c[p + 5] << 16 | c[p + 6], c[p + 9 + (kind is not cmd_emit)]))
+                elif kind is pose:  # cycle node x y theta left right; no metric reads theta
+                    node = c[p + 2]
+                    ts, xylr = poses.get(node) or poses.setdefault(node, (array("q"), array("d")))
+                    ts.append(c[p - 1])
+                    x, y, _, left, right = c[p + 3:p + 8]
+                    xylr.extend((x, y, left, right))  # rounded after the walk, as in trace.csv
+                elif kind is FB_SAMPLE or kind is FB_SAMPLE_LOCAL:  # cycle [slot] node seq
+                    at = p + (kind is FB_SAMPLE)
+                    samples.extend((c[at + 2] << 16 | c[at + 3], c[p - 1]))
+                elif kind is CMD_APPLY:  # cycle slot node frame src dst seq cause: radio only
+                    if c[p + 8] in ("applied", "estop"):
+                        applies.extend((c[p - 1], c[p + 3], c[p + 7], len(emits) // 2,
+                                        len(samples) // 2))
+                elif kind is REF_POINT:  # node seq x y
+                    self.refpoints.setdefault(c[p + 1], []).append(
+                        (round(c[p + 3], 6), round(c[p + 4], 6)))
+                elif kind is ESTOP_CONTROLLER or kind is ESTOP_PLANT:  # cycle node cause
+                    if c[p + 3] == "controller-latch" and self.controller_latch_us is None:
+                        self.controller_latch_us = c[p - 1]
+                    elif c[p + 3] == "plant-latch":
+                        self.plant_latch_us.setdefault(c[p + 2], c[p - 1])
+                elif kind is WAYPOINT or kind is WAYPOINT_COMPLETE:  # cycle node [cause] reached
+                    reached = c[p + 3 + (kind is WAYPOINT_COMPLETE)]  # reference points, this cycle
+                    if reached:
+                        self.points_reached.append((c[p - 1], c[p + 2], reached))
+                    if kind is WAYPOINT_COMPLETE and c[p + 3] == "complete":
+                        self.waypoint_complete_us.setdefault(c[p + 2], c[p - 1])
 
         t, robot, seq, n_emits, n_samples = np.frombuffer(applies, np.int64).reshape(-1, 5).T
         informing = _latest(emits, robot << 16 | seq, n_emits)
         t_fb = _latest(samples, robot << 16 | informing, n_samples)  # -1: none joined
         self.latencies = np.stack((t, robot, t - t_fb), axis=1)[t_fb >= 0]  # t, robot, latency us
         del applies, samples, emits  # free them before the copies below, as pop does each id buffer
-        self.poses = {node: (np.frombuffer(ts, np.int64), np.frombuffer(xylr).reshape(-1, 4))
-                      for node, (ts, xylr) in poses.items()}  # node -> t, (n, 4) x y left right
         self.attempted = {frame: _distinct(attempted.pop(frame)) for frame in ("CMD", "FB")}
         self.delivered = {frame: _distinct(delivered.pop(frame)) for frame in ("CMD", "FB")}
+        self.poses = {node: (np.frombuffer(ts, np.int64),  # node -> t, (n, 4) x y left right
+                             _round6(np.frombuffer(xylr)).reshape(-1, 4))
+                      for node, (ts, xylr) in poses.items()}
 
     # -- derived series ------------------------------------------------------
 
@@ -189,12 +226,16 @@ class TraceView:
         return int(t[still[0]]) if still.size else None
 
     def gap_series(self, leader: int, follower: int) -> tuple[np.ndarray, np.ndarray]:
-        """(time, gap) at each follower pose that has a leader pose at the same time.
-        Each gap is math.hypot's, which numpy's hypot can differ from in the last bit."""
+        """(time, gap) at each follower pose, in trace order, that has a leader pose at
+        the same time, against the last such leader pose.  Each gap is math.hypot's,
+        which numpy's hypot can differ from in the last bit."""
         lead_t, lead = self.poses.get(leader, _NO_POSES)
         follow_t, follow = self.poses.get(follower, _NO_POSES)
-        t, i, j = np.intersect1d(lead_t, follow_t, return_indices=True)
-        dx, dy = (lead[i, :2] - follow[j, :2]).T.tolist()
+        times, from_end = np.unique(lead_t[::-1], return_index=True)  # the first from the end
+        paired = np.isin(follow_t, times)
+        t = follow_t[paired]
+        i = len(lead_t) - 1 - from_end[np.searchsorted(times, t)]  # the last leader pose at t
+        dx, dy = (lead[i, :2] - follow[paired, :2]).T.tolist()
         return t, np.fromiter(map(math.hypot, dx, dy), float, len(t))
 
     def convergence_time_us(self, follower: int, min_reached: int = 3) -> int | None:

@@ -144,9 +144,13 @@ class Simulation:
         ticks_l, ticks_r, distance = self.robots[robot_id].sample_feedback(
             self._active_obstacles(at))
         seq = self._fb_seq[robot_id] = (self._fb_seq[robot_id] + 1) & 0xFFFF
-        kind, cause = (FB_SAMPLE_LOCAL, "local") if slot is None else (FB_SAMPLE, None)
-        self.trace.add(at, kind, self.cycle, slot, robot_id, None, None, None, seq, cause,
-                       ticks_l, ticks_r, -1 if distance is None else distance)
+        distance_mm = -1 if distance is None else distance
+        if slot is None:
+            self.trace.add(at, FB_SAMPLE_LOCAL, self.cycle, robot_id, seq, "local",
+                           ticks_l, ticks_r, distance_mm)
+        else:
+            self.trace.add(at, FB_SAMPLE, self.cycle, slot, robot_id, seq,
+                           ticks_l, ticks_r, distance_mm)
         return new_record(FbFrame, (robot_id, self.controller_node, seq, ticks_l, ticks_r,
                                     distance))
 
@@ -155,16 +159,19 @@ class Simulation:
         was_latched = robot.estop_latched
         disposition = robot.apply_command(cmd)
         cause = "local" if slot is None and disposition == "applied" else disposition
-        kind = CMD_APPLY_LOCAL if slot is None else CMD_APPLY  # None: the leader's own loop
-        self.trace.add(at, kind, self.cycle, slot, robot_id, "CMD", cmd.src, cmd.dst, cmd.seq,
-                       cause, cmd.left_mms, cmd.right_mms)
+        if slot is None:  # the leader's own loop
+            self.trace.add(at, CMD_APPLY_LOCAL, self.cycle, robot_id, "CMD", cmd.src, cmd.dst,
+                           cmd.seq, cause, cmd.left_mms, cmd.right_mms)
+        else:
+            self.trace.add(at, CMD_APPLY, self.cycle, slot, robot_id, "CMD", cmd.src, cmd.dst,
+                           cmd.seq, cause, cmd.left_mms, cmd.right_mms)
         if robot.estop_latched and not was_latched:
-            self.trace.add(at, ESTOP_PLANT, cycle=self.cycle, node=robot_id, cause="plant-latch")
+            self.trace.add(at, ESTOP_PLANT, self.cycle, robot_id, "plant-latch")
 
     def _latch_estop_plant(self, robot_id: int, at: SimTime) -> None:
         robot = self.robots[robot_id]
         if not robot.estop_latched:
-            self.trace.add(at, ESTOP_PLANT, cycle=self.cycle, node=robot_id, cause="plant-latch")
+            self.trace.add(at, ESTOP_PLANT, self.cycle, robot_id, "plant-latch")
         robot.latch_estop()  # every stop frame a plant hears feeds its watchdog
 
     def _send(self, senders: list[int], frame: Frame, slot: Slot, at: SimTime,
@@ -192,7 +199,7 @@ class Simulation:
                          if node not in sending]
         name, src, dst, seq = FRAME_NAMES[type(frame)], frame.src, frame.dst, frame.seq
         for sender in senders:
-            add(at, TX, cycle, position, sender, name, src, dst, seq, None, channel)
+            add(at, TX, cycle, position, sender, name, src, dst, seq, channel)
         received: list[int] = []
         for node, state in listeners:
             if state.synced:
@@ -209,8 +216,7 @@ class Simulation:
         cycle, position, add = self.cycle, slot.position, self.trace.add
         for node in self.all_nodes:
             if node != slot.owner:
-                add(at, RX_EMPTY, cycle, position, node, None, None, None, None,
-                    Cause.NO_TRANSMITTER)
+                add(at, RX_EMPTY, cycle, position, node, Cause.NO_TRANSMITTER)
 
     # -- per-slot handlers -----------------------------------------------------
 
@@ -222,18 +228,15 @@ class Simulation:
         frame = transmissions[0][1].frame  # the originator's wave-1 beacon
         name, src, dst, seq = FRAME_NAMES[type(frame)], frame.src, frame.dst, frame.seq
         for wave, tx in transmissions:
-            add(tx.start, SYNC_TX, cycle, 0, tx.sender, name, src, dst, seq, None,
-                channel, wave)
+            add(tx.start, SYNC_TX, cycle, 0, tx.sender, name, src, dst, seq, channel, wave)
         for wave, at, outcome in outcomes:
             add(at, SYNC_RX, cycle, 0, outcome.receiver, name, src, dst, seq, outcome.cause,
                 channel, wave)
         for node, wave, residual_us in receptions:
-            add(cycle_start, SYNC, cycle, 0, node, None, None, None, None, None,
-                residual_us, wave)
+            add(cycle_start, SYNC, cycle, 0, node, residual_us, wave)
         for node, state in self._sync_order:
             if state.missed_beacons > 0:
-                add(cycle_start, SYNC_MISS, cycle, 0, node, None, None, None, None, None,
-                    state.missed_beacons)
+                add(cycle_start, SYNC_MISS, cycle, 0, node, state.missed_beacons)
         for node in desynced:
             add(cycle_start, DESYNC, cycle, 0, node)
 
@@ -258,8 +261,8 @@ class Simulation:
 
         decisions = self.controller.run_cycle()
         if decisions.estop_triggered:
-            self.trace.add(at, ESTOP_CONTROLLER, cycle=self.cycle, node=self.controller_node,
-                           cause="controller-latch", v1=decisions.estop_source)
+            self.trace.add(at, ESTOP_CONTROLLER, self.cycle, self.controller_node,
+                           "controller-latch", decisions.estop_source)
         if self.controller.estop_latched:
             self._estop_seq = (self._estop_seq + 1) & 0xFFFF
             self._pending.append(_Pending(
@@ -269,14 +272,19 @@ class Simulation:
         for decision in decisions.commands:
             robot, cmd = decision.robot, decision.cmd
             if decision.advanced:  # a path is completed by reaching its last point
-                kind, cause = ((WAYPOINT_COMPLETE, "complete") if decision.completed
-                               else (WAYPOINT, None))
-                self.trace.add(at, kind, cycle=self.cycle, node=robot, cause=cause,
-                               v1=decision.advanced)
-            kind, cause = (CMD_EMIT_ESTOP, "estop") if cmd.estop else (CMD_EMIT, None)
-            self.trace.add(at, kind, self.cycle, None, self.controller_node, "CMD",
-                           cmd.src, cmd.dst, cmd.seq, cause,
-                           cmd.left_mms, cmd.right_mms, decision.informing_fb_seq)
+                if decision.completed:
+                    self.trace.add(at, WAYPOINT_COMPLETE, self.cycle, robot, "complete",
+                                   decision.advanced)
+                else:
+                    self.trace.add(at, WAYPOINT, self.cycle, robot, decision.advanced)
+            if cmd.estop:
+                self.trace.add(at, CMD_EMIT_ESTOP, self.cycle, self.controller_node, "CMD",
+                               cmd.src, cmd.dst, cmd.seq, "estop",
+                               cmd.left_mms, cmd.right_mms, decision.informing_fb_seq)
+            else:
+                self.trace.add(at, CMD_EMIT, self.cycle, self.controller_node, "CMD",
+                               cmd.src, cmd.dst, cmd.seq,
+                               cmd.left_mms, cmd.right_mms, decision.informing_fb_seq)
             if robot == self.controller_node:
                 self._apply_cmd(robot, cmd, at, None)
             else:
@@ -331,8 +339,7 @@ class Simulation:
             robot.end_cycle(cycle_s)
             x, y, theta = robot.pose
             left, right = robot.actual
-            self.trace.add(cycle_end, POSE, self.cycle, None, robot_id, None, None, None,
-                           None, None, x, y, theta, left, right)
+            self.trace.add(cycle_end, POSE, self.cycle, robot_id, x, y, theta, left, right)
 
         reason = self._completion_reason()
         if reason is not None:
@@ -353,19 +360,18 @@ class Simulation:
     def _finish(self, reason: str, at: SimTime) -> None:
         self.end_reason = reason
         self.end_time_us = at
-        self.trace.add(at, END, cycle=self.cycle, cause=reason, v1=self.cycle)
+        self.trace.add(at, END, self.cycle, reason, self.cycle)
 
     # -- entry point -----------------------------------------------------------
 
     def run(self) -> Simulation:
         """Execute the run to its completion condition, then compute its metrics."""
-        self.trace.add(0, META, v1=self.schedule.cycle_length_us,
-                       v2=self.medium.airtime_us, v3=len(self.schedule.slots),
-                       v4=self.config.seed)
+        self.trace.add(0, META, self.schedule.cycle_length_us, self.medium.airtime_us,
+                       len(self.schedule.slots), self.config.seed)
         for spec in self.config.robots():
             if spec.path:
                 for idx, (x, y) in enumerate(spec.path):
-                    self.trace.add(0, REF_POINT, node=spec.node_id, seq=idx, v1=x, v2=y)
+                    self.trace.add(0, REF_POINT, spec.node_id, idx, x, y)
         self.engine.run_until(self.schedule.cycle_length_us, self._run_cycle)
         self.metrics = metrics_mod.compute_metrics(self)
         return self

@@ -6,11 +6,12 @@ vectorized metric, the scan of every segment pins the pruned search's exact
 bits, the wave-by-wave sync flood pins the one-pass flood draw for draw, the
 encoder with a named range check per field pins the struct-checked one, the
 writer that keys every row on its cell types pins the one that trusts a
-declared layout, the walk of trace rows into tuples, sets and tuple-keyed
-dicts pins the typed columns of the metrics' view, the fixed-path cursor and
-the popping follower queue pin the one reference-point list that serves both,
-and the slot layout recomputed from each slot's position pins the offset and
-hop sequence the slot carries.
+declared layout, the store of 15 cells per row, None for each empty one, pins
+the store of each row's filled cells and its blockwise writer, the walk of
+trace rows into tuples, sets and tuple-keyed dicts pins the typed columns of
+the metrics' view, the fixed-path cursor and the popping follower queue pin the
+one reference-point list that serves both, and the slot layout recomputed from
+each slot's position pins the offset and hop sequence the slot carries.
 The line collector, stdlib only, records which statements a set of runs
 reaches.
 """
@@ -25,7 +26,9 @@ import struct
 import sys
 import types
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +38,7 @@ from wctrlsim.frames import (BROADCAST, NO_READING, CmdFrame, EstopFrame, FbFram
                              FrameError, MsgType, SyncFrame)
 from wctrlsim.mac import BeaconReception, BeaconReport, Direction, ScheduleError
 from wctrlsim.robot import Pose
-from wctrlsim.trace import COLUMNS
+from wctrlsim.trace import _KINDS, COLUMNS
 
 
 def rk4_unicycle(x: float, y: float, theta: float, v_left: float, v_right: float,
@@ -226,6 +229,70 @@ def shape_keyed_csv(rows) -> str:
             pattern = patterns[shape] = ",".join(map(_cell_spec, row)) + "\n"
         lines.append(pattern % row)
     return "".join(lines)
+
+
+_FORMATS = {"d": "%s", "s": "%s", "f": "%.6f"}
+
+
+class FlatTrace:
+    """A trace as one flat list of 15 cells per row, in COLUMNS order, None for each
+    empty cell: a row is added by position or by keyword (omitted cells are None),
+    iterated as a 15-tuple, and written one row at a time by its kind's layout, the
+    empty cells dropped.  The store that each row's filled cells replaced."""
+
+    def __init__(self) -> None:
+        self.cells: list = []
+
+    def add(self, time_us, kind, cycle=None, slot=None, node=None, frame=None, src=None,
+            dst=None, seq=None, cause=None, v1=None, v2=None, v3=None, v4=None, v5=None) -> None:
+        self.cells.extend((time_us, cycle, slot, node, kind, frame, src, dst, seq, cause,
+                           v1, v2, v3, v4, v5))
+
+    def add_filled(self, time_us, kind, *cells) -> None:
+        """Add a row given as `Trace.add` takes it: the cells its kind's layout fills."""
+        columns = _filled_columns(id(kind))
+        assert len(columns) == len(cells), (kind, cells)
+        self.add(time_us, kind, **dict(zip(columns, cells)))
+
+    def __len__(self) -> int:
+        return len(self.cells) // len(COLUMNS)
+
+    def __iter__(self):
+        return zip(*[iter(self.cells)] * len(COLUMNS))
+
+    def to_csv(self) -> str:
+        lines = [",".join(COLUMNS) + "\n"]
+        for row in self:
+            pattern, filled = _row_pattern(id(row[4]))
+            lines.append(pattern % filled(row))
+        return "".join(lines)
+
+
+@lru_cache(maxsize=None)
+def _filled_columns(kind_id: int) -> tuple[str, ...]:
+    """The columns after time_us that a declared kind's layout fills, kind left out."""
+    layout = _KINDS[kind_id][1]
+    assert layout[0] != "-"
+    return tuple(c for c, letter in zip(COLUMNS[1:4] + COLUMNS[5:], layout[1:]) if letter != "-")
+
+
+@lru_cache(maxsize=None)
+def _row_pattern(kind_id: int) -> tuple[str, itemgetter]:
+    """A declared kind's row pattern, and the getter of the cells of a row it formats."""
+    kind, layout = _KINDS[kind_id][:2]
+    letters = layout[:4] + "k" + layout[4:]
+    pattern = ",".join(kind.replace("%", "%%") if letter == "k" else _FORMATS.get(letter, "")
+                       for letter in letters) + "\n"
+    return pattern, itemgetter(*(i for i, letter in enumerate(letters) if letter not in "k-"))
+
+
+def flat_copy(trace) -> FlatTrace:
+    """The rows of a `Trace`, as `add` received them, in the flat store: read from the
+    trace's cells and its count of cells per row, not through its own readers."""
+    flat, cells = FlatTrace(), iter(trace._cells)
+    for count in trace._counts:
+        flat.add_filled(*islice(cells, count))
+    return flat
 
 
 def _frame_id(cycle: int, src: int, dst: int, seq: int) -> int:

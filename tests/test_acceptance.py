@@ -24,7 +24,7 @@ from wctrlsim.metrics import TraceView
 from wctrlsim.robot import Pose, step_kinematics
 from wctrlsim.scenario import config_from_dict
 from wctrlsim.simulation import Simulation, run_scenario
-from wctrlsim.trace import Trace
+from wctrlsim.trace import CMD_APPLY, Trace
 
 TIME, CYCLE, SLOT, NODE, KIND, FRAME, SRC, DST, SEQ, CAUSE = range(10)
 V1 = 10
@@ -70,11 +70,10 @@ class _CommandCount(Trace):
         super().__init__()
         self.emitted = self.applied = 0
 
-    def add(self, time_us, kind, cycle=None, slot=None, node=None, frame=None, src=None,
-            dst=None, seq=None, cause=None, *values, **named_values):
+    def add(self, time_us, kind, *cells):
         if kind == "cmd-emit":
             self.emitted += 1
-        elif kind == "cmd-apply" and cause == "applied":
+        elif kind is CMD_APPLY and cells[7] == "applied":  # cycle slot node frame src dst seq cause
             self.applied += 1
 
 

@@ -4,7 +4,8 @@ Each case is one robot, or a leader and its follower, driven for 0.5 s of
 virtual time at PER 0, changed in one or two places: a boundary value that the
 declared config ranges must keep accepting, a steering setting, a path, an
 obstacle (with a blackout, parallel to the heading, or on its line), where the
-follower starts, or a link that loses every frame.  A case is pinned by the
+follower starts, a link that loses every frame, or a chain of two relays that
+carries every frame between the controller and its robot.  A case is pinned by the
 sha256 of `trace.csv` and `metrics.json` as `wctrlsim run` writes them, and
 checked by the trace rows that show its branch ran.
 """
@@ -28,6 +29,10 @@ DEAD_CHANNEL = 3
 LATCH_CYCLE_US = 200_000  # the obstacle appears as this cycle starts; cycles are 2,000 us
 TWIN = [0.01, 0.0]  # within the waypoint tolerance of the start, and on the robot's way out
 PARALLEL_WALL = [0.0, -0.2, 2.0, -0.2]
+LAST_RELAY = 3
+# controller 0 - relay 2 - relay 3 - robot 1: every other link loses every frame
+RELAY_CHAIN_DEAD = [{"from": a, "to": b, "per": 1.0}
+                    for x, y in ((0, 1), (0, LAST_RELAY), (1, 2)) for a, b in ((x, y), (y, x))]
 ON_LINE_AHEAD = [0.5, 0.0, 1.0, 0.0]
 
 BASE = {
@@ -111,6 +116,15 @@ CASES = {
         {"channel": {"default_per": 0.0, "links": [{"from": 1, "to": 0, "per": 1.0}]}},
         "8f50027704046162c1706b9fb84ad54f1bf26aa42348f497efde54c188b38978",
         "cf885caf027dad22c245b86a8552fe06dc0d2eb8339bba2fac39e59e7512f33d"),
+    # a beacon reaches the robot in the third wave, and each frame in the third of four
+    # retx slots (a command first, its robot's feedback after it); slots fit three waves
+    "relay-chain": (
+        {"protocol": {"slot_duration_us": 400, "retx_slots": 4, "sync": {"max_waves": 3}},
+         "nodes": [*_robot_path([[2.0, 0.5]])["nodes"], {"id": 2, "role": "relay"},
+                   {"id": LAST_RELAY, "role": "relay"}],
+         "channel": {"default_per": 0.0, "links": RELAY_CHAIN_DEAD}},
+        "b1f697b6289584bcced3686cb3760c7a1554bb16177056e9cc86c12c4d240060",
+        "53d7814322335f8dc3cf5e62fec795c24efc0c88566a8c1364e460f1f4d34770"),
 }
 
 
@@ -226,3 +240,13 @@ def test_a_dead_uplink_leaves_every_command_uninformed(tmp_path):
     informing = [r[V3] for r in rows if r[KIND] == "cmd-emit"]
     assert informing and set(informing) == {-1}  # -1: no feedback yet
     assert [r for r in rows if r[KIND] == "cmd-apply" and r[CAUSE] == "applied"]
+
+
+def test_a_relay_chain_carries_the_beacon_and_every_command_three_hops(tmp_path):
+    rows = _run("relay-chain", tmp_path)
+    waves = [r[V2] for r in rows if r[KIND] == "sync" and r[NODE] == 1]
+    assert waves and set(waves) == {3}  # the robot hears only the third wave
+    last_hop = {(r[CYCLE], r[SLOT]) for r in rows
+                if r[KIND] == "tx" and r[FRAME] == "CMD" and r[NODE] == LAST_RELAY}
+    applied = [r for r in rows if r[KIND] == "cmd-apply" and r[CAUSE] == "applied"]
+    assert applied and all((r[CYCLE], r[SLOT]) in last_hop for r in applied)

@@ -2,13 +2,13 @@
 statement of the cycle path.
 
 The scope is every method of `Simulation` and every function of `mac.py`,
-`controller.py`, `trace.py`, `robot.py`, `channel.py` and `metrics.py`,
-`raise` statements left out.  Each run is built from its JSON document while
-lines are collected, so config checks count too, and the first run is written
-and read back.  The corpus goes first, then the short lossy and fleet goldens,
-then platoon, which reaches every statement they leave, and last square.  Once
-every statement has run, the remaining runs are skipped, because tracing slows
-every call.
+`controller.py`, `trace.py`, `robot.py`, `channel.py` and `metrics.py`, `raise`
+statements left out.  Each run is built from its JSON document while lines are
+collected, so config checks count too, and the first run is written, read back
+and iterated; two rows that break their layouts are written too.  The corpus
+goes first, then the short lossy and fleet goldens, then platoon, which reaches
+every statement they leave, and last square.  Once every statement has run, the
+remaining runs are skipped, because tracing slows every call.
 """
 
 import copy
@@ -24,7 +24,7 @@ from oracles import LineCollector, function_lines
 from test_corpus import BASE, CASES
 from wctrlsim.scenario import config_from_dict
 from wctrlsim.simulation import run_scenario
-from wctrlsim.trace import declare_kind, load_trace
+from wctrlsim.trace import Trace, declare_kind, load_trace
 
 SRC = Path(wctrlsim.__file__).parent
 SCOPE = {"simulation.py": "Simulation.", "mac.py": "", "controller.py": "", "trace.py": "",
@@ -73,7 +73,12 @@ def test_the_corpus_and_the_goldens_run_every_statement(tmp_path):
     written = tmp_path / "trace.csv"
     with LineCollector(missed) as collector:
         # the simulator's kinds are declared at import, before lines are collected
-        declare_kind("line-check", "d--- ----- -----")
+        checked = declare_kind("line-check", "d--- ----- d----")
+        for kind, cells in ((checked, ()), ("line-check", (1,))):  # no v1; an undeclared kind
+            broken = Trace()
+            broken.add(0, kind, *cells)
+            with pytest.raises(ValueError, match="trace row 0"):
+                broken.to_csv()
         for raw in _runs():
             if collector.done:
                 break
@@ -82,5 +87,6 @@ def test_the_corpus_and_the_goldens_run_every_statement(tmp_path):
                 trace.write_csv(written)
                 loaded = load_trace(written)
                 assert len(loaded) == len(trace) and loaded.to_csv() == written.read_text("utf-8")
+                assert [row[:5] for row in loaded] == [row[:5] for row in trace]
     assert sorted(statements[path][line] + (line,)
                   for path, lines in collector.missed.items() for line in lines) == []

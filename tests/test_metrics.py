@@ -11,11 +11,13 @@ from hypothesis import given, settings, strategies as st
 from oracles import RowWalkTraceView, brute_point_to_polyline, scan_polyline_distances
 from test_corpus import BASE, CASES
 from test_scenario import remote_configs
-from wctrlsim.metrics import (TraceView, _ratio, cdf_pairs, compute_metrics, polyline_distances,
-                              thin_polyline)
+from wctrlsim.metrics import (TraceView, _ratio, _round6, cdf_pairs, compute_metrics,
+                              polyline_distances, thin_polyline)
 from wctrlsim.scenario import ConfigError, config_from_dict
 from wctrlsim.simulation import run_scenario
-from wctrlsim.trace import Trace
+from wctrlsim.cli import main
+from wctrlsim.trace import (CMD_APPLY, CMD_EMIT, FB_SAMPLE, META, POSE, REF_POINT, RX, TX,
+                            Trace)
 
 
 def test_points_on_polyline_have_zero_distance():
@@ -96,15 +98,14 @@ def test_thin_polyline_keeps_the_first_point():
 
 def synthetic_trace():
     trace = Trace()
-    trace.add(0, "meta", v1=2000, v2=104, v3=6, v4=1)
-    trace.add(0, "ref-point", node=1, seq=0, v1=0.5, v2=0.0)
+    trace.add(0, META, 2000, 104, 6, 1)
+    trace.add(0, REF_POINT, 1, 0, 0.5, 0.0)  # node seq x y
     # cycle 0: feedback sampled at 250, command applied at 1354
-    trace.add(250, "fb-sample", cycle=0, slot=1, node=1, seq=1, v1=0, v2=0, v3=-1)
-    trace.add(500, "cmd-emit", cycle=0, node=0, frame="CMD", src=0, dst=1, seq=1,
-              v1=100, v2=100, v3=1)
-    trace.add(1354, "cmd-apply", cycle=0, slot=3, node=1, frame="CMD", src=0, dst=1,
-              seq=1, cause="applied", v1=100, v2=100)
-    trace.add(2000, "pose", cycle=0, node=1, v1=0.0, v2=0.05, v3=0.0, v4=100.0, v5=100.0)
+    trace.add(250, FB_SAMPLE, 0, 1, 1, 1, 0, 0, -1)  # cycle slot node seq, ticks and distance
+    # cycle node frame src dst seq, wheel speeds and the informing feedback seq
+    trace.add(500, CMD_EMIT, 0, 0, "CMD", 0, 1, 1, 100, 100, 1)
+    trace.add(1354, CMD_APPLY, 0, 3, 1, "CMD", 0, 1, 1, "applied", 100, 100)
+    trace.add(2000, POSE, 0, 1, 0.0, 0.05, 0.0, 100.0, 100.0)  # cycle node x y theta left right
     return trace
 
 
@@ -115,10 +116,8 @@ def test_latency_join_through_informing_sequence():
 
 def test_latency_ignores_uninformed_commands():
     trace = synthetic_trace()
-    trace.add(2500, "cmd-emit", cycle=1, node=0, frame="CMD", src=0, dst=1, seq=2,
-              v1=0, v2=0, v3=-1)
-    trace.add(3354, "cmd-apply", cycle=1, slot=3, node=1, frame="CMD", src=0, dst=1,
-              seq=2, cause="applied", v1=0, v2=0)
+    trace.add(2500, CMD_EMIT, 1, 0, "CMD", 0, 1, 2, 0, 0, -1)
+    trace.add(3354, CMD_APPLY, 1, 3, 1, "CMD", 0, 1, 2, "applied", 0, 0)
     view = TraceView(trace)
     assert len(view.latencies) == 1
 
@@ -127,20 +126,18 @@ def test_latency_join_takes_the_latest_emit_and_sample_before_each_apply():
     # seq 1 comes round again (as after a wrap): the second apply joins the second
     # emit and the sample before it, and the first apply nothing that follows it
     trace = synthetic_trace()
-    trace.add(2250, "fb-sample", cycle=1, slot=1, node=1, seq=1, v1=0, v2=0, v3=-1)
-    trace.add(2500, "cmd-emit", cycle=1, node=0, frame="CMD", src=0, dst=1, seq=1,
-              v1=0, v2=0, v3=1)
-    trace.add(3000, "fb-sample", cycle=1, slot=1, node=1, seq=1, v1=0, v2=0, v3=-1)
-    trace.add(3354, "cmd-apply", cycle=1, slot=3, node=1, frame="CMD", src=0, dst=1,
-              seq=1, cause="applied", v1=0, v2=0)
-    trace.add(4000, "fb-sample", cycle=2, slot=1, node=1, seq=1, v1=0, v2=0, v3=-1)
+    trace.add(2250, FB_SAMPLE, 1, 1, 1, 1, 0, 0, -1)
+    trace.add(2500, CMD_EMIT, 1, 0, "CMD", 0, 1, 1, 0, 0, 1)
+    trace.add(3000, FB_SAMPLE, 1, 1, 1, 1, 0, 0, -1)
+    trace.add(3354, CMD_APPLY, 1, 3, 1, "CMD", 0, 1, 1, "applied", 0, 0)
+    trace.add(4000, FB_SAMPLE, 2, 1, 1, 1, 0, 0, -1)
     view = TraceView(trace)
     assert view.latencies.tolist() == [[1354, 1, 1104], [3354, 1, 354]]
     assert view.latencies.tolist() == [list(row) for row in RowWalkTraceView(trace).latencies]
 
 
 def test_empty_trace_is_not_an_error():
-    view = TraceView([])
+    view = TraceView(Trace())
     assert view.latencies.shape == (0, 3)
     assert cdf_pairs(view.latencies[:, 2]) == []
     assert view.poses == {} and view.gap_series(1, 2)[1].size == 0
@@ -154,8 +151,8 @@ def test_reference_polyline_prepends_first_pose():
 
 def test_stationary_time_scan():
     trace = synthetic_trace()
-    trace.add(4000, "pose", cycle=1, node=1, v1=0.0, v2=0.0, v3=0.0, v4=50.0, v5=50.0)
-    trace.add(6000, "pose", cycle=2, node=1, v1=0.0, v2=0.0, v3=0.0, v4=0.0, v5=0.0)
+    trace.add(4000, POSE, 1, 1, 0.0, 0.0, 0.0, 50.0, 50.0)
+    trace.add(6000, POSE, 2, 1, 0.0, 0.0, 0.0, 0.0, 0.0)
     view = TraceView(trace)
     assert view.stationary_time_us(1, after_us=0) == 6000
     assert view.stationary_time_us(1, after_us=6001) is None
@@ -173,10 +170,22 @@ POSE_VALUES = st.one_of(st.floats(allow_nan=False),
 def test_pose_values_equal_round_to_six_decimals_bit_for_bit(values):
     x, y, left, right = values
     trace = Trace()
-    trace.add(2000, "pose", cycle=0, node=1, v1=x, v2=y, v3=0.0, v4=left, v5=right)
+    trace.add(2000, POSE, 0, 1, x, y, 0.0, left, right)
     t, xylr = TraceView(trace).poses[1]
     rounded = (2000, *(round(v, 6) for v in values))
     assert struct.pack("<q4d", *t.tolist(), *xylr[0].tolist()) == struct.pack("<q4d", *rounded)
+
+
+def test_rounding_in_bulk_equals_round_bit_for_bit():
+    # halves of the sixth decimal, where the product v * 1e6 can round across the
+    # half, random doubles of every exponent (with inf and nan) and plain coordinates,
+    # in arrays that span several of the chunks the rounding takes at a time
+    rng = np.random.default_rng(26)
+    for values in ((rng.integers(-10**9, 10**9, 10_000) + 0.5) / 1e6,
+                   np.frombuffer(rng.bytes(8 * 10_000), np.float64),
+                   rng.uniform(-5.0, 5.0, 10_001)):
+        expected = [v if v.is_integer() else round(v, 6) for v in values.tolist()]
+        assert _round6(values.copy()).tobytes() == struct.pack(f"={len(values)}d", *expected)
 
 
 def test_delivery_counts_frames_whose_sequence_numbers_wrapped():
@@ -186,11 +195,30 @@ def test_delivery_counts_frames_whose_sequence_numbers_wrapped():
     trace = Trace()
     for first in (3, 2**31 + 3, 2**32 + 3):
         for cycle, cause in ((first, "delivered"), (first + 65_536, "erased")):
-            trace.add(1250, "tx", cycle=cycle, slot=3, node=0, frame="CMD", src=0, dst=1,
-                      seq=3, v1=0)
-            trace.add(1250, "rx", cycle=cycle, slot=3, node=1, frame="CMD", src=0, dst=1,
-                      seq=3, cause=cause, v1=0)
+            trace.add(1250, TX, cycle, 3, 0, "CMD", 0, 1, 3, 0)  # cycle slot node frame src dst seq
+            trace.add(1250, RX, cycle, 3, 1, "CMD", 0, 1, 3, cause, 0)  # ... seq cause channel
     assert _ratio(TraceView(trace), "CMD") == {"attempted": 6, "delivered": 3, "ratio": 0.5}
+
+
+GAP_POSES = ((1, 0.0), (1, 0.5), (2, 1.0), (2, 2.0))  # (node, x), every pose at t = 1000
+
+
+def test_each_follower_pose_is_paired_with_the_last_leader_pose_at_its_time():
+    trace = Trace()
+    for node, x in GAP_POSES:
+        trace.add(1000, POSE, 0, node, x, 0.0, 0.0, 0.0, 0.0)
+    t, gaps = TraceView(trace).gap_series(1, 2)
+    assert list(zip(t.tolist(), gaps.tolist())) == RowWalkTraceView(trace).gap_series(1, 2)
+    assert list(zip(t.tolist(), gaps.tolist())) == [(1000, 0.5), (1000, 1.5)]
+
+
+def test_plot_data_gap_pairs_a_hand_written_trace_by_the_last_leader_pose(tmp_path):
+    path, out = tmp_path / "trace.csv", tmp_path / "gap.csv"
+    path.write_text("time_us,cycle,slot,node,kind,frame,src,dst,seq,cause,v1,v2,v3,v4,v5\n"
+                    + "".join(f"1000,0,,{node},pose,,,,,,{x:.6f},0.000000,0.000000,0.000000,"
+                              "0.000000\n" for node, x in GAP_POSES), encoding="utf-8")
+    assert main(["plot-data", str(path), "--metric", "gap", "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == "time_us,gap_m\n1000,0.500000\n1000,1.500000\n"
 
 
 # -- the typed columns against the row walk of tuples they replaced ----------------

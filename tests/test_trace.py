@@ -1,33 +1,54 @@
+import copy
 import gc
 import itertools
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import fleet_raw
-from oracles import shape_keyed_csv
+from oracles import FlatTrace, flat_copy, shape_keyed_csv
 from test_scenario import remote_configs
 from wctrlsim.cli import _plot_rows
 from wctrlsim.metrics import TraceView
 from wctrlsim.scenario import ConfigError, config_from_dict
 from wctrlsim.simulation import run_scenario
-from wctrlsim.trace import _KINDS, COLUMNS, Trace, declare_kind, load_trace
+from test_corpus import BASE, CASES
+from wctrlsim.trace import (_KINDS, COLUMNS, META, POSE, RX_EMPTY, Trace, declare_kind,
+                            load_trace)
 
 
-def test_to_csv_raises_on_an_undeclared_kind():
-    # a library caller's "pose" is a plain str: only a kind made by declare_kind is written
+def test_an_undeclared_kind_raises_where_the_trace_is_read():
+    # a library caller's "pose" is a plain str: only a kind made by declare_kind is read
     for kind in ("pose", "x"):
         trace = Trace()
-        trace.add(5, kind, cycle=0, node=1, v1=0.1, v2=0.0, v3=0.0, v4=1.0, v5=2.0)
-        with pytest.raises(ValueError, match=repr(kind)):
-            trace.to_csv()
+        trace.add(0, META, 2000, 104, 6, 1)
+        trace.add(5, kind, 0, 1, 0.1, 0.0, 0.0, 1.0, 2.0)
+        for read in (trace.to_csv, lambda: list(trace)):
+            with pytest.raises(ValueError, match=f"trace row 1: kind {kind!r} is not"):
+                read()
+
+
+@pytest.mark.parametrize("cells", [
+    (0, 1, 2, "CMD", 0, 1, 5, "no-transmitter"),  # a frame, src, dst and seq in empty columns
+    (0, 1),  # cycle and slot only: no node, no cause
+])
+def test_a_row_that_breaks_its_layout_raises_where_the_trace_is_read(cells):
+    trace = Trace()
+    trace.add(0, META, 2000, 104, 6, 1)
+    trace.add(0, RX_EMPTY, *cells)
+    for read in (trace.to_csv, lambda: list(trace)):
+        with pytest.raises(ValueError, match=f"trace row 1: kind 'rx' has {2 + len(cells)} "
+                                             r"cells.* fills 6"):
+            read()
 
 
 def test_rows_keep_native_values():
     trace = Trace()
-    trace.add(5, "pose", cycle=0, node=1, v1=0.1234567, v2=0.0, v3=0.0, v4=1.0, v5=2.0)
+    trace.add(5, POSE, 0, 1, 0.1234567, 0.0, 0.0, 1.0, 2.0)
     assert list(trace) == [(5, 0, None, 1, "pose", None, None, None, None, None,
                            0.1234567, 0.0, 0.0, 1.0, 2.0)]
 
@@ -36,19 +57,14 @@ _CELL = st.one_of(st.integers(), st.text(max_size=8), st.floats(), st.booleans()
 _ANY_CELLS = declare_kind("any-cells", "ssss sssss sssss")  # "%s" formats any cell
 
 
-@given(st.lists(_CELL, min_size=15, max_size=15))
-def test_positional_and_keyword_rows_are_equal(cells):
-    time_us, kind, *rest = cells
-    by_keyword, by_position = Trace(), Trace()
-    names = [c for c in COLUMNS if c not in ("time_us", "kind")]
-    by_keyword.add(time_us, kind, **dict(zip(names, rest)))
-    by_position.add(time_us, kind, *rest)
-    assert list(by_position) == list(by_keyword)
-    assert list(by_position) == [(time_us, *rest[:3], kind, *rest[3:])]  # COLUMNS order
-    by_keyword, by_position = Trace(), Trace()
-    by_keyword.add(time_us, _ANY_CELLS, **dict(zip(names, rest)))
-    by_position.add(time_us, _ANY_CELLS, *rest)
-    assert by_position.to_csv() == by_keyword.to_csv()
+@given(st.lists(_CELL, min_size=14, max_size=14))
+def test_a_row_iterates_and_writes_as_in_the_flat_store(cells):
+    time_us, *rest = cells
+    trace, flat = Trace(), FlatTrace()
+    trace.add(time_us, _ANY_CELLS, *rest)
+    flat.add(time_us, _ANY_CELLS, *rest)
+    assert list(trace) == list(flat) == [(time_us, *rest[:3], _ANY_CELLS, *rest[3:])]
+    assert trace.to_csv() == flat.to_csv()
 
 
 def test_loaded_trace_gives_the_same_view_as_the_in_memory_rows(lossy_result, tmp_path):
@@ -104,17 +120,18 @@ def test_write_csv_streams_the_file_in_bounded_memory(fleet_result, tmp_path):
 def test_a_declared_kind_is_a_new_str_that_writes_its_layout():
     pose = declare_kind("pose", "dd-d ----- fffff")
     assert type(pose) is str and pose == "pose" and pose is not sys.intern("pose")
-    cells = (3, None, 1, None, None, None, None, None, 0.1, -2.0, 1 / 3, 0.0, -0.0)
+    cells = (3, 1, 0.1, -2.0, 1 / 3, 0.0, -0.0)  # cycle node x y theta left right
     trace = Trace()
     trace.add(9, pose, *cells)
     trace.add(9, declare_kind("a%b", "d--- ----- -----"))
     assert trace.to_csv().splitlines()[1:] == [
         "9,3,,1,pose,,,,,,0.100000,-2.000000,0.333333,0.000000,-0.000000",
         "9,,,,a%b" + "," * 10]
-    # a short layout, an unknown letter, a short name, and a second pose layout
-    # with the empty cells of the first, which a row read back could not tell apart
+    # a short layout, an unknown letter, a short name, an empty time, and a second pose
+    # layout with the empty cells of the first, which a row read back could not tell apart
     for name, layout in (("pose", "dd-d ----- ffff"), ("pose", "dd-d ----- ffffx"),
-                         ("x", "dddd ----- -----"), ("pose", "dd-d ----- ffffd")):
+                         ("x", "dddd ----- -----"), ("pose", "-d-d ----- fffff"),
+                         ("pose", "dd-d ----- ffffd")):
         with pytest.raises(ValueError):
             declare_kind(name, layout)
 
@@ -170,11 +187,58 @@ def test_a_run_starts_few_collections():
     assert sum(started) < len(trace) / 2_000
 
 
-@settings(max_examples=25, deadline=None)
+def assert_same_as_the_flat_store(trace: Trace) -> None:
+    """The trace writes the bytes and iterates the rows of the flat store of the rows
+    it was given, and a file written, loaded and written again keeps its bytes."""
+    flat, text = flat_copy(trace), trace.to_csv()
+    assert text == flat.to_csv()
+    assert list(trace) == list(flat)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        trace.write_csv(path)
+        assert path.read_text(encoding="utf-8") == text
+        loaded = load_trace(path)
+        assert len(loaded) == len(trace) and loaded.to_csv() == text
+
+
+@pytest.mark.parametrize("golden", ["square", "platoon", "lossy", "fleet"])
+def test_the_goldens_write_and_iterate_as_in_the_flat_store(golden, request):
+    assert_same_as_the_flat_store(request.getfixturevalue(f"{golden}_result").trace)
+
+
+def test_the_corpus_writes_and_iterates_as_in_the_flat_store():
+    for change, *_ in CASES.values():
+        config = config_from_dict({**copy.deepcopy(BASE), **change})
+        assert_same_as_the_flat_store(run_scenario(config).trace)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
 @given(remote_configs())
 def test_any_valid_config_keeps_the_declared_layouts(raw):
     try:
         config = config_from_dict(raw)
     except ConfigError:
         return
-    _assert_rows_keep_their_layouts(run_scenario(config).trace)
+    trace = run_scenario(config).trace
+    _assert_rows_keep_their_layouts(trace)
+    assert_same_as_the_flat_store(trace)
+
+
+def test_the_golden_fleet_trace_holds_only_its_filled_cells():
+    # a row holds its time, its kind and the cells its layout fills, plus one byte that
+    # counts them: dropping the fleet trace frees about 3.82 MB, 96 bytes a row, where
+    # 15 cells a row, None for each empty one, freed about 5.29 MB, 133 a row
+    config = config_from_dict(fleet_raw())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run = run_scenario(config)
+        rows = len(run.trace)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        run.trace = None
+        gc.collect()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert rows == 39_661 and freed < 115 * rows
